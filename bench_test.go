@@ -529,7 +529,7 @@ func BenchmarkGAGeneration(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i) + 1
-		if _, err := placement.GA(seq, 4, cfg); err != nil {
+		if _, err := placement.GAContext(context.Background(), seq, 4, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -67,23 +67,19 @@ func Convergence(ctx context.Context, cfg Config, name string) (*ConvergenceResu
 		}
 	}
 
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+	// Both GA runs check ctx every generation, so a deadline stops the
+	// experiment inside a run, not only between them.
 	seeded := cfg.GA
 	seeded.Seeds = seeds
-	r1, err := placement.GA(seq, q, seeded)
+	r1, err := placement.GAContext(ctx, seq, q, seeded)
 	if err != nil {
 		return nil, err
 	}
 	res.Seeded = r1.History
 
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	cold := cfg.GA
 	cold.Seeds = nil
-	r2, err := placement.GA(seq, q, cold)
+	r2, err := placement.GAContext(ctx, seq, q, cold)
 	if err != nil {
 		return nil, err
 	}

@@ -2,9 +2,11 @@ package eval
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/placement"
 )
@@ -273,6 +275,29 @@ func TestConvergence(t *testing.T) {
 	}
 	if _, err := Convergence(context.Background(), cfg, "nope"); err == nil {
 		t.Error("unknown benchmark accepted")
+	}
+}
+
+// A convergence run must stop inside its GA runs once its context
+// expires, not only between them: with a practically endless generation
+// budget, only the per-generation check can end it.
+func TestConvergenceHonorsDeadline(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.GA.Generations = 1 << 30
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := Convergence(ctx, cfg, "dspstone")
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("convergence returned %v, want context.DeadlineExceeded", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("convergence still running 5s after its 50ms deadline")
 	}
 }
 

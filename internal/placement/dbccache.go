@@ -1,13 +1,16 @@
 package placement
 
+import "sync"
+
 // dbcCostCache memoizes per-DBC partial costs by DBC content. A DBC's
 // contribution to the full shift cost depends only on its own ordered
 // member list (CostDBC), and population-based search re-prices the same
-// DBC contents constantly: crossover children keep most parental DBCs
-// untouched, elites survive generations verbatim, and converged
-// populations are near-duplicates of one another. Caching per DBC —
-// rather than per placement — turns all of that sharing into O(|DBC|)
-// hash lookups instead of cost scans.
+// DBC contents constantly: operators rebuild contents an earlier
+// individual already had, and converged populations are near-duplicates
+// of one another. Caching per DBC — rather than per placement — turns
+// that sharing into O(|DBC|) hash lookups instead of cost scans. The
+// genome already carries the costs of the DBCs an operator left alone,
+// so only dirty DBCs reach the cache (price).
 //
 // Misses are priced adaptively. When only a small minority of a
 // placement's DBCs miss (the converged-population steady state), each
@@ -22,14 +25,16 @@ package placement
 // Entries verify the full content on lookup, so a hash collision costs
 // a comparison, never a wrong cost: cached evaluation is bit-identical
 // to Cost (TestDBCCostCacheParity) and search trajectories are
-// unchanged. The cache only ever changes speed, not results; it resets
-// deterministically when it reaches its size bound.
+// unchanged. Keys live back to back in one arena, so an insert appends
+// instead of allocating. The cache only ever changes speed, not
+// results; it resets deterministically when it reaches its size bound.
 type dbcCostCache struct {
-	kern    *CostKernel
-	m       map[uint64][]dbcCacheEnt
-	entries int
+	kern  *CostKernel
+	heads map[uint64]int32 // content hash -> newest entry with that hash
+	ents  []dbcCacheEnt
+	keys  []int32 // every entry's content, back to back
 
-	// Per-eval scratch.
+	// Per-price scratch.
 	missing []int
 	hashes  []uint64
 	last    []int
@@ -37,22 +42,46 @@ type dbcCostCache struct {
 }
 
 type dbcCacheEnt struct {
-	key  []int32
-	cost int64
+	lo, hi int32 // the entry's content is keys[lo:hi]
+	prev   int32 // the next older entry with the same hash, or -1
+	cost   int64
 }
 
-// dbcCacheMaxEntries bounds the cache footprint (a few MB at typical
-// DBC sizes). The reset is deterministic, so results stay reproducible.
-const dbcCacheMaxEntries = 1 << 15
+// The cache's footprint is bounded by its entry count and by its key
+// arena (1 MiB; a larger arena raised the GA's peak resident set by half
+// for no measurable speed). The reset is deterministic, so results stay
+// reproducible.
+const (
+	dbcCacheMaxEntries = 1 << 15
+	dbcCacheMaxKeys    = 1 << 18
+)
+
+// dbcCachePool recycles cache storage (key arena, entries, hash index)
+// across GA runs: a run inserts thousands of entries, and regrowing that
+// storage from empty for every run was most of the GA's allocation.
+var dbcCachePool = sync.Pool{New: func() any {
+	return &dbcCostCache{heads: make(map[uint64]int32, 256)}
+}}
 
 func newDBCCostCache(kern *CostKernel) *dbcCostCache {
-	return &dbcCostCache{kern: kern, m: make(map[uint64][]dbcCacheEnt, 256)}
+	c := dbcCachePool.Get().(*dbcCostCache)
+	c.kern = kern
+	return c
 }
 
-// eval prices a full placement as the sum of per-DBC cached costs; the
-// lookup must already describe p (fillLookup).
-func (c *dbcCostCache) eval(l *Lookup, p *Placement) int64 {
-	q := len(p.DBC)
+// release empties the cache and returns its storage to the pool; the
+// cache must not be used afterwards.
+func (c *dbcCostCache) release() {
+	clear(c.heads)
+	c.kern, c.ents, c.keys = nil, c.ents[:0], c.keys[:0]
+	dbcCachePool.Put(c)
+}
+
+// price re-prices g's dirty DBCs and clears their dirty marks. A clean
+// DBC keeps the cost g inherited: its content is what it was when that
+// cost was computed.
+func (c *dbcCostCache) price(g *genome) {
+	q := len(g.DBC)
 	if cap(c.hashes) < q {
 		c.hashes = make([]uint64, q)
 		c.last = make([]int, q)
@@ -60,19 +89,25 @@ func (c *dbcCostCache) eval(l *Lookup, p *Placement) int64 {
 	}
 	c.missing = c.missing[:0]
 
-	var total int64
 	nonEmpty := 0
-	for d, content := range p.DBC {
+	for d, content := range g.DBC {
+		if len(content) > 0 {
+			nonEmpty++
+		}
+		if !g.dirty[d] {
+			continue
+		}
+		g.dirty[d] = false
+		g.cost[d] = 0
 		if len(content) == 0 {
 			continue
 		}
-		nonEmpty++
 		h := uint64(14695981039346656037)
 		for _, v := range content {
 			h = (h ^ uint64(uint32(v))) * 1099511628211
 		}
 		if cost, ok := c.lookup(h, content); ok {
-			total += cost
+			g.cost[d] = cost
 			continue
 		}
 		c.hashes[d] = h
@@ -82,44 +117,48 @@ func (c *dbcCostCache) eval(l *Lookup, p *Placement) int64 {
 	switch {
 	case len(c.missing) == 0:
 	case len(c.missing)*4 <= nonEmpty:
-		// Minority miss: targeted kernel scans of just the dirty DBCs.
+		// Minority miss: targeted kernel scans of just the missing DBCs.
 		for _, d := range c.missing {
-			cost := c.kern.CostDBC(l, p.DBC[d])
-			c.insert(c.hashes[d], p.DBC[d], cost)
-			total += cost
+			g.cost[d] = c.kern.CostDBC(&g.lookup, g.DBC[d])
+			c.insert(c.hashes[d], g.DBC[d], g.cost[d])
 		}
 	default:
 		// Bulk miss: one replay pass prices every DBC at once.
-		shiftCostPerDBC(c.kern.Sequence(), l, c.last[:q], c.per[:q])
+		shiftCostPerDBC(c.kern.Sequence(), &g.lookup, c.last[:q], c.per[:q])
 		for _, d := range c.missing {
-			cost := c.per[d]
-			c.insert(c.hashes[d], p.DBC[d], cost)
-			total += cost
+			g.cost[d] = c.per[d]
+			c.insert(c.hashes[d], g.DBC[d], g.cost[d])
 		}
 	}
-	return total
 }
 
 func (c *dbcCostCache) lookup(h uint64, content []int) (int64, bool) {
-	for _, e := range c.m[h] {
-		if dbcKeyEqual(e.key, content) {
+	i, ok := c.heads[h]
+	for ok && i >= 0 {
+		e := &c.ents[i]
+		if dbcKeyEqual(c.keys[e.lo:e.hi], content) {
 			return e.cost, true
 		}
+		i = e.prev
 	}
 	return 0, false
 }
 
 func (c *dbcCostCache) insert(h uint64, content []int, cost int64) {
-	if c.entries >= dbcCacheMaxEntries {
-		c.m = make(map[uint64][]dbcCacheEnt, 256)
-		c.entries = 0
+	if len(c.ents) >= dbcCacheMaxEntries || len(c.keys)+len(content) > dbcCacheMaxKeys {
+		clear(c.heads)
+		c.ents, c.keys = c.ents[:0], c.keys[:0]
 	}
-	key := make([]int32, len(content))
-	for i, v := range content {
-		key[i] = int32(v)
+	prev, ok := c.heads[h]
+	if !ok {
+		prev = -1
 	}
-	c.m[h] = append(c.m[h], dbcCacheEnt{key: key, cost: cost})
-	c.entries++
+	lo := len(c.keys)
+	for _, v := range content {
+		c.keys = append(c.keys, int32(v))
+	}
+	c.heads[h] = int32(len(c.ents))
+	c.ents = append(c.ents, dbcCacheEnt{lo: int32(lo), hi: int32(len(c.keys)), prev: prev, cost: cost})
 }
 
 func dbcKeyEqual(key []int32, content []int) bool {

@@ -91,6 +91,99 @@ func FuzzKernelParity(f *testing.F) {
 	})
 }
 
+// FuzzGenomeOperators feeds arbitrary byte strings interpreted as
+// (variable universe, DBC count, capacity, objective, access sequence,
+// operator script) and drives the GA's genome operators the way a
+// generation does: crossover of two priced parents, mutations of the
+// children, pricing. After every operator the genome's lookup must be
+// exactly BuildLookup of its rows and the capacity must hold; after
+// pricing, every carried per-DBC cost must be ShiftCostBreakdown's (the
+// replay oracle) — or, under a port model, the fitness PortCost — and
+// the parents must be untouched. Run in CI's fuzz-smoke job.
+func FuzzGenomeOperators(f *testing.F) {
+	f.Add([]byte{5, 2, 0, 0, 0, 1, 2, 3, 4, 0, 1, 2, 1, 0, 3, 9, 9, 0, 1, 7, 3, 4, 22})
+	f.Add([]byte{9, 3, 1, 2, 1, 5, 2, 8, 0, 3, 7, 1, 4, 6, 2, 5, 0, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add([]byte{12, 4, 2, 5, 11, 3, 7, 1, 9, 0, 4, 8, 2, 6, 10, 5, 11, 3, 9, 9, 14, 1, 2, 24, 4, 3, 19})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 8 || len(data) > 2048 {
+			t.Skip() // bound per-exec cost so the CI smoke job explores widely
+		}
+		numVars := 1 + int(data[0]%24)
+		q := 1 + int(data[1]%6)
+		flags, knob := data[2], int(data[3])
+		body := data[4:]
+		cut := len(body) / 2
+		names := make([]string, numVars)
+		for i := range names {
+			names[i] = "v" + string(rune('a'+i%26)) + string(rune('a'+i/26))
+		}
+		s := &trace.Sequence{Names: names}
+		for _, b := range body[:cut] {
+			s.Append(int(b)%numVars, false)
+		}
+		n := len(trace.Analyze(s).ByFirstUse())
+		if n == 0 {
+			t.Skip()
+		}
+		cfg := quickGA(int64(knob))
+		cfg.Mu = 4
+		if flags&1 != 0 {
+			cfg.Capacity = (n+q-1)/q + knob%3
+		}
+		if flags&2 != 0 {
+			pm, err := NewPortModel(2+knob%12, 2)
+			if err != nil {
+				t.Skip()
+			}
+			cfg.Port = pm
+		}
+		r := testGARun(t, s, q, cfg)
+		check := func(step string, g *genome) {
+			t.Helper()
+			if err := checkGenome(s, g, cfg.Capacity); err != nil {
+				t.Fatalf("%s: %v\nseq: %v", step, err, s)
+			}
+		}
+		pool := append([]*genome(nil), r.pop...)
+		for script := body[cut:]; len(script) >= 3; script = script[3:] {
+			p1, p2 := pool[int(script[0])%len(pool)], pool[int(script[1])%len(pool)]
+			kids := [2]*genome{}
+			kids[0], kids[1] = r.crossover(p1, p2)
+			for k, op := range [2]int{int(script[2] % 5), int(script[2] / 5 % 5)} {
+				c := kids[k]
+				check("crossover", c)
+				if op == 0 {
+					continue
+				}
+				if c == p1 || c == p2 {
+					c = r.child(c)
+				}
+				switch op {
+				case 1:
+					r.mutateMove(c)
+				case 2:
+					r.mutateTranspose(c)
+				case 3:
+					r.mutatePermute(c)
+				default:
+					r.mutateImprove(c)
+				}
+				check("mutation", c)
+				kids[k] = c
+			}
+			for _, g := range []*genome{kids[0], kids[1], p1, p2} {
+				r.fit[0].price(g)
+				if err := checkPriced(s, g, cfg.Port); err != nil {
+					t.Fatalf("%v\nseq: %v", err, s)
+				}
+			}
+			check("parent", p1)
+			check("parent", p2)
+			pool = append(pool, kids[0], kids[1])
+		}
+	})
+}
+
 // FuzzPortCostParity feeds arbitrary byte strings interpreted as
 // (variable universe, DBC count, port count, layout domains, access
 // sequence, DBC assignment, offset shuffle) and checks that the

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/trace"
@@ -150,26 +150,15 @@ type GAResult struct {
 	History []int64
 }
 
-type individual struct {
-	p    *Placement
-	cost int64
-}
-
-// GA runs the paper's µ+λ genetic algorithm over complete placements for
-// the sequence into q DBCs. It is GAContext without cancellation.
-func GA(s *trace.Sequence, q int, cfg GAConfig) (*GAResult, error) {
-	//rtmlint:ctxcheck-ok legacy compat entry point without cancellation; no caller context exists
-	return GAContext(context.Background(), s, q, cfg)
-}
-
-// GAContext is GA with cooperative cancellation: the context is checked
-// between generations (and, under the island model, between migration
-// rounds), so a Lab.Place deadline interrupts a long run instead of
-// being ignored. On cancellation it returns the best placement found so
-// far together with the context's error — callers that can use a
-// partial result get one, callers that cannot treat it as a plain
-// failure. With cfg.Islands > 1 the search runs the island model of
-// islands.go.
+// GAContext runs the paper's µ+λ genetic algorithm over complete
+// placements for the sequence into q DBCs, with cooperative
+// cancellation: the context is checked between generations (and, under
+// the island model, between migration rounds), so a Lab.Place deadline
+// interrupts a long run instead of being ignored. On cancellation it
+// returns the best placement found so far together with the context's
+// error — callers that can use a partial result get one, callers that
+// cannot treat it as a plain failure. With cfg.Islands > 1 the search
+// runs the island model of islands.go.
 func GAContext(ctx context.Context, s *trace.Sequence, q int, cfg GAConfig) (*GAResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -184,6 +173,7 @@ func GAContext(ctx context.Context, s *trace.Sequence, q int, cfg GAConfig) (*GA
 	if r.trivial != nil {
 		return r.trivial, nil
 	}
+	defer r.release()
 	for gen := 0; gen < cfg.Generations; gen++ {
 		if err := ctx.Err(); err != nil {
 			return r.result(), err
@@ -193,30 +183,92 @@ func GAContext(ctx context.Context, s *trace.Sequence, q int, cfg GAConfig) (*GA
 	return r.result(), nil
 }
 
+// genome is one GA individual (DESIGN.md §8): the placement's per-DBC
+// member rows, its own var → (DBC, offset) lookup, and its per-DBC shift
+// costs. Every operator keeps the lookup in step with the rows and marks
+// the DBCs it touches dirty; fitness re-prices only those. That is exact
+// because a DBC's cost depends only on its own ordered content
+// (CostDBC): a DBC an operator did not touch still costs what it cost in
+// the parent. A priced genome is immutable and may fill several
+// population slots; its storage returns to the run's free list once
+// selection drops it.
+type genome struct {
+	Placement
+	lookup Lookup
+	cost   []int64 // cost[d] is DBC d's single-port cost unless dirty[d]
+	dirty  []bool
+	total  int64  // fitness: the sum of cost once priced
+	epoch  uint64 // the last selection sweep that found the genome alive
+}
+
+// newGenome wraps a placement and its lookup in a genome whose every
+// DBC is still to be priced.
+func newGenome(p *Placement, l *Lookup) *genome {
+	q := len(p.DBC)
+	return &genome{Placement: *p, lookup: *l, cost: make([]int64, q), dirty: slices.Repeat([]bool{true}, q)}
+}
+
+// copyFrom makes g a copy of the priced genome src, keeping g's storage:
+// the child inherits every per-DBC cost, and no DBC is dirty yet.
+func (g *genome) copyFrom(src *genome) {
+	for d, row := range src.DBC {
+		g.DBC[d] = append(g.DBC[d][:0], row...)
+	}
+	copy(g.lookup.DBCOf, src.lookup.DBCOf)
+	copy(g.lookup.Offset, src.lookup.Offset)
+	copy(g.cost, src.cost)
+	clear(g.dirty)
+	g.total = src.total
+}
+
+// move takes variable v out of its DBC, closing the gap, and appends it
+// to DBC to.
+func (g *genome) move(v, to int) {
+	from, i := g.lookup.DBCOf[v], g.lookup.Offset[v]
+	row := append(g.DBC[from][:i], g.DBC[from][i+1:]...)
+	for ; i < len(row); i++ {
+		g.lookup.Offset[row[i]] = i
+	}
+	g.DBC[from] = row
+	g.lookup.DBCOf[v], g.lookup.Offset[v] = to, len(g.DBC[to])
+	g.DBC[to] = append(g.DBC[to], v)
+	g.dirty[from], g.dirty[to] = true, true
+}
+
+// renumber rewrites the offsets of DBC d's members after a reorder and
+// marks the DBC dirty.
+func (g *genome) renumber(d int) {
+	for off, v := range g.DBC[d] {
+		g.lookup.Offset[v] = off
+	}
+	g.dirty[d] = true
+}
+
 // gaRun is one GA population mid-search: the serial GA is a loop of
 // step() calls over a single gaRun, and the island model advances one
 // gaRun per island (islands.go), migrating elites between rounds. All
-// run-long state (PRNG stream, kernel + DBC cost cache, scratch buffers,
-// placement free list) lives here, so stepping stays allocation-free and
-// a run split into rounds is bit-identical to an uninterrupted one.
+// run-long state (PRNG stream, kernel, fitness evaluators, genome free
+// list, selection buffers) lives here, so stepping allocates nothing
+// once the free list is warm, and a run split into rounds is
+// bit-identical to an uninterrupted one.
 type gaRun struct {
 	s    *trace.Sequence
 	q    int
 	cfg  GAConfig
 	rng  *rand.Rand
 	vars []int
+	kern *CostKernel
 
-	lookup  *Lookup
-	kern    *CostKernel
-	cache   *dbcCostCache
-	portOff []int
+	// fit[0] prices serially; with Workers > 1 each fitness goroutine
+	// owns one entry.
+	fit []*fitness
 
-	pop  []individual
-	best individual
-
-	xsc          xoverScratch // crossover's variable→DBC tables, reused all run
-	pp           placementPool
-	workerCaches []*workerEval
+	pop                   []*genome
+	best                  *genome
+	next, pool, offspring []*genome
+	free                  []*genome
+	epoch                 uint64
+	eligible              []int // mutation scratch: DBC candidates
 
 	gens      int
 	evalCount int64
@@ -256,128 +308,161 @@ func newGARun(s *trace.Sequence, q int, cfg GAConfig) (*gaRun, error) {
 		cfg:     cfg,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		vars:    vars,
-		lookup:  &Lookup{DBCOf: make([]int, s.NumVars()), Offset: make([]int, s.NumVars())},
 		history: make([]int64, 0, histCap),
 	}
 
-	// All fitness evaluation runs through the cost kernel: O(nnz) per
-	// individual, allocation-free after this point (the lookup buffer is
-	// reused in place). cfg.Kernel shares one build across callers (the
-	// engine batch layer, repeated GA runs on one sequence, the islands
-	// of one island run). Under a multi-port objective the kernel and
-	// its DBC cache cannot price the stateful model; fitness is the
-	// exact multi-port replay instead, allocation-free on the same
-	// reused buffers.
+	// Single-port fitness runs through the cost kernel; cfg.Kernel shares
+	// one build across callers (the Lab's kernel cache, repeated GA runs
+	// on one sequence, the islands of one island run). Under a multi-port
+	// objective the kernel cannot price the stateful model and fitness is
+	// the exact multi-port replay instead.
 	if cfg.Port == nil {
 		r.kern = kernelFor(cfg.Kernel, s)
-		r.cfg.Kernel = r.kern // the memetic improve operator derives its DeltaEvaluator from it
-		r.cache = newDBCCostCache(r.kern)
-	} else {
-		r.portOff = make([]int, q)
+	}
+	r.fit = make([]*fitness, max(cfg.Workers, 1))
+	for w := range r.fit {
+		r.fit[w] = newFitness(s, r.kern, cfg.Port, q)
 	}
 
-	r.pop = make([]individual, 0, cfg.Mu)
+	r.pop = make([]*genome, 0, cfg.Mu)
 	for _, seed := range cfg.Seeds {
 		if len(r.pop) == cfg.Mu {
 			break
 		}
-		if seed.NumDBCs() != q {
-			return nil, fmt.Errorf("placement: seed has %d DBCs, want %d", seed.NumDBCs(), q)
+		g, err := r.load(seed)
+		if err != nil {
+			return nil, err
 		}
-		c := seed.Clone()
-		r.pop = append(r.pop, individual{p: c, cost: r.eval(c)})
+		r.pop = append(r.pop, g)
 	}
 	for len(r.pop) < cfg.Mu {
-		p := randomPlacement(r.rng, vars, q, cfg.Capacity)
-		r.pop = append(r.pop, individual{p: p, cost: r.eval(p)})
+		g := newGenome(NewEmpty(q), newLookup(s.NumVars()))
+		randomPlacementLookup(&g.Placement, &g.lookup, r.rng, vars, cfg.Capacity)
+		r.pop = append(r.pop, g)
 	}
+	for _, g := range r.pop {
+		r.fit[0].price(g)
+	}
+	r.evalCount = int64(len(r.pop))
 
 	r.best = r.pop[0]
-	for _, ind := range r.pop[1:] {
-		if r.cfg.better(ind.cost, r.best.cost) {
-			r.best = ind
+	for _, g := range r.pop[1:] {
+		if r.cfg.better(g.total, r.best.total) {
+			r.best = g
 		}
 	}
 	return r, nil
 }
 
-// eval prices one placement under the run's objective.
-func (r *gaRun) eval(p *Placement) int64 {
-	fillLookup(r.lookup, p)
-	r.evalCount++
-	if r.cfg.Port != nil {
-		return portCostLookup(r.s, r.lookup, r.cfg.Port, r.portOff)
+// load turns a caller's seed placement into a genome. A seed must place
+// every accessed variable exactly once into q DBCs: the operators move
+// variables by their lookup entries.
+func (r *gaRun) load(p *Placement) (*genome, error) {
+	if p.NumDBCs() != r.q {
+		return nil, fmt.Errorf("placement: seed has %d DBCs, want %d", p.NumDBCs(), r.q)
 	}
-	return r.cache.eval(r.lookup, p)
+	if err := p.Validate(r.s, 0); err != nil {
+		return nil, fmt.Errorf("placement: GA seed: %w", err)
+	}
+	l, _ := p.BuildLookup(r.s.NumVars()) // cannot fail after Validate
+	return newGenome(p.Clone(), l), nil
+}
+
+// child returns a copy of parent in recycled storage.
+func (r *gaRun) child(parent *genome) *genome {
+	var g *genome
+	if n := len(r.free); n > 0 {
+		g, r.free = r.free[n-1], r.free[:n-1]
+	} else {
+		g = newGenome(NewEmpty(r.q), newLookup(r.s.NumVars()))
+	}
+	g.copyFrom(parent)
+	return g
 }
 
 // step advances the population by one generation.
 func (r *gaRun) step() {
-	cfg := r.cfg
+	cfg := &r.cfg
 	// Breed the whole offspring batch first (sequential, one PRNG
 	// stream), then evaluate fitness — possibly in parallel.
-	offspring := make([]individual, 0, cfg.Lambda)
-	for len(offspring) < cfg.Lambda {
-		p1 := tournament(r.rng, r.pop, cfg.TournamentK, &cfg)
-		p2 := tournament(r.rng, r.pop, cfg.TournamentK, &cfg)
-		c1, c2 := r.pp.clone(p1.p), r.pp.clone(p2.p)
-		crossoverInto(r.rng, c1, c2, r.vars, cfg.Capacity, &r.xsc)
-		for _, c := range []*Placement{c1, c2} {
-			if len(offspring) == cfg.Lambda {
+	off := r.offspring[:0]
+	for len(off) < cfg.Lambda {
+		p1 := tournament(r.rng, r.pop, cfg.TournamentK, cfg)
+		p2 := tournament(r.rng, r.pop, cfg.TournamentK, cfg)
+		c1, c2 := r.crossover(p1, p2)
+		for _, c := range [2]*genome{c1, c2} {
+			owned := c != p1 && c != p2 // else crossover left it its parent
+			if len(off) == cfg.Lambda {
+				if owned {
+					r.free = append(r.free, c)
+				}
 				break
 			}
 			if r.rng.Float64() < cfg.MutationRate {
-				mutate(r.rng, c, r.s, cfg)
+				if !owned {
+					c = r.child(c)
+				}
+				r.mutate(c)
 			}
-			offspring = append(offspring, individual{p: c})
+			off = append(off, c)
 		}
 	}
-	if cfg.Workers > 1 {
-		if r.workerCaches == nil {
-			r.workerCaches = makeWorkerCaches(r.s, r.kern, cfg.Port, r.q, cfg.Workers)
-		}
-		evalParallel(r.workerCaches, offspring)
-		r.evalCount += int64(len(offspring))
+	r.offspring = off
+	if len(r.fit) > 1 {
+		priceParallel(r.fit, off)
 	} else {
-		for i := range offspring {
-			offspring[i].cost = r.eval(offspring[i].p)
+		for _, g := range off {
+			r.fit[0].price(g)
 		}
 	}
+	r.evalCount += int64(len(off))
+
 	// µ+λ selection via tournaments over the combined pool, with
 	// elitism: the best individual always survives.
-	pool := append(r.pop, offspring...)
-	next := make([]individual, 0, cfg.Mu)
+	pool := append(append(r.pool[:0], r.pop...), off...)
 	poolBest := pool[0]
-	for _, ind := range pool[1:] {
-		if cfg.better(ind.cost, poolBest.cost) {
-			poolBest = ind
+	for _, g := range pool[1:] {
+		if cfg.better(g.total, poolBest.total) {
+			poolBest = g
 		}
 	}
-	next = append(next, poolBest)
+	next := append(r.next[:0], poolBest)
 	for len(next) < cfg.Mu {
-		next = append(next, tournament(r.rng, pool, cfg.TournamentK, &cfg))
+		next = append(next, tournament(r.rng, pool, cfg.TournamentK, cfg))
 	}
-	r.pop = next
-	if cfg.better(poolBest.cost, r.best.cost) {
+	r.pop, r.next, r.pool = next, r.pop, pool
+	if cfg.better(poolBest.total, r.best.total) {
 		r.best = poolBest
 	}
 	r.gens++
-	r.history = append(r.history, r.best.cost)
+	r.history = append(r.history, r.best.total)
+	r.recycle()
+}
 
-	// Recycle the placements of offspring that did not survive
-	// selection (offspring pointers are unique, so no double-free;
-	// the all-time best is pinned even when an equal-cost rival
-	// displaced it from the population).
-	for _, o := range offspring {
-		survived := o.p == r.best.p
-		for _, ind := range r.pop {
-			if survived {
-				break
-			}
-			survived = ind.p == o.p
+// recycle returns every genome of the µ+λ pool that selection dropped to
+// the free list. One epoch mark over the survivors and the pinned
+// all-time best replaces a survivor scan per offspring; a freed genome
+// is marked too, so one that filled several pool slots is freed once.
+func (r *gaRun) recycle() {
+	r.epoch++
+	for _, g := range r.pop {
+		g.epoch = r.epoch
+	}
+	r.best.epoch = r.epoch
+	for _, g := range r.pool {
+		if g.epoch != r.epoch {
+			g.epoch = r.epoch
+			r.free = append(r.free, g)
 		}
-		if !survived {
-			r.pp.put(o.p)
+	}
+}
+
+// release returns the run's pooled fitness storage; the run must not be
+// stepped afterwards.
+func (r *gaRun) release() {
+	for _, f := range r.fit {
+		if f.cache != nil {
+			f.cache.release()
 		}
 	}
 }
@@ -387,250 +472,133 @@ func (r *gaRun) step() {
 // from a completed one.
 func (r *gaRun) result() *GAResult {
 	return &GAResult{
-		Best:        r.best.p.Clone(),
-		Cost:        r.best.cost,
+		Best:        r.best.Clone(),
+		Cost:        r.best.total,
 		Generations: r.gens,
 		Evaluations: r.evalCount,
 		History:     r.history,
 	}
 }
 
-// workerEval is one parallel-evaluation worker's private state: a
-// lookup buffer and a DBC cost cache (or, under a multi-port objective,
-// a track-state buffer for the exact replay) that live for the whole GA
-// run, so cross-generation content sharing (elites, converged
-// populations) hits the cache in parallel mode exactly as it does
-// serially.
-type workerEval struct {
-	seq    *trace.Sequence
-	lookup *Lookup
-	cache  *dbcCostCache
-	port   *PortModel
-	off    []int
+// fitness prices genomes under the run's objective. Each pricing
+// goroutine owns one: the DBC cost cache (single-port) or the replay
+// state (multi-port) is private scratch, while the kernel and the port
+// model are shared read-only. Living for the whole run, a cache keeps
+// its cross-generation hits in parallel mode exactly as serially.
+type fitness struct {
+	s     *trace.Sequence
+	cache *dbcCostCache
+	port  *PortModel
+	off   []int
 }
 
-func makeWorkerCaches(s *trace.Sequence, kern *CostKernel, pm *PortModel, q, workers int) []*workerEval {
-	out := make([]*workerEval, workers)
-	for w := range out {
-		we := &workerEval{
-			seq:    s,
-			lookup: &Lookup{DBCOf: make([]int, s.NumVars()), Offset: make([]int, s.NumVars())},
-			port:   pm,
-		}
-		if pm == nil {
-			we.cache = newDBCCostCache(kern)
-		} else {
-			we.off = make([]int, q)
-		}
-		out[w] = we
+func newFitness(s *trace.Sequence, kern *CostKernel, pm *PortModel, q int) *fitness {
+	if pm != nil {
+		return &fitness{s: s, port: pm, off: make([]int, q)}
 	}
-	return out
+	return &fitness{s: s, cache: newDBCCostCache(kern)}
 }
 
-// evalParallel computes offspring fitness on a worker pool; each worker
-// owns its run-long buffers, and all workers share the immutable kernel
-// (or port model). Costs are identical to the sequential path (caches
-// change speed, never values).
-func evalParallel(workers []*workerEval, offspring []individual) {
+// price prices g's dirty DBCs and sets its fitness. A genome with no
+// dirty DBC keeps the total it inherited and is only read, which lets an
+// offspring that is its parent itself sit in a parallel batch. The
+// single-port objective goes through the content-addressed cache
+// (dbcCostCache.price). No kernel prices the stateful multi-port model:
+// there one replay prices the whole genome, and cost is left unused.
+func (f *fitness) price(g *genome) {
+	if !slices.Contains(g.dirty, true) {
+		return
+	}
+	if f.port != nil {
+		g.total = portCostLookup(f.s, &g.lookup, f.port, f.off)
+		clear(g.dirty)
+		return
+	}
+	f.cache.price(g)
+	g.total = 0
+	for _, c := range g.cost {
+		g.total += c
+	}
+}
+
+// priceParallel prices an offspring batch on one goroutine per fitness
+// evaluator. Each offspring is priced by exactly one goroutine, which
+// writes only that genome; costs are identical to the serial path
+// (caches change speed, never values).
+func priceParallel(fit []*fitness, batch []*genome) {
 	var wg sync.WaitGroup
-	next := make(chan int)
-	n := len(workers)
-	if n > len(offspring) {
-		n = len(offspring)
-	}
-	for w := 0; w < n; w++ {
-		we := workers[w]
+	next := make(chan *genome)
+	for _, f := range fit[:min(len(fit), len(batch))] {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range next {
-				fillLookup(we.lookup, offspring[i].p)
-				if we.port != nil {
-					offspring[i].cost = portCostLookup(we.seq, we.lookup, we.port, we.off)
-				} else {
-					offspring[i].cost = we.cache.eval(we.lookup, offspring[i].p)
-				}
+			for g := range next {
+				f.price(g)
 			}
 		}()
 	}
-	for i := range offspring {
-		next <- i
+	for _, g := range batch {
+		next <- g
 	}
 	close(next)
 	wg.Wait()
 }
 
-func fillLookup(l *Lookup, p *Placement) {
-	for v := range l.DBCOf {
-		l.DBCOf[v] = -1
-		l.Offset[v] = -1
-	}
-	for d, vars := range p.DBC {
-		for off, v := range vars {
-			l.DBCOf[v] = d
-			l.Offset[v] = off
-		}
-	}
-}
-
 // tournament draws k individuals with replacement and keeps the fittest
 // under the configured objective (raw shift order for every objective —
 // see GAConfig.better).
-func tournament(rng *rand.Rand, pop []individual, k int, cfg *GAConfig) individual {
+func tournament(rng *rand.Rand, pop []*genome, k int, cfg *GAConfig) *genome {
 	best := pop[rng.Intn(len(pop))]
 	for i := 1; i < k; i++ {
 		c := pop[rng.Intn(len(pop))]
-		if cfg.better(c.cost, best.cost) {
+		if cfg.better(c.total, best.total) {
 			best = c
 		}
 	}
 	return best
 }
 
-// randomPlacement assigns each variable to a uniform random DBC and
-// shuffles each DBC, respecting capacity when positive.
-func randomPlacement(rng *rand.Rand, vars []int, q, capacity int) *Placement {
-	p := NewEmpty(q)
-	randomPlacementInto(p, rng, vars, capacity)
-	return p
-}
-
-// randomPlacementInto is randomPlacement into a reusable placement (the
-// DBC slices are truncated and refilled, keeping their capacity). The
-// PRNG consumption is identical to randomPlacement's, so a search that
-// switches to buffer reuse visits the same placements.
-func randomPlacementInto(p *Placement, rng *rand.Rand, vars []int, capacity int) {
-	q := len(p.DBC)
-	for d := range p.DBC {
-		p.DBC[d] = p.DBC[d][:0]
-	}
-	for _, v := range vars {
-		d := rng.Intn(q)
-		if capacity > 0 {
-			for tries := 0; len(p.DBC[d]) >= capacity && tries < q; tries++ {
-				d = (d + 1) % q
-			}
-		}
-		p.DBC[d] = append(p.DBC[d], v)
-	}
-	for _, d := range p.DBC {
-		rng.Shuffle(len(d), func(i, j int) { d[i], d[j] = d[j], d[i] })
-	}
-}
-
-// xoverScratch holds crossover's two variable→DBC tables. They are
-// rebuilt (densely, no hashing) at every call and reused across the
-// whole run, so the breeding loop stops allocating per pair; entries of
-// unplaced variables are stale but never read (both parents place the
-// same variable set, and only placed variables are looked up).
-type xoverScratch struct {
-	d1, d2 []int
-}
-
-// placementPool is a free list of dead placements. The breeding loop
-// clones two parents per pair, and selection discards most offspring a
-// generation later; recycling their placements (and DBC slices) removes
-// the dominant allocation source of the GA. Purely a memory
-// optimization: clone contents are identical either way.
-type placementPool struct {
-	free []*Placement
-}
-
-// clone returns a deep copy of src, reusing a recycled placement's
-// storage when one is available.
-func (pp *placementPool) clone(src *Placement) *Placement {
-	n := len(pp.free)
-	if n == 0 {
-		return src.Clone()
-	}
-	dst := pp.free[n-1]
-	pp.free = pp.free[:n-1]
-	if cap(dst.DBC) < len(src.DBC) {
-		dst.DBC = make([][]int, len(src.DBC))
-	}
-	dst.DBC = dst.DBC[:len(src.DBC)]
-	for d, vars := range src.DBC {
-		dst.DBC[d] = append(dst.DBC[d][:0], vars...)
-	}
-	return dst
-}
-
-// put returns a dead placement to the free list.
-func (pp *placementPool) put(p *Placement) { pp.free = append(pp.free, p) }
-
-// crossover implements the paper's 2-fold crossover: variables are indexed
-// in sequence-appearance order; a contiguous index range [f, l] is chosen
-// and the DBC assignments of those variables are swapped between the two
-// parents. A swapped variable is removed from its old DBC and appended to
-// the end of its new DBC, so within-DBC orders of untouched variables are
-// preserved and both children remain valid placements. When capacity is
-// positive, a move that would overflow the target DBC is skipped for that
-// child (the other child may still take its half of the swap).
-func crossover(rng *rand.Rand, i, j *Placement, vars []int, capacity int, sc *xoverScratch) (*Placement, *Placement) {
-	c1, c2 := i.Clone(), j.Clone()
-	crossoverInto(rng, c1, c2, vars, capacity, sc)
-	return c1, c2
-}
-
-// crossoverInto is crossover operating on the pre-cloned children in
-// place (the breeding loop clones through its placement pool first).
-func crossoverInto(rng *rand.Rand, c1, c2 *Placement, vars []int, capacity int, sc *xoverScratch) {
+// crossover implements the paper's 2-fold crossover and returns the two
+// children: variables are indexed in sequence-appearance order; a
+// contiguous index range [f, l] is chosen and the DBC assignments of
+// those variables are swapped between the parents. A swapped variable is
+// removed from its old DBC and appended to the end of its new DBC, so
+// within-DBC orders of untouched variables are preserved and both
+// children remain valid placements. When capacity is positive, a move
+// that would overflow the target DBC is skipped for that child (the
+// other child may still take its half of the swap). Children are copied
+// on write: a child no move reaches is its parent itself, so a crossover
+// between converged parents copies nothing.
+func (r *gaRun) crossover(p1, p2 *genome) (c1, c2 *genome) {
+	c1, c2 = p1, p2
+	vars, capacity := r.vars, r.cfg.Capacity
 	if len(vars) < 2 {
-		return
+		return c1, c2
 	}
-	f := rng.Intn(len(vars))
-	l := rng.Intn(len(vars))
+	f := r.rng.Intn(len(vars))
+	l := r.rng.Intn(len(vars))
 	if f > l {
 		f, l = l, f
 	}
-	d1 := dbcIndexInto(&sc.d1, c1)
-	d2 := dbcIndexInto(&sc.d2, c2)
 	for _, v := range vars[f : l+1] {
-		r, s := d1[v], d2[v]
-		if r == s {
+		d1, d2 := c1.lookup.DBCOf[v], c2.lookup.DBCOf[v]
+		if d1 == d2 {
 			continue
 		}
-		if capacity <= 0 || len(c1.DBC[s]) < capacity {
-			moveVar(c1, v, r, s)
-		}
-		if capacity <= 0 || len(c2.DBC[r]) < capacity {
-			moveVar(c2, v, s, r)
-		}
-	}
-}
-
-// dbcIndexInto fills a dense variable→DBC table into the reusable
-// buffer, growing it to cover the placement's variable range.
-func dbcIndexInto(buf *[]int, p *Placement) []int {
-	width := 0
-	for _, vars := range p.DBC {
-		for _, v := range vars {
-			if v+1 > width {
-				width = v + 1
+		if capacity <= 0 || len(c1.DBC[d2]) < capacity {
+			if c1 == p1 {
+				c1 = r.child(p1)
 			}
+			c1.move(v, d2)
+		}
+		if capacity <= 0 || len(c2.DBC[d1]) < capacity {
+			if c2 == p2 {
+				c2 = r.child(p2)
+			}
+			c2.move(v, d1)
 		}
 	}
-	if cap(*buf) < width {
-		*buf = make([]int, width)
-	}
-	m := (*buf)[:width]
-	for d, vars := range p.DBC {
-		for _, v := range vars {
-			m[v] = d
-		}
-	}
-	return m
-}
-
-func moveVar(p *Placement, v, from, to int) {
-	d := p.DBC[from]
-	for i, x := range d {
-		if x == v {
-			p.DBC[from] = append(d[:i], d[i+1:]...)
-			break
-		}
-	}
-	p.DBC[to] = append(p.DBC[to], v)
+	return c1, c2
 }
 
 // mutate applies one of the paper's three mutation operators — move a
@@ -638,121 +606,117 @@ func moveVar(p *Placement, v, from, to int) {
 // DBC, or randomly permute every DBC — or, when ImproveWeight is positive,
 // the memetic local-improvement operator, chosen with the configured
 // weights.
-func mutate(rng *rand.Rand, p *Placement, s *trace.Sequence, cfg GAConfig) {
+func (r *gaRun) mutate(g *genome) {
+	cfg := &r.cfg
 	total := cfg.MoveWeight + cfg.TransposeWeight + cfg.PermuteWeight + cfg.ImproveWeight
 	if total <= 0 {
 		return
 	}
-	switch r := rng.Intn(total); {
-	case r < cfg.MoveWeight:
-		mutateMove(rng, p, cfg.Capacity)
-	case r < cfg.MoveWeight+cfg.TransposeWeight:
-		mutateTranspose(rng, p)
-	case r < cfg.MoveWeight+cfg.TransposeWeight+cfg.PermuteWeight:
-		mutatePermute(rng, p)
+	switch x := r.rng.Intn(total); {
+	case x < cfg.MoveWeight:
+		r.mutateMove(g)
+	case x < cfg.MoveWeight+cfg.TransposeWeight:
+		r.mutateTranspose(g)
+	case x < cfg.MoveWeight+cfg.TransposeWeight+cfg.PermuteWeight:
+		r.mutatePermute(g)
 	default:
-		mutateImprove(rng, p, s, cfg)
+		r.mutateImprove(g)
+	}
+}
+
+// pickDBC draws a DBC uniformly among those holding at least min
+// variables.
+func (r *gaRun) pickDBC(g *genome, min int) (int, bool) {
+	r.eligible = r.eligible[:0]
+	for d, row := range g.DBC {
+		if len(row) >= min {
+			r.eligible = append(r.eligible, d)
+		}
+	}
+	if len(r.eligible) == 0 {
+		return 0, false
+	}
+	return r.eligible[r.rng.Intn(len(r.eligible))], true
+}
+
+func (r *gaRun) mutateMove(g *genome) {
+	q := len(g.DBC)
+	if q < 2 {
+		return
+	}
+	// Pick a random variable uniformly over placed variables.
+	n := g.NumPlaced()
+	if n == 0 {
+		return
+	}
+	k := r.rng.Intn(n)
+	from := 0
+	for k >= len(g.DBC[from]) {
+		k -= len(g.DBC[from])
+		from++
+	}
+	to := r.rng.Intn(q - 1)
+	if to >= from {
+		to++
+	}
+	if c := r.cfg.Capacity; c > 0 && len(g.DBC[to]) >= c {
+		return
+	}
+	g.move(g.DBC[from][k], to)
+}
+
+func (r *gaRun) mutateTranspose(g *genome) {
+	d, ok := r.pickDBC(g, 2)
+	if !ok {
+		return
+	}
+	row := g.DBC[d]
+	i := r.rng.Intn(len(row))
+	j := r.rng.Intn(len(row) - 1)
+	if j >= i {
+		j++
+	}
+	row[i], row[j] = row[j], row[i]
+	g.lookup.Offset[row[i]], g.lookup.Offset[row[j]] = i, j
+	g.dirty[d] = true
+}
+
+func (r *gaRun) mutatePermute(g *genome) {
+	for d, row := range g.DBC {
+		r.rng.Shuffle(len(row), func(i, j int) { row[i], row[j] = row[j], row[i] })
+		g.renumber(d)
 	}
 }
 
 // mutateImprove runs one first-improvement 2-opt sweep over the offset
 // order of one random DBC with at least three variables, evaluated
 // incrementally. It can only keep or lower the individual's fitness; the
-// GA's exploration pressure comes from the other operators. With a
-// kernel at hand (the GA always threads its own) the DeltaEvaluator is
-// derived from it in O(nnz) instead of replaying the access stream.
-// Under a multi-port objective the sweep runs on the port-aware
-// evaluator instead, so the polish improves the same cost the fitness
-// function charges.
-func mutateImprove(rng *rand.Rand, p *Placement, s *trace.Sequence, cfg GAConfig) {
-	var eligible []int
-	for d, vars := range p.DBC {
-		if len(vars) >= 3 {
-			eligible = append(eligible, d)
-		}
-	}
-	if len(eligible) == 0 {
+// GA's exploration pressure comes from the other operators. The
+// DeltaEvaluator is derived from the run's kernel in O(nnz) instead of
+// replaying the access stream. Under a multi-port objective the sweep
+// runs on the port-aware evaluator instead, so the polish improves the
+// same cost the fitness function charges.
+func (r *gaRun) mutateImprove(g *genome) {
+	d, ok := r.pickDBC(g, 3)
+	if !ok {
 		return
 	}
-	d := eligible[rng.Intn(len(eligible))]
-	if pm := cfg.Port; pm != nil {
-		e := NewPortDeltaEvaluator(s, p.DBC[d], pm)
-		if e.Accesses() < 2 {
-			return
-		}
-		e.ImprovePass()
-		copy(p.DBC[d], e.CurrentOrder())
-		return
+	var e interface {
+		Accesses() int
+		ImprovePass() bool
+		CurrentOrder() []int
 	}
-	kern := cfg.Kernel
-	var e *DeltaEvaluator
-	if kern != nil && kern.Sequence() == s {
-		e = NewDeltaEvaluatorFromKernel(kern, p.DBC[d])
+	if pm := r.cfg.Port; pm != nil {
+		e = NewPortDeltaEvaluator(r.s, g.DBC[d], pm)
 	} else {
-		e = NewDeltaEvaluator(s, p.DBC[d])
+		e = NewDeltaEvaluatorFromKernel(r.kern, g.DBC[d])
 	}
 	if e.Accesses() < 2 {
 		return
 	}
 	e.ImprovePass()
-	copy(p.DBC[d], e.CurrentOrder())
-}
-
-func mutateMove(rng *rand.Rand, p *Placement, capacity int) {
-	if len(p.DBC) < 2 {
-		return
-	}
-	// Pick a random variable uniformly over placed variables.
-	n := p.NumPlaced()
-	if n == 0 {
-		return
-	}
-	k := rng.Intn(n)
-	from, idx := -1, -1
-	for d, vars := range p.DBC {
-		if k < len(vars) {
-			from, idx = d, k
-			break
-		}
-		k -= len(vars)
-	}
-	to := rng.Intn(len(p.DBC) - 1)
-	if to >= from {
-		to++
-	}
-	if capacity > 0 && len(p.DBC[to]) >= capacity {
-		return
-	}
-	v := p.DBC[from][idx]
-	p.DBC[from] = append(p.DBC[from][:idx], p.DBC[from][idx+1:]...)
-	p.DBC[to] = append(p.DBC[to], v)
-}
-
-func mutateTranspose(rng *rand.Rand, p *Placement) {
-	// Choose among DBCs with at least two variables.
-	var eligible []int
-	for d, vars := range p.DBC {
-		if len(vars) >= 2 {
-			eligible = append(eligible, d)
-		}
-	}
-	if len(eligible) == 0 {
-		return
-	}
-	d := eligible[rng.Intn(len(eligible))]
-	vars := p.DBC[d]
-	i := rng.Intn(len(vars))
-	j := rng.Intn(len(vars) - 1)
-	if j >= i {
-		j++
-	}
-	vars[i], vars[j] = vars[j], vars[i]
-}
-
-func mutatePermute(rng *rand.Rand, p *Placement) {
-	for _, d := range p.DBC {
-		rng.Shuffle(len(d), func(i, j int) { d[i], d[j] = d[j], d[i] })
-	}
+	copy(g.DBC[d], e.CurrentOrder())
+	g.renumber(d)
 }
 
 // RWConfig configures the random-walk search baseline.
@@ -794,7 +758,7 @@ func RandomWalk(s *trace.Sequence, q int, cfg RWConfig) (*Placement, int64, erro
 	a := trace.Analyze(s)
 	vars := a.ByFirstUse()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	lookup := &Lookup{DBCOf: make([]int, s.NumVars()), Offset: make([]int, s.NumVars())}
+	lookup := newLookup(s.NumVars())
 
 	// One placement buffer is reused across all iterations; only
 	// improvements (O(log iterations) of them in expectation) are
@@ -826,10 +790,6 @@ func RandomWalk(s *trace.Sequence, q int, cfg RWConfig) (*Placement, int64, erro
 	sc := replayPool.Get().(*replayScratch)
 	defer replayPool.Put(sc)
 	last := sc.grow(q)
-	for v := range lookup.DBCOf {
-		lookup.DBCOf[v] = -1
-		lookup.Offset[v] = -1
-	}
 
 	var best *Placement
 	bestCost := int64(math.MaxInt64)
@@ -855,15 +815,16 @@ func RandomWalk(s *trace.Sequence, q int, cfg RWConfig) (*Placement, int64, erro
 	return best, bestCost, nil
 }
 
-// randomPlacementLookup is randomPlacementInto maintaining the inverse
-// lookup alongside: assignments are recorded as they are drawn and
-// offsets are patched inside the shuffle swaps, replacing the separate
-// O(numVars) fillLookup pass per iteration. The PRNG consumption — and
-// therefore the placement sequence — is identical to randomPlacement's.
-// Only the placed variables' lookup entries are written; the caller's
-// lookup must start out all -1 and be reserved for this loop (unplaced
-// variables are never read by the evaluators because they are never
-// accessed).
+// randomPlacementLookup draws a random placement into p, reusing its
+// DBC slices: each variable goes to a uniform random DBC (the next one
+// with room when capacity is positive), then every DBC is shuffled. The
+// inverse lookup is maintained alongside — assignments are recorded as
+// they are drawn and offsets are patched inside the shuffle swaps — so
+// neither the random walk nor the GA's initial population pays a
+// separate inversion pass. Only the placed variables' lookup entries are
+// written; the caller's lookup must start out all -1 and be reserved for
+// this placement (unplaced variables are never read by the evaluators
+// because they are never accessed).
 func randomPlacementLookup(p *Placement, l *Lookup, rng *rand.Rand, vars []int, capacity int) {
 	q := len(p.DBC)
 	for d := range p.DBC {
@@ -887,15 +848,4 @@ func randomPlacementLookup(p *Placement, l *Lookup, rng *rand.Rand, vars []int, 
 			l.Offset[d[j]] = j
 		})
 	}
-}
-
-// SortDBCsBySize is a helper used by reports: returns DBC indices ordered
-// by descending occupancy.
-func SortDBCsBySize(p *Placement) []int {
-	idx := make([]int, len(p.DBC))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return len(p.DBC[idx[a]]) > len(p.DBC[idx[b]]) })
-	return idx
 }

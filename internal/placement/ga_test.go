@@ -1,7 +1,11 @@
 package placement
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/trace"
@@ -10,6 +14,97 @@ import (
 func quickGA(seed int64) GAConfig {
 	return GAConfig{Mu: 20, Lambda: 20, Generations: 25, TournamentK: 4,
 		MutationRate: 0.5, MoveWeight: 10, TransposeWeight: 10, PermuteWeight: 3, Seed: seed}
+}
+
+// randomPlacement is the reference random generator behind the GA's
+// initial population and the random walk: each variable goes to a
+// uniform random DBC (the next one with room under a positive capacity),
+// then every DBC is shuffled. randomPlacementLookup must consume the
+// PRNG exactly as this does.
+func randomPlacement(rng *rand.Rand, vars []int, q, capacity int) *Placement {
+	p := NewEmpty(q)
+	for _, v := range vars {
+		d := rng.Intn(q)
+		if capacity > 0 {
+			for tries := 0; len(p.DBC[d]) >= capacity && tries < q; tries++ {
+				d = (d + 1) % q
+			}
+		}
+		p.DBC[d] = append(p.DBC[d], v)
+	}
+	for _, d := range p.DBC {
+		rng.Shuffle(len(d), func(i, j int) { d[i], d[j] = d[j], d[i] })
+	}
+	return p
+}
+
+// testGARun returns a freshly initialized GA run, for driving the genome
+// operators directly.
+func testGARun(t testing.TB, s *trace.Sequence, q int, cfg GAConfig) *gaRun {
+	t.Helper()
+	r, err := newGARun(s, q, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.trivial != nil {
+		t.Fatal("sequence accesses no variable")
+	}
+	return r
+}
+
+// pricedGenome loads p into the run as a priced genome.
+func pricedGenome(t testing.TB, r *gaRun, p *Placement) *genome {
+	t.Helper()
+	g, err := r.load(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.fit[0].price(g)
+	return g
+}
+
+// checkGenome verifies what every operator must preserve: the rows are a
+// valid placement of s within capacity, and the lookup is exactly
+// BuildLookup of the rows.
+func checkGenome(s *trace.Sequence, g *genome, capacity int) error {
+	if err := g.Validate(s, capacity); err != nil {
+		return err
+	}
+	want, err := g.BuildLookup(s.NumVars())
+	if err != nil {
+		return err
+	}
+	if !slices.Equal(g.lookup.DBCOf, want.DBCOf) || !slices.Equal(g.lookup.Offset, want.Offset) {
+		return fmt.Errorf("lookup %v/%v, rows %v invert to %v/%v",
+			g.lookup.DBCOf, g.lookup.Offset, g.DBC, want.DBCOf, want.Offset)
+	}
+	return nil
+}
+
+// checkPriced verifies a priced genome against the replay oracle: no DBC
+// is dirty, and each carried per-DBC cost is ShiftCostBreakdown's with
+// the fitness their total. Under a port model, whose fitness prices the
+// whole genome, the fitness must be PortCost.
+func checkPriced(s *trace.Sequence, g *genome, pm *PortModel) error {
+	if slices.Contains(g.dirty, true) {
+		return fmt.Errorf("priced genome %v still dirty: %v", g.DBC, g.dirty)
+	}
+	if pm != nil {
+		want, err := PortCost(s, &g.Placement, pm)
+		if err != nil || g.total != want {
+			return fmt.Errorf("priced genome %v: fitness %d, PortCost %d (err %v)", g.DBC, g.total, want, err)
+		}
+		return nil
+	}
+	b, err := ShiftCostBreakdown(s, &g.Placement)
+	if err != nil {
+		return err
+	}
+	if !slices.Equal(g.cost, b.PerDBC) || g.total != b.Total {
+		return fmt.Errorf("priced genome %v: costs %v (total %d), oracle %v (total %d)",
+			g.DBC, g.cost, g.total, b.PerDBC, b.Total)
+	}
+	return nil
 }
 
 // The memetic GA-2opt registry strategy must produce valid, deterministic
@@ -36,23 +131,28 @@ func TestGAMemeticStrategy(t *testing.T) {
 
 	for trial := 0; trial < 25; trial++ {
 		seq := randSeq(rng, 4+rng.Intn(10), 30+rng.Intn(100))
-		a := trace.Analyze(seq)
-		p := randomPlacement(rng, a.ByFirstUse(), 1+rng.Intn(3), 0)
-		before, err := ShiftCost(seq, p)
-		if err != nil {
-			t.Fatal(err)
+		q := 1 + rng.Intn(3)
+		cfg := quickGA(int64(trial))
+		if trial%2 == 1 { // exercise both the kernel-derived and the port-aware sweep
+			pm, err := NewPortModel(16, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Port = pm
 		}
-		var kern *CostKernel
-		if trial%2 == 0 { // exercise both the kernel-derived and replay setups
-			kern = NewCostKernel(seq)
+		r := testGARun(t, seq, q, cfg)
+		g := r.child(r.pop[0])
+		before := g.total
+		r.mutateImprove(g)
+		if err := checkGenome(seq, g, 0); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		mutateImprove(rng, p, seq, GAConfig{Kernel: kern})
-		after, err := ShiftCost(seq, p)
-		if err != nil {
-			t.Fatal(err)
+		r.fit[0].price(g)
+		if err := checkPriced(seq, g, cfg.Port); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if after > before {
-			t.Fatalf("trial %d: mutateImprove worsened %d -> %d", trial, before, after)
+		if g.total > before {
+			t.Fatalf("trial %d: mutateImprove worsened %d -> %d", trial, before, g.total)
 		}
 	}
 }
@@ -77,7 +177,7 @@ func TestGAFindsOptimumOnSmallInstances(t *testing.T) {
 			}
 			cfg.Seeds = append(cfg.Seeds, sp)
 		}
-		res, err := GA(s, q, cfg)
+		res, err := GAContext(context.Background(), s, q, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +196,7 @@ func TestGAFindsOptimumOnSmallInstances(t *testing.T) {
 func TestGABestNeverWorsens(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	s := randSeq(rng, 12, 120)
-	res, err := GA(s, 4, quickGA(2))
+	res, err := GAContext(context.Background(), s, 4, quickGA(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +216,7 @@ func TestGASeedsRespected(t *testing.T) {
 	seedCost, _ := ShiftCost(s, seed)
 	cfg := quickGA(1)
 	cfg.Seeds = []*Placement{seed}
-	res, err := GA(s, 2, cfg)
+	res, err := GAContext(context.Background(), s, 2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,14 +225,14 @@ func TestGASeedsRespected(t *testing.T) {
 	}
 	// Mismatched seed width must be rejected.
 	cfg.Seeds = []*Placement{NewEmpty(3)}
-	if _, err := GA(s, 2, cfg); err == nil {
+	if _, err := GAContext(context.Background(), s, 2, cfg); err == nil {
 		t.Error("seed with wrong DBC count accepted")
 	}
 }
 
 func TestGAEmptySequence(t *testing.T) {
 	s := &trace.Sequence{}
-	res, err := GA(s, 2, quickGA(1))
+	res, err := GAContext(context.Background(), s, 2, quickGA(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,12 +243,12 @@ func TestGAEmptySequence(t *testing.T) {
 
 func TestGAInvalidConfig(t *testing.T) {
 	s := trace.NewSequence(0, 1)
-	if _, err := GA(s, 0, quickGA(1)); err == nil {
+	if _, err := GAContext(context.Background(), s, 0, quickGA(1)); err == nil {
 		t.Error("q=0 accepted")
 	}
 	bad := quickGA(1)
 	bad.Mu = 0
-	if _, err := GA(s, 2, bad); err == nil {
+	if _, err := GAContext(context.Background(), s, 2, bad); err == nil {
 		t.Error("Mu=0 accepted")
 	}
 }
@@ -156,26 +256,26 @@ func TestGAInvalidConfig(t *testing.T) {
 func TestGADeterministicForSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	s := randSeq(rng, 10, 80)
-	r1, err := GA(s, 3, quickGA(123))
+	r1, err := GAContext(context.Background(), s, 3, quickGA(123))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := GA(s, 3, quickGA(123))
+	r2, err := GAContext(context.Background(), s, 3, quickGA(123))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.Cost != r2.Cost || !r1.Best.Equal(r2.Best) {
 		t.Error("GA not deterministic for a fixed seed")
 	}
-	r3, err := GA(s, 3, quickGA(124))
+	r3, err := GAContext(context.Background(), s, 3, quickGA(124))
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = r3 // different seed may or may not differ; only determinism is required
 }
 
-// Property: crossover children are valid placements covering exactly the
-// parents' variable set.
+// Property: crossover children are valid genomes covering exactly the
+// parents' variable set, and the parents stay untouched.
 func TestCrossoverPreservesValidity(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 60; trial++ {
@@ -184,53 +284,60 @@ func TestCrossoverPreservesValidity(t *testing.T) {
 		a := trace.Analyze(s)
 		vars := a.ByFirstUse()
 		q := 2 + rng.Intn(3)
-		p1 := randomPlacement(rng, vars, q, 0)
-		p2 := randomPlacement(rng, vars, q, 0)
-		c1, c2 := crossover(rng, p1, p2, vars, 0, new(xoverScratch))
-		for i, c := range []*Placement{c1, c2} {
-			if err := c.Validate(s, 0); err != nil {
+		r := testGARun(t, s, q, quickGA(int64(trial)))
+		p1 := pricedGenome(t, r, randomPlacement(rng, vars, q, 0))
+		p2 := pricedGenome(t, r, randomPlacement(rng, vars, q, 0))
+		before1, before2 := p1.Clone(), p2.Clone()
+		c1, c2 := r.child(p1), r.child(p2)
+		r.crossover(c1, c2)
+		for i, c := range []*genome{c1, c2} {
+			if err := checkGenome(s, c, 0); err != nil {
 				t.Fatalf("trial %d child %d invalid: %v", trial, i, err)
 			}
 			if c.NumPlaced() != len(vars) {
 				t.Fatalf("trial %d child %d places %d vars, want %d", trial, i, c.NumPlaced(), len(vars))
 			}
 		}
-		// Parents must be untouched.
-		if p1.NumPlaced() != len(vars) || p2.NumPlaced() != len(vars) {
+		if !p1.Equal(before1) || !p2.Equal(before2) {
 			t.Fatal("crossover mutated a parent")
 		}
 	}
 }
 
-// Property: every mutation operator preserves placement validity.
+// Property: every mutation operator keeps the genome valid, and pricing
+// afterwards matches the replay oracle per DBC.
 func TestMutationsPreserveValidity(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
-	cfg := quickGA(1)
-	cfg.ImproveWeight = 2 // exercise the memetic operator too
 	for trial := 0; trial < 100; trial++ {
 		n := 1 + rng.Intn(10)
 		s := randSeq(rng, n, 15)
-		a := trace.Analyze(s)
-		vars := a.ByFirstUse()
 		q := 1 + rng.Intn(4)
-		p := randomPlacement(rng, vars, q, 0)
-		mutate(rng, p, s, cfg)
-		if err := p.Validate(s, 0); err != nil {
-			t.Fatalf("trial %d: mutation broke placement: %v", trial, err)
+		cfg := quickGA(int64(trial))
+		cfg.ImproveWeight = 2 // exercise the memetic operator too
+		r := testGARun(t, s, q, cfg)
+		g := r.child(r.pop[trial%len(r.pop)])
+		r.mutate(g)
+		if err := checkGenome(s, g, 0); err != nil {
+			t.Fatalf("trial %d: mutation broke genome: %v", trial, err)
+		}
+		r.fit[0].price(g)
+		if err := checkPriced(s, g, nil); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
 }
 
 // Property: mutateMove respects capacity limits.
 func TestMutateMoveRespectsCapacity(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
+	s := trace.NewSequence(0, 1, 2, 3)
+	cfg := quickGA(4)
+	cfg.Capacity = 2
+	r := testGARun(t, s, 2, cfg)
 	for trial := 0; trial < 50; trial++ {
-		p := &Placement{DBC: [][]int{{0, 1}, {2, 3}}}
-		mutateMove(rng, p, 2)
-		for d, vars := range p.DBC {
-			if len(vars) > 2 {
-				t.Fatalf("trial %d: DBC %d overflowed capacity: %v", trial, d, p.DBC)
-			}
+		g := r.child(pricedGenome(t, r, &Placement{DBC: [][]int{{0, 1}, {2, 3}}}))
+		r.mutateMove(g)
+		if err := checkGenome(s, g, cfg.Capacity); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
 }
@@ -479,31 +586,33 @@ func TestCanonicalOrdering(t *testing.T) {
 }
 
 // Parallel fitness evaluation must be bit-identical to sequential for the
-// same seed (search decisions stay on one PRNG stream).
+// same seed (search decisions stay on one PRNG stream), at every worker
+// count.
 func TestGAParallelDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	s := randSeq(rng, 14, 150)
-	seq := quickGA(42)
-	par := quickGA(42)
-	par.Workers = 4
-	r1, err := GA(s, 4, seq)
+	r1, err := GAContext(context.Background(), s, 4, quickGA(42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := GA(s, 4, par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Cost != r2.Cost || !r1.Best.Equal(r2.Best) {
-		t.Errorf("parallel GA diverged: %d vs %d", r1.Cost, r2.Cost)
-	}
-	if r1.Evaluations != r2.Evaluations {
-		t.Errorf("evaluation counts diverged: %d vs %d", r1.Evaluations, r2.Evaluations)
+	for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
+		par := quickGA(42)
+		par.Workers = workers
+		r2, err := GAContext(context.Background(), s, 4, par)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r1.Cost != r2.Cost || !r1.Best.Equal(r2.Best) || !slices.Equal(r1.History, r2.History) {
+			t.Errorf("workers=%d: parallel GA diverged: %d vs %d", workers, r1.Cost, r2.Cost)
+		}
+		if r1.Evaluations != r2.Evaluations {
+			t.Errorf("workers=%d: evaluation counts diverged: %d vs %d", workers, r1.Evaluations, r2.Evaluations)
+		}
 	}
 }
 
 // Property: capacity-aware crossover never overflows a DBC when both
-// parents respect the capacity.
+// parents respect the capacity, and keeps the genome consistent.
 func TestCrossoverRespectsCapacity(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
 	for trial := 0; trial < 60; trial++ {
@@ -513,11 +622,14 @@ func TestCrossoverRespectsCapacity(t *testing.T) {
 		vars := a.ByFirstUse()
 		q := 2 + rng.Intn(3)
 		capacity := (len(vars)+q-1)/q + 1
-		p1 := randomPlacement(rng, vars, q, capacity)
-		p2 := randomPlacement(rng, vars, q, capacity)
-		c1, c2 := crossover(rng, p1, p2, vars, capacity, new(xoverScratch))
-		for i, c := range []*Placement{c1, c2} {
-			if err := c.Validate(s, capacity); err != nil {
+		cfg := quickGA(int64(trial))
+		cfg.Capacity = capacity
+		r := testGARun(t, s, q, cfg)
+		c1 := r.child(pricedGenome(t, r, randomPlacement(rng, vars, q, capacity)))
+		c2 := r.child(pricedGenome(t, r, randomPlacement(rng, vars, q, capacity)))
+		r.crossover(c1, c2)
+		for i, c := range []*genome{c1, c2} {
+			if err := checkGenome(s, c, capacity); err != nil {
 				t.Fatalf("trial %d child %d: %v", trial, i, err)
 			}
 		}
@@ -531,7 +643,7 @@ func TestGARespectsCapacity(t *testing.T) {
 	s := randSeq(rng, 12, 100)
 	cfg := quickGA(3)
 	cfg.Capacity = 4
-	res, err := GA(s, 4, cfg)
+	res, err := GAContext(context.Background(), s, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

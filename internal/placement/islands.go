@@ -56,8 +56,9 @@ func islandGA(ctx context.Context, s *trace.Sequence, q int, cfg GAConfig) (*GAR
 	}
 
 	// One kernel build shared by every island (the kernel is immutable
-	// and safe for concurrent use); each island keeps its own DBC cost
-	// cache via its gaRun, so fitness evaluation never crosses islands.
+	// and safe for concurrent use); each island keeps its own fitness
+	// evaluator and genome free list via its gaRun, so fitness
+	// evaluation never crosses islands.
 	icfg := cfg
 	if icfg.Port == nil {
 		icfg.Kernel = kernelFor(icfg.Kernel, s)
@@ -65,6 +66,13 @@ func islandGA(ctx context.Context, s *trace.Sequence, q int, cfg GAConfig) (*GAR
 	icfg.Workers = 0 // islands are the parallel axis; per-island evaluation is serial
 
 	runs := make([]*gaRun, islands)
+	defer func() {
+		for _, r := range runs {
+			if r != nil {
+				r.release()
+			}
+		}
+	}()
 	for i := range runs {
 		c := icfg
 		c.Seed = islandSeed(cfg.Seed, i)
@@ -106,7 +114,7 @@ func islandGA(ctx context.Context, s *trace.Sequence, q int, cfg GAConfig) (*GAR
 		done += stepN
 		if cfg.IslandProgress != nil {
 			for i, r := range runs {
-				cfg.IslandProgress(i, r.gens, r.best.cost)
+				cfg.IslandProgress(i, r.gens, r.best.total)
 			}
 		}
 		if done < cfg.Generations && islands > 1 {
@@ -124,7 +132,7 @@ func islandGA(ctx context.Context, s *trace.Sequence, q int, cfg GAConfig) (*GAR
 // index), so it is also schedule-independent.
 func migrateRing(runs []*gaRun, elites int) {
 	n := len(runs)
-	out := make([][]individual, n)
+	out := make([][]*genome, n)
 	for i, r := range runs {
 		out[i] = r.emigrants(elites)
 	}
@@ -133,33 +141,30 @@ func migrateRing(runs []*gaRun, elites int) {
 	}
 }
 
-// emigrants clones the run's k best individuals, ordered by (cost,
-// population index).
-func (r *gaRun) emigrants(k int) []individual {
+// emigrants copies the run's k best genomes, ordered by (cost,
+// population index). The copies come from the sender's free list and
+// carry their per-DBC costs, so the receiver owns them outright.
+func (r *gaRun) emigrants(k int) []*genome {
 	idx := popByCost(r.pop)
-	if k > len(idx) {
-		k = len(idx)
-	}
-	out := make([]individual, k)
-	for j := 0; j < k; j++ {
-		src := r.pop[idx[j]]
-		out[j] = individual{p: src.p.Clone(), cost: src.cost}
+	out := make([]*genome, min(k, len(idx)))
+	for j := range out {
+		out[j] = r.child(r.pop[idx[j]])
 	}
 	return out
 }
 
 // immigrate replaces the run's worst individuals with the incoming
 // elites (which the sender already priced under the shared objective, so
-// no re-evaluation is needed). Replaced placements are dropped rather
-// than recycled — tournament selection can alias one placement across
-// several population slots, so a replaced slot's placement may still be
-// live elsewhere.
-func (r *gaRun) immigrate(in []individual) {
+// no re-evaluation is needed). A replaced genome is not recycled here:
+// tournament selection can alias one genome across several population
+// slots, so it may still be live elsewhere; one that is not is left to
+// the garbage collector.
+func (r *gaRun) immigrate(in []*genome) {
 	idx := popByCost(r.pop)
 	for j, m := range in {
 		slot := idx[len(idx)-1-j] // worst first, ties broken by index
 		r.pop[slot] = m
-		if r.cfg.better(m.cost, r.best.cost) {
+		if r.cfg.better(m.total, r.best.total) {
 			r.best = m
 		}
 	}
@@ -167,12 +172,12 @@ func (r *gaRun) immigrate(in []individual) {
 
 // popByCost returns the population's indices ordered by ascending cost,
 // ties by ascending index.
-func popByCost(pop []individual) []int {
+func popByCost(pop []*genome) []int {
 	idx := make([]int, len(pop))
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return pop[idx[a]].cost < pop[idx[b]].cost })
+	sort.SliceStable(idx, func(a, b int) bool { return pop[idx[a]].total < pop[idx[b]].total })
 	return idx
 }
 
@@ -184,13 +189,13 @@ func popByCost(pop []individual) []int {
 func composeIslands(runs []*gaRun, ctxErr error) (*GAResult, error) {
 	best := runs[0]
 	for _, r := range runs[1:] {
-		if r.cfg.better(r.best.cost, best.best.cost) {
+		if r.cfg.better(r.best.total, best.best.total) {
 			best = r
 		}
 	}
 	res := &GAResult{
-		Best: best.best.p.Clone(),
-		Cost: best.best.cost,
+		Best: best.best.Clone(),
+		Cost: best.best.total,
 	}
 	histLen := 0
 	for _, r := range runs {

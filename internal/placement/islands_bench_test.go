@@ -30,7 +30,7 @@ func BenchmarkIslandGA(b *testing.B) {
 			b.ResetTimer()
 			var cost int64
 			for i := 0; i < b.N; i++ {
-				r, err := GA(s, 4, cfg)
+				r, err := GAContext(context.Background(), s, 4, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

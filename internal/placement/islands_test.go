@@ -24,11 +24,11 @@ func TestIslandsOneMatchesSerialGA(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, seed := range []int64{1, 7, 123, 9999} {
 		s := randSeq(rng, 12, 120)
-		serial, err := GA(s, 3, quickGA(seed))
+		serial, err := GAContext(context.Background(), s, 3, quickGA(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		one, err := GA(s, 3, islandGAConfig(seed, 1, 5, 2))
+		one, err := GAContext(context.Background(), s, 3, islandGAConfig(seed, 1, 5, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestIslandGADeterministicAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		cfg := base
 		cfg.Workers = workers
-		r, err := GA(s, 4, cfg)
+		r, err := GAContext(context.Background(), s, 4, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestIslandGADeterministicMultiPort(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		cfg := base
 		cfg.Workers = workers
-		r, err := GA(s, 3, cfg)
+		r, err := GAContext(context.Background(), s, 3, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,13 +133,13 @@ func TestIslandGAComposition(t *testing.T) {
 	s := randSeq(rng, 12, 140)
 	cfg := islandGAConfig(11, 4, 5, 2)
 	cfg.Generations = 10
-	r, err := GA(s, 4, cfg)
+	r, err := GAContext(context.Background(), s, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	single := cfg
 	single.Islands = 1
-	solo, err := GA(s, 4, single)
+	solo, err := GAContext(context.Background(), s, 4, single)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestIslandProgressReports(t *testing.T) {
 	cfg.IslandProgress = func(island, generation int, best int64) {
 		got = append(got, ev{island, generation, best})
 	}
-	if _, err := GA(s, 3, cfg); err != nil {
+	if _, err := GAContext(context.Background(), s, 3, cfg); err != nil {
 		t.Fatal(err)
 	}
 	rounds := 3 // 12 generations / MigrationEvery 4
@@ -258,7 +258,7 @@ func TestIslandGARaceStress(t *testing.T) {
 		cfg := islandGAConfig(int64(trial), 2+trial%3, 1, 1+trial%2)
 		cfg.Generations = 6
 		cfg.Workers = 1 + trial%5
-		r, err := GA(s, 2+trial%3, cfg)
+		r, err := GAContext(context.Background(), s, 2+trial%3, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

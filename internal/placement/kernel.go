@@ -475,8 +475,9 @@ func (k *CostKernel) CostBounded(l *Lookup, bound int64) int64 {
 // groups of the DBC's member variables, scanned against the full
 // lookup. A candidate hits only when it shares the member's DBC, so the
 // result depends exclusively on the DBC's own ordered content — which
-// is what makes it safe to memoize by content (the GA's DBC cost cache)
-// — and the per-DBC results sum to Cost over any placement.
+// is what lets the GA memoize it by content and let a child inherit its
+// parent's untouched DBC costs — and the per-DBC results sum to Cost
+// over any placement.
 //
 //rtm:hotpath
 func (k *CostKernel) CostDBC(l *Lookup, content []int) int64 {
@@ -490,7 +491,8 @@ func (k *CostKernel) CostDBC(l *Lookup, content []int) int64 {
 
 // Evaluate is the validating convenience form of Cost: it inverts the
 // placement (allocating a fresh Lookup) and evaluates it. Hot paths
-// reuse a caller-owned Lookup with fillLookup and call Cost directly.
+// keep a caller-owned Lookup in step with their placement (the GA's
+// genomes, the random walk) and call Cost or CostDBC directly.
 func (k *CostKernel) Evaluate(p *Placement) (int64, error) {
 	l, err := p.BuildLookup(k.numVars)
 	if err != nil {

@@ -38,13 +38,17 @@ func BenchmarkShiftCost(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkKernelCost measures the steady-state kernel evaluation —
-// fillLookup plus the O(nnz) stencil scan, exactly the GA fitness inner
-// loop. The acceptance bar is 0 allocs/op (gated in CI via benchjson).
+// BenchmarkKernelCost measures one full kernel evaluation — the O(nnz)
+// stencil scan over a caller-owned lookup, the scan CostDBC performs a
+// DBC at a time for the GA's fitness. The acceptance bar is 0 allocs/op
+// (gated in CI via benchjson).
 func BenchmarkKernelCost(b *testing.B) {
 	s, p := kernelBenchWorkload(b)
 	k := NewCostKernel(s)
-	lookup := &Lookup{DBCOf: make([]int, s.NumVars()), Offset: make([]int, s.NumVars())}
+	lookup, err := p.BuildLookup(s.NumVars())
+	if err != nil {
+		b.Fatal(err)
+	}
 	want, err := ShiftCost(s, p)
 	if err != nil {
 		b.Fatal(err)
@@ -53,7 +57,6 @@ func BenchmarkKernelCost(b *testing.B) {
 	b.ResetTimer()
 	var got int64
 	for i := 0; i < b.N; i++ {
-		fillLookup(lookup, p)
 		got = k.Cost(lookup)
 	}
 	b.StopTimer()

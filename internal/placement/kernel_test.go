@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -190,13 +191,13 @@ func TestGAKernelSharingDeterminism(t *testing.T) {
 		MutationRate: 0.5, MoveWeight: 10, TransposeWeight: 10, PermuteWeight: 3,
 		ImproveWeight: 3, Seed: 5}
 
-	base, err := GA(s, 4, cfg)
+	base, err := GAContext(context.Background(), s, 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shared := cfg
 	shared.Kernel = NewCostKernel(s)
-	got, err := GA(s, 4, shared)
+	got, err := GAContext(context.Background(), s, 4, shared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestGAKernelSharingDeterminism(t *testing.T) {
 	// A kernel for the wrong sequence must be ignored, not mis-applied.
 	wrong := cfg
 	wrong.Kernel = NewCostKernel(randKernelSeq(rng, 14, 100))
-	got2, err := GA(s, 4, wrong)
+	got2, err := GAContext(context.Background(), s, 4, wrong)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,19 +216,22 @@ func TestGAKernelSharingDeterminism(t *testing.T) {
 	}
 }
 
-// TestKernelCostZeroAlloc pins the steady-state fitness loop —
-// fillLookup plus kernel Cost, exactly what the GA runs per individual —
-// at zero allocations per evaluation.
+// TestKernelCostZeroAlloc pins the steady-state fitness loop at zero
+// allocations per evaluation: breeding a child into recycled storage,
+// one transpose, and pricing its dirty DBC — exactly what the GA runs
+// per offspring once its free list and DBC cost cache are warm.
 func TestKernelCostZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	s := randKernelSeq(rng, 20, 500)
-	k := NewCostKernel(s)
-	p := randFullPlacement(rng, 20, 4)
-	lookup := &Lookup{DBCOf: make([]int, s.NumVars()), Offset: make([]int, s.NumVars())}
+	r := testGARun(t, s, 4, quickGA(1))
+	parent := pricedGenome(t, r, randFullPlacement(rng, 20, 4))
 	var sink int64
 	allocs := testing.AllocsPerRun(200, func() {
-		fillLookup(lookup, p)
-		sink += k.Cost(lookup)
+		g := r.child(parent)
+		r.mutateTranspose(g)
+		r.fit[0].price(g)
+		sink += g.total
+		r.free = append(r.free, g)
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state fitness evaluation allocates %.1f/op, want 0", allocs)
@@ -321,32 +325,36 @@ func TestCostBoundedAndDBCDecomposition(t *testing.T) {
 	}
 }
 
-// TestDBCCostCacheParity pins the GA's cached evaluator against Cost
-// across repeated, related placements (hits, minority misses and bulk
-// misses all exercised).
+// TestDBCCostCacheParity pins the GA's cached evaluator against the
+// replay oracle per DBC across repeated, related genomes (clean
+// inherited DBCs, hits, minority misses and bulk misses all exercised).
 func TestDBCCostCacheParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 10; trial++ {
 		numVars := 4 + rng.Intn(16)
 		s := randKernelSeq(rng, numVars, 50+rng.Intn(200))
-		k := NewCostKernel(s)
-		cache := newDBCCostCache(k)
-		lookup := &Lookup{DBCOf: make([]int, numVars), Offset: make([]int, numVars)}
 		q := 2 + rng.Intn(4)
-		p := randFullPlacement(rng, numVars, q)
+		r := testGARun(t, s, q, quickGA(int64(trial)))
+		g := pricedGenome(t, r, randFullPlacement(rng, numVars, q))
 		for step := 0; step < 60; step++ {
-			switch rng.Intn(3) {
+			switch rng.Intn(4) {
 			case 0: // fresh placement: bulk miss
-				p = randFullPlacement(rng, numVars, q)
+				g = pricedGenome(t, r, randFullPlacement(rng, numVars, q))
 			case 1: // transpose inside one DBC: minority miss
-				mutateTranspose(rng, p)
-			default: // unchanged: pure hits
+				g = r.child(g)
+				r.mutateTranspose(g)
+			case 2: // every DBC reordered: mostly misses
+				g = r.child(g)
+				r.mutatePermute(g)
+			default: // unchanged: clean DBCs inherited
+				g = r.child(g)
 			}
-			fillLookup(lookup, p)
-			got := cache.eval(lookup, p)
-			want := k.Cost(lookup)
-			if got != want {
-				t.Fatalf("trial %d step %d: cached %d, Cost %d", trial, step, got, want)
+			r.fit[0].price(g)
+			if err := checkPriced(s, g, nil); err != nil {
+				t.Fatalf("trial %d step %d: %v", trial, step, err)
+			}
+			if want := r.kern.Cost(&g.lookup); g.total != want {
+				t.Fatalf("trial %d step %d: cached %d, Cost %d", trial, step, g.total, want)
 			}
 		}
 	}

@@ -83,14 +83,20 @@ type Lookup struct {
 	Offset []int
 }
 
-// BuildLookup inverts the placement over a universe of numVars variables.
-// It fails if a variable is placed twice or out of universe.
-func (p *Placement) BuildLookup(numVars int) (*Lookup, error) {
+// newLookup returns a lookup over numVars variables with none placed.
+func newLookup(numVars int) *Lookup {
 	l := &Lookup{DBCOf: make([]int, numVars), Offset: make([]int, numVars)}
 	for v := range l.DBCOf {
 		l.DBCOf[v] = -1
 		l.Offset[v] = -1
 	}
+	return l
+}
+
+// BuildLookup inverts the placement over a universe of numVars variables.
+// It fails if a variable is placed twice or out of universe.
+func (p *Placement) BuildLookup(numVars int) (*Lookup, error) {
+	l := newLookup(numVars)
 	for d, vars := range p.DBC {
 		for off, v := range vars {
 			if v < 0 || v >= numVars {

@@ -3,6 +3,7 @@ package placement
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/trace"
@@ -53,7 +54,7 @@ func TestPortfolioMatchesSequentialOracle(t *testing.T) {
 		q := 2 + rng.Intn(3)
 		opts := raceOptions(int64(trial + 1))
 		wantID, wantCost := oracleBest(t, ids, s, q, opts)
-		for _, workers := range []int{1, 3} {
+		for _, workers := range []int{1, 3, 4, runtime.GOMAXPROCS(0)} {
 			r, err := RacePortfolio(context.Background(), s, q, PortfolioConfig{
 				Strategies: ids, Workers: workers, Options: opts,
 			})

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -134,7 +135,7 @@ func legacyPlace(id StrategyID, s *trace.Sequence, q int, opts Options) (*Placem
 			}
 			cfg.Seeds = seeds
 		}
-		res, err := GA(s, q, cfg)
+		res, err := GAContext(context.Background(), s, q, cfg)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -187,6 +188,36 @@ func TestRegistryParityWithLegacySwitch(t *testing.T) {
 				if !gotP.Equal(wantP) {
 					t.Errorf("%s q=%d %q: placements differ:\n legacy  %s\n registry %s", id, q, text, wantP, gotP)
 				}
+			}
+		}
+	}
+}
+
+// The GA's seeds come from the builtin heuristics without a registry
+// lookup or a pricing pass; they must still be exactly the placements the
+// registry's heuristic strategies return, in HeuristicStrategies order.
+func TestHeuristicSeedsMatchRegistry(t *testing.T) {
+	reg, err := NewRegistry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := mustSeq(t, "a b a b c a c a d d a e f e f g h g h a b")
+	for _, opts := range []Options{{}, {Capacity: 3}} {
+		seeds, err := heuristicSeeds(s, 3, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := HeuristicStrategies()
+		if len(seeds) != len(ids) {
+			t.Fatalf("%d seeds, want %d", len(seeds), len(ids))
+		}
+		for i, id := range ids {
+			p, _, err := reg.Place(id, s, 3, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !p.Equal(seeds[i]) {
+				t.Errorf("capacity %d: seed %d is %s, %s places %s", opts.Capacity, i, seeds[i], id, p)
 			}
 		}
 	}

@@ -158,15 +158,22 @@ func Place(id StrategyID, s *trace.Sequence, q int, opts Options) (*Placement, i
 	return st.Place(s, q, opts)
 }
 
-// heuristicSeeds produces the heuristic placements used to seed the GA.
-// With a batch-shared kernel at hand the seeds are memoized per
-// (sequence, DBC count, capacity): every GA variant cell of an eval
-// batch would otherwise recompute the same four heuristic placements.
+// heuristicSeeds produces the heuristic placements used to seed the GA:
+// the builtin constructive strategies — the paper's four heuristics, in
+// HeuristicStrategies order — built directly, so seeding neither
+// consults a registry nor prices placements the GA prices itself. With a
+// batch-shared kernel at hand the seeds are memoized per (sequence, DBC
+// count, capacity): every GA variant cell of an eval batch would
+// otherwise recompute the same four heuristic placements.
 func heuristicSeeds(s *trace.Sequence, q int, opts Options) ([]*Placement, error) {
 	compute := func() ([]*Placement, error) {
 		var seeds []*Placement
-		for _, id := range HeuristicStrategies() {
-			p, _, err := Place(id, s, q, Options{Capacity: opts.Capacity, Kernel: opts.Kernel})
+		for _, st := range builtinStrategies() {
+			h, ok := st.(constructive)
+			if !ok {
+				continue
+			}
+			p, err := h.construct(s, q, opts)
 			if err != nil {
 				return nil, err
 			}
