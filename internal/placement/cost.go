@@ -103,29 +103,24 @@ func shiftCostLookupBounded(s *trace.Sequence, l *Lookup, last []int, bound int6
 // shiftCostPerDBC is the replay loop with per-DBC attribution: one
 // O(accesses) pass prices every DBC of the placement at once (the GA's
 // DBC cost cache uses it to fill all missing entries together when a
-// genome shares little with previously priced ones). per must hold one
-// entry per DBC; it is zeroed here. The loop is branch-free: the shift
-// directions of the scattered placements the GA prices defeat branch
-// prediction.
+// placement shares little with previously priced ones). per must hold
+// one entry per DBC; it is zeroed here.
 func shiftCostPerDBC(s *trace.Sequence, l *Lookup, last []int, per []int64) {
 	for i := range last {
 		last[i] = -1
 		per[i] = 0
 	}
-	dbc, offs := l.DBCOf, l.Offset
 	for _, a := range s.Accesses {
-		d := dbc[a.Var]
-		off := offs[a.Var]
-		prev := last[d]
+		d := l.DBCOf[a.Var]
+		off := l.Offset[a.Var]
+		if prev := last[d]; prev >= 0 {
+			if off > prev {
+				per[d] += int64(off - prev)
+			} else {
+				per[d] += int64(prev - off)
+			}
+		}
 		last[d] = off
-		delta := off - prev
-		if delta < 0 {
-			delta = -delta
-		}
-		if prev < 0 { // the DBC's first access is free
-			delta = 0
-		}
-		per[d] += int64(delta)
 	}
 }
 
@@ -231,4 +226,18 @@ func EngineCostAt(s *trace.Sequence, p *Placement, domainsPerDBC int, portPos []
 		total += int64(c)
 	}
 	return total, nil
+}
+
+// LowerBound returns a simple lower bound on the shift cost of any
+// placement into q DBCs. For q == 1 every transition between distinct
+// variables costs at least one shift (distinct variables occupy distinct
+// offsets), so the non-self transition count bounds the cost from below.
+// For q > 1 a transition pair can be split across DBCs at zero cost, so
+// the only safe generic bound is zero.
+func LowerBound(s *trace.Sequence, q int) int64 {
+	if q > 1 {
+		return 0
+	}
+	g := trace.BuildGraph(s)
+	return int64(g.TotalWeight())
 }

@@ -29,10 +29,9 @@ import "sync"
 // instead of allocating. The cache only ever changes speed, not
 // results; it resets deterministically when it reaches its size bound.
 type dbcCostCache struct {
-	kern  *CostKernel
-	heads map[uint64]int32 // content hash -> newest entry with that hash
-	ents  []dbcCacheEnt
-	keys  []int32 // every entry's content, back to back
+	kern *CostKernel
+	m    map[uint64]dbcCacheEnt // content hash -> entry
+	keys []int32                // every entry's content, back to back
 
 	// Per-price scratch.
 	missing []int
@@ -43,24 +42,23 @@ type dbcCostCache struct {
 
 type dbcCacheEnt struct {
 	lo, hi int32 // the entry's content is keys[lo:hi]
-	prev   int32 // the next older entry with the same hash, or -1
 	cost   int64
 }
 
 // The cache's footprint is bounded by its entry count and by its key
-// arena (1 MiB; a larger arena raised the GA's peak resident set by half
-// for no measurable speed). The reset is deterministic, so results stay
+// arena (1 MiB; a 16 MiB arena doubled the GA's peak resident set for no
+// measurable speed). The reset is deterministic, so results stay
 // reproducible.
 const (
 	dbcCacheMaxEntries = 1 << 15
 	dbcCacheMaxKeys    = 1 << 18
 )
 
-// dbcCachePool recycles cache storage (key arena, entries, hash index)
-// across GA runs: a run inserts thousands of entries, and regrowing that
+// dbcCachePool recycles cache storage (hash index and key arena) across
+// GA runs: a run inserts thousands of entries, and regrowing that
 // storage from empty for every run was most of the GA's allocation.
 var dbcCachePool = sync.Pool{New: func() any {
-	return &dbcCostCache{heads: make(map[uint64]int32, 256)}
+	return &dbcCostCache{m: make(map[uint64]dbcCacheEnt, 256)}
 }}
 
 func newDBCCostCache(kern *CostKernel) *dbcCostCache {
@@ -72,8 +70,8 @@ func newDBCCostCache(kern *CostKernel) *dbcCostCache {
 // release empties the cache and returns its storage to the pool; the
 // cache must not be used afterwards.
 func (c *dbcCostCache) release() {
-	clear(c.heads)
-	c.kern, c.ents, c.keys = nil, c.ents[:0], c.keys[:0]
+	clear(c.m)
+	c.kern, c.keys = nil, c.keys[:0]
 	dbcCachePool.Put(c)
 }
 
@@ -133,32 +131,26 @@ func (c *dbcCostCache) price(g *genome) {
 }
 
 func (c *dbcCostCache) lookup(h uint64, content []int) (int64, bool) {
-	i, ok := c.heads[h]
-	for ok && i >= 0 {
-		e := &c.ents[i]
-		if dbcKeyEqual(c.keys[e.lo:e.hi], content) {
-			return e.cost, true
-		}
-		i = e.prev
+	e, ok := c.m[h]
+	if !ok || !dbcKeyEqual(c.keys[e.lo:e.hi], content) {
+		return 0, false
 	}
-	return 0, false
+	return e.cost, true
 }
 
+// insert records a priced DBC content. A hash collision overwrites the
+// older entry: the cache then misses on it, which costs a re-pricing,
+// never a wrong cost.
 func (c *dbcCostCache) insert(h uint64, content []int, cost int64) {
-	if len(c.ents) >= dbcCacheMaxEntries || len(c.keys)+len(content) > dbcCacheMaxKeys {
-		clear(c.heads)
-		c.ents, c.keys = c.ents[:0], c.keys[:0]
-	}
-	prev, ok := c.heads[h]
-	if !ok {
-		prev = -1
+	if len(c.m) >= dbcCacheMaxEntries || len(c.keys)+len(content) > dbcCacheMaxKeys {
+		clear(c.m)
+		c.keys = c.keys[:0]
 	}
 	lo := len(c.keys)
 	for _, v := range content {
 		c.keys = append(c.keys, int32(v))
 	}
-	c.heads[h] = int32(len(c.ents))
-	c.ents = append(c.ents, dbcCacheEnt{lo: int32(lo), hi: int32(len(c.keys)), prev: prev, cost: cost})
+	c.m[h] = dbcCacheEnt{lo: int32(lo), hi: int32(len(c.keys)), cost: cost}
 }
 
 func dbcKeyEqual(key []int32, content []int) bool {

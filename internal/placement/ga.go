@@ -44,7 +44,8 @@ type GAConfig struct {
 	// Seed drives the deterministic PRNG.
 	Seed int64
 	// Seeds optionally injects heuristic placements into the initial
-	// population (the paper seeds with its heuristic results).
+	// population (the paper seeds with its heuristic results). A seed
+	// must place every accessed variable exactly once into q DBCs.
 	Seeds []*Placement
 	// Capacity, when positive, rejects DBC overflows during search.
 	Capacity int
@@ -190,8 +191,9 @@ func GAContext(ctx context.Context, s *trace.Sequence, q int, cfg GAConfig) (*GA
 // because a DBC's cost depends only on its own ordered content
 // (CostDBC): a DBC an operator did not touch still costs what it cost in
 // the parent. A priced genome is immutable and may fill several
-// population slots; its storage returns to the run's free list once
-// selection drops it.
+// population and offspring slots (a child no operator touched is its
+// parent); its storage returns to the run's free list once selection
+// drops it.
 type genome struct {
 	Placement
 	lookup Lookup
@@ -321,7 +323,10 @@ func newGARun(s *trace.Sequence, q int, cfg GAConfig) (*gaRun, error) {
 	}
 	r.fit = make([]*fitness, max(cfg.Workers, 1))
 	for w := range r.fit {
-		r.fit[w] = newFitness(s, r.kern, cfg.Port, q)
+		r.fit[w] = &fitness{s: s, port: cfg.Port, off: make([]int, q)}
+		if cfg.Port == nil {
+			r.fit[w].cache = newDBCCostCache(r.kern)
+		}
 	}
 
 	r.pop = make([]*genome, 0, cfg.Mu)
@@ -441,8 +446,8 @@ func (r *gaRun) step() {
 
 // recycle returns every genome of the µ+λ pool that selection dropped to
 // the free list. One epoch mark over the survivors and the pinned
-// all-time best replaces a survivor scan per offspring; a freed genome
-// is marked too, so one that filled several pool slots is freed once.
+// all-time best finds the dead in O(µ+λ); a freed genome is marked too,
+// so one that filled several pool slots is freed once.
 func (r *gaRun) recycle() {
 	r.epoch++
 	for _, g := range r.pop {
@@ -490,13 +495,6 @@ type fitness struct {
 	cache *dbcCostCache
 	port  *PortModel
 	off   []int
-}
-
-func newFitness(s *trace.Sequence, kern *CostKernel, pm *PortModel, q int) *fitness {
-	if pm != nil {
-		return &fitness{s: s, port: pm, off: make([]int, q)}
-	}
-	return &fitness{s: s, cache: newDBCCostCache(kern)}
 }
 
 // price prices g's dirty DBCs and sets its fitness. A genome with no

@@ -228,6 +228,14 @@ func TestGASeedsRespected(t *testing.T) {
 	if _, err := GAContext(context.Background(), s, 2, cfg); err == nil {
 		t.Error("seed with wrong DBC count accepted")
 	}
+	// So must a seed that leaves an accessed variable unplaced or places
+	// one twice: the operators move variables by their lookup entries.
+	for _, bad := range []*Placement{{DBC: [][]int{{0, 1}, {}}}, {DBC: [][]int{{0, 1}, {2, 1}}}} {
+		cfg.Seeds = []*Placement{bad}
+		if _, err := GAContext(context.Background(), s, 2, cfg); err == nil {
+			t.Errorf("invalid seed %v accepted", bad)
+		}
+	}
 }
 
 func TestGAEmptySequence(t *testing.T) {
