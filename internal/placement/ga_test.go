@@ -595,26 +595,34 @@ func TestCanonicalOrdering(t *testing.T) {
 
 // Parallel fitness evaluation must be bit-identical to sequential for the
 // same seed (search decisions stay on one PRNG stream), at every worker
-// count.
+// count and under both the single-port and the multi-port objective.
 func TestGAParallelDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	s := randSeq(rng, 14, 150)
-	r1, err := GAContext(context.Background(), s, 4, quickGA(42))
+	pm, err := NewPortModel(8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
-		par := quickGA(42)
-		par.Workers = workers
-		r2, err := GAContext(context.Background(), s, 4, par)
+	for _, port := range []*PortModel{nil, pm} {
+		cfg := quickGA(42)
+		cfg.Port = port
+		r1, err := GAContext(context.Background(), s, 4, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r1.Cost != r2.Cost || !r1.Best.Equal(r2.Best) || !slices.Equal(r1.History, r2.History) {
-			t.Errorf("workers=%d: parallel GA diverged: %d vs %d", workers, r1.Cost, r2.Cost)
-		}
-		if r1.Evaluations != r2.Evaluations {
-			t.Errorf("workers=%d: evaluation counts diverged: %d vs %d", workers, r1.Evaluations, r2.Evaluations)
+		for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
+			par := cfg
+			par.Workers = workers
+			r2, err := GAContext(context.Background(), s, 4, par)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r1.Cost != r2.Cost || !r1.Best.Equal(r2.Best) || !slices.Equal(r1.History, r2.History) {
+				t.Errorf("ports=%v workers=%d: parallel GA diverged: %d vs %d", port != nil, workers, r1.Cost, r2.Cost)
+			}
+			if r1.Evaluations != r2.Evaluations {
+				t.Errorf("ports=%v workers=%d: evaluation counts diverged: %d vs %d", port != nil, workers, r1.Evaluations, r2.Evaluations)
+			}
 		}
 	}
 }
