@@ -1,7 +1,5 @@
 package placement
 
-import "sync"
-
 // dbcCostCache memoizes per-DBC partial costs by DBC content. A DBC's
 // contribution to the full shift cost depends only on its own ordered
 // member list (CostDBC), and population-based search re-prices the same
@@ -54,25 +52,8 @@ const (
 	dbcCacheMaxKeys    = 1 << 18
 )
 
-// dbcCachePool recycles cache storage (hash index and key arena) across
-// GA runs: a run inserts thousands of entries, and regrowing that
-// storage from empty for every run was most of the GA's allocation.
-var dbcCachePool = sync.Pool{New: func() any {
-	return &dbcCostCache{m: make(map[uint64]dbcCacheEnt, 256)}
-}}
-
 func newDBCCostCache(kern *CostKernel) *dbcCostCache {
-	c := dbcCachePool.Get().(*dbcCostCache)
-	c.kern = kern
-	return c
-}
-
-// release empties the cache and returns its storage to the pool; the
-// cache must not be used afterwards.
-func (c *dbcCostCache) release() {
-	clear(c.m)
-	c.kern, c.keys = nil, c.keys[:0]
-	dbcCachePool.Put(c)
+	return &dbcCostCache{kern: kern, m: make(map[uint64]dbcCacheEnt, 256)}
 }
 
 // price re-prices g's dirty DBCs and clears their dirty marks. A clean

@@ -147,6 +147,7 @@ func FuzzGenomeOperators(f *testing.F) {
 		pool := append([]*genome(nil), r.pop...)
 		for script := body[cut:]; len(script) >= 3; script = script[3:] {
 			p1, p2 := pool[int(script[0])%len(pool)], pool[int(script[1])%len(pool)]
+			before1, before2 := p1.Clone(), p2.Clone()
 			kids := [2]*genome{}
 			kids[0], kids[1] = r.crossover(p1, p2)
 			for k, op := range [2]int{int(script[2] % 5), int(script[2] / 5 % 5)} {
@@ -179,6 +180,9 @@ func FuzzGenomeOperators(f *testing.F) {
 			}
 			check("parent", p1)
 			check("parent", p2)
+			if !p1.Equal(before1) || !p2.Equal(before2) {
+				t.Fatalf("operators changed a parent: %v, %v became %v, %v\nseq: %v", before1, before2, p1, p2, s)
+			}
 			pool = append(pool, kids[0], kids[1])
 		}
 	})

@@ -174,7 +174,6 @@ func GAContext(ctx context.Context, s *trace.Sequence, q int, cfg GAConfig) (*GA
 	if r.trivial != nil {
 		return r.trivial, nil
 	}
-	defer r.release()
 	for gen := 0; gen < cfg.Generations; gen++ {
 		if err := ctx.Err(); err != nil {
 			return r.result(), err
@@ -458,16 +457,6 @@ func (r *gaRun) recycle() {
 		if g.epoch != r.epoch {
 			g.epoch = r.epoch
 			r.free = append(r.free, g)
-		}
-	}
-}
-
-// release returns the run's pooled fitness storage; the run must not be
-// stepped afterwards.
-func (r *gaRun) release() {
-	for _, f := range r.fit {
-		if f.cache != nil {
-			f.cache.release()
 		}
 	}
 }

@@ -282,10 +282,67 @@ func TestGADeterministicForSeed(t *testing.T) {
 	_ = r3 // different seed may or may not differ; only determinism is required
 }
 
+// checkCrossover crosses the priced parents p1 and p2 and verifies the
+// children: each is a valid genome within capacity, places every
+// variable of vars into one of the DBCs its parents gave it (without a
+// capacity, the two children swap the same variables), and prices to
+// the replay oracle's per-DBC costs (a child inherits the costs of the
+// DBCs no move touched). The parents must come out untouched. It
+// reports whether either child differs from its parent.
+func checkCrossover(t *testing.T, r *gaRun, s *trace.Sequence, vars []int, p1, p2 *genome, capacity int) bool {
+	t.Helper()
+	before1, before2 := p1.Clone(), p2.Clone()
+	c1, c2 := r.crossover(p1, p2)
+	parents, changed := [2]*genome{p1, p2}, false
+	for i, c := range []*genome{c1, c2} {
+		if err := checkGenome(s, c, capacity); err != nil {
+			t.Fatalf("child %d: %v", i, err)
+		}
+		if c.NumPlaced() != len(vars) {
+			t.Fatalf("child %d places %d vars, want %d", i, c.NumPlaced(), len(vars))
+		}
+		for _, v := range vars {
+			if d := c.lookup.DBCOf[v]; d != p1.lookup.DBCOf[v] && d != p2.lookup.DBCOf[v] {
+				t.Fatalf("child %d put var %d in DBC %d, parents had %d and %d",
+					i, v, d, p1.lookup.DBCOf[v], p2.lookup.DBCOf[v])
+			}
+		}
+		changed = changed || !c.Equal(&parents[i].Placement)
+		r.fit[0].price(c)
+		if err := checkPriced(s, c, nil); err != nil {
+			t.Fatalf("child %d: %v", i, err)
+		}
+	}
+	if capacity <= 0 {
+		// Without a capacity every move goes through, so the children
+		// trade the DBCs of exactly the same variables.
+		for _, v := range vars {
+			if (c1.lookup.DBCOf[v] == p1.lookup.DBCOf[v]) != (c2.lookup.DBCOf[v] == p2.lookup.DBCOf[v]) {
+				t.Fatalf("var %d: only one child took the other parent's DBC (parents %d, %d; children %d, %d)",
+					v, p1.lookup.DBCOf[v], p2.lookup.DBCOf[v], c1.lookup.DBCOf[v], c2.lookup.DBCOf[v])
+			}
+		}
+	}
+	if !p1.Equal(before1) || !p2.Equal(before2) {
+		t.Fatal("crossover mutated a parent")
+	}
+	for _, p := range []*genome{p1, p2} {
+		if err := checkGenome(s, p, capacity); err != nil {
+			t.Fatalf("parent after crossover: %v", err)
+		}
+		if err := checkPriced(s, p, nil); err != nil {
+			t.Fatalf("parent after crossover: %v", err)
+		}
+	}
+	return changed
+}
+
 // Property: crossover children are valid genomes covering exactly the
-// parents' variable set, and the parents stay untouched.
+// parents' variable set, priced exactly from their inherited costs, and
+// the parents stay untouched.
 func TestCrossoverPreservesValidity(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
+	changed := 0
 	for trial := 0; trial < 60; trial++ {
 		n := 2 + rng.Intn(10)
 		s := randSeq(rng, n, 20)
@@ -295,20 +352,12 @@ func TestCrossoverPreservesValidity(t *testing.T) {
 		r := testGARun(t, s, q, quickGA(int64(trial)))
 		p1 := pricedGenome(t, r, randomPlacement(rng, vars, q, 0))
 		p2 := pricedGenome(t, r, randomPlacement(rng, vars, q, 0))
-		before1, before2 := p1.Clone(), p2.Clone()
-		c1, c2 := r.child(p1), r.child(p2)
-		r.crossover(c1, c2)
-		for i, c := range []*genome{c1, c2} {
-			if err := checkGenome(s, c, 0); err != nil {
-				t.Fatalf("trial %d child %d invalid: %v", trial, i, err)
-			}
-			if c.NumPlaced() != len(vars) {
-				t.Fatalf("trial %d child %d places %d vars, want %d", trial, i, c.NumPlaced(), len(vars))
-			}
+		if checkCrossover(t, r, s, vars, p1, p2, 0) {
+			changed++
 		}
-		if !p1.Equal(before1) || !p2.Equal(before2) {
-			t.Fatal("crossover mutated a parent")
-		}
+	}
+	if changed == 0 {
+		t.Fatal("no crossover moved a variable")
 	}
 }
 
@@ -631,6 +680,7 @@ func TestGAParallelDeterministic(t *testing.T) {
 // parents respect the capacity, and keeps the genome consistent.
 func TestCrossoverRespectsCapacity(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
+	changed := 0
 	for trial := 0; trial < 60; trial++ {
 		n := 4 + rng.Intn(8)
 		s := randSeq(rng, n, 20)
@@ -641,14 +691,14 @@ func TestCrossoverRespectsCapacity(t *testing.T) {
 		cfg := quickGA(int64(trial))
 		cfg.Capacity = capacity
 		r := testGARun(t, s, q, cfg)
-		c1 := r.child(pricedGenome(t, r, randomPlacement(rng, vars, q, capacity)))
-		c2 := r.child(pricedGenome(t, r, randomPlacement(rng, vars, q, capacity)))
-		r.crossover(c1, c2)
-		for i, c := range []*genome{c1, c2} {
-			if err := checkGenome(s, c, capacity); err != nil {
-				t.Fatalf("trial %d child %d: %v", trial, i, err)
-			}
+		p1 := pricedGenome(t, r, randomPlacement(rng, vars, q, capacity))
+		p2 := pricedGenome(t, r, randomPlacement(rng, vars, q, capacity))
+		if checkCrossover(t, r, s, vars, p1, p2, capacity) {
+			changed++
 		}
+	}
+	if changed == 0 {
+		t.Fatal("no crossover moved a variable")
 	}
 }
 

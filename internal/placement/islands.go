@@ -66,13 +66,6 @@ func islandGA(ctx context.Context, s *trace.Sequence, q int, cfg GAConfig) (*GAR
 	icfg.Workers = 0 // islands are the parallel axis; per-island evaluation is serial
 
 	runs := make([]*gaRun, islands)
-	defer func() {
-		for _, r := range runs {
-			if r != nil {
-				r.release()
-			}
-		}
-	}()
 	for i := range runs {
 		c := icfg
 		c.Seed = islandSeed(cfg.Seed, i)

@@ -159,25 +159,28 @@ func Place(id StrategyID, s *trace.Sequence, q int, opts Options) (*Placement, i
 }
 
 // heuristicSeeds produces the heuristic placements used to seed the GA:
-// the builtin constructive strategies — the paper's four heuristics, in
-// HeuristicStrategies order — built directly, so seeding neither
-// consults a registry nor prices placements the GA prices itself. With a
+// the HeuristicStrategies, in that order, built directly through their
+// builtins' construct, so seeding neither consults a registry nor
+// prices placements the GA prices itself. With a
 // batch-shared kernel at hand the seeds are memoized per (sequence, DBC
 // count, capacity): every GA variant cell of an eval batch would
 // otherwise recompute the same four heuristic placements.
 func heuristicSeeds(s *trace.Sequence, q int, opts Options) ([]*Placement, error) {
 	compute := func() ([]*Placement, error) {
+		builtins := builtinStrategies()
 		var seeds []*Placement
-		for _, st := range builtinStrategies() {
-			h, ok := st.(constructive)
-			if !ok {
-				continue
+		for _, id := range HeuristicStrategies() {
+			for _, st := range builtins {
+				h, ok := st.(constructive)
+				if !ok || st.Name() != string(id) {
+					continue
+				}
+				p, err := h.construct(s, q, opts)
+				if err != nil {
+					return nil, err
+				}
+				seeds = append(seeds, p)
 			}
-			p, err := h.construct(s, q, opts)
-			if err != nil {
-				return nil, err
-			}
-			seeds = append(seeds, p)
 		}
 		return seeds, nil
 	}
