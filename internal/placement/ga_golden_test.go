@@ -45,10 +45,10 @@ func gaGoldenDigest(res *GAResult) uint64 {
 // (with its 200 generations cut to 60, so the race-stress run stays
 // short), parallel fitness, a tight DBC capacity, three islands, a
 // two-port objective and the memetic GA-2opt operator. Every run is
-// seeded with the
-// heuristics, as the registry strategy seeds it. A change to the GA's
-// representation or evaluator must leave every number here unchanged;
-// only a deliberate change to the search itself may re-pin them.
+// seeded with the heuristics, as the registry strategy seeds it. A
+// change to the GA's representation or evaluator must leave every
+// number here unchanged; only a deliberate change to the search itself
+// may re-pin them.
 func TestGAGoldenTrajectory(t *testing.T) {
 	const q = 4
 	seqs := []struct {
