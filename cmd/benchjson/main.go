@@ -19,6 +19,12 @@
 // paths are required to stay allocation-free in steady state (DESIGN.md
 // §8): a creeping allocs/op is a correctness-of-intent failure long
 // before it is a wall-clock one.
+//
+// A snapshot also records the machine it was measured on (Go version,
+// GOOS/GOARCH, GOMAXPROCS, NumCPU, CPU model, kernel release). -compare
+// prints both environments and flags a mismatch: an ns/op ratio across
+// two machines measures the machines as well as the code. The verdict
+// does not depend on the environments.
 package main
 
 import (
@@ -28,15 +34,85 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// Snapshot is the JSON schema: benchmark name → unit → value.
+// Snapshot is the JSON schema: benchmark name → unit → value, and the
+// environment the benchmarks ran in. Env is nil in snapshots written
+// before it was recorded.
 type Snapshot struct {
 	Schema     string                        `json:"schema"`
+	Env        *Environment                  `json:"env,omitempty"`
 	Benchmarks map[string]map[string]float64 `json:"benchmarks"`
+}
+
+// Environment describes the machine and toolchain a snapshot was
+// measured on, with the fields perfbench's env line records.
+type Environment struct {
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"num_cpu"`
+	CPUModel   string `json:"cpu_model"`
+	Kernel     string `json:"kernel"`
+}
+
+// String renders the environment on one line.
+func (e *Environment) String() string {
+	if e == nil {
+		return "not recorded"
+	}
+	return fmt.Sprintf("%s %s/%s GOMAXPROCS=%d NumCPU=%d cpu=%q kernel=%s",
+		e.GoVersion, e.GOOS, e.GOARCH, e.GOMAXPROCS, e.NumCPU, e.CPUModel, e.Kernel)
+}
+
+// fillHost completes the fields `go test` output does not carry from
+// the machine benchjson runs on, which is the one that ran the
+// benchmarks when their output is piped in.
+func (e *Environment) fillHost() {
+	e.GoVersion = runtime.Version()
+	e.NumCPU = runtime.NumCPU()
+	if e.GOOS == "" {
+		e.GOOS = runtime.GOOS
+	}
+	if e.GOARCH == "" {
+		e.GOARCH = runtime.GOARCH
+	}
+	if e.CPUModel == "" {
+		e.CPUModel = "unknown"
+		cpuinfo, _ := os.ReadFile("/proc/cpuinfo")
+		for _, line := range strings.Split(string(cpuinfo), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				e.CPUModel = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	e.Kernel = "unknown"
+	if b, err := os.ReadFile("/proc/sys/kernel/osrelease"); err == nil {
+		e.Kernel = strings.TrimSpace(string(b))
+	}
+}
+
+// envMismatch lists the fields in which two environments differ; a
+// missing environment differs in every field.
+func envMismatch(a, b *Environment) []string {
+	if a == nil || b == nil {
+		return []string{"all (an environment is not recorded)"}
+	}
+	var diff []string
+	av, bv := reflect.ValueOf(*a), reflect.ValueOf(*b)
+	for i := 0; i < av.NumField(); i++ {
+		if av.Field(i).Interface() != bv.Field(i).Interface() {
+			diff = append(diff, av.Type().Field(i).Tag.Get("json"))
+		}
+	}
+	return diff
 }
 
 const schemaID = "rtm-bench/v1"
@@ -79,6 +155,7 @@ func main() {
 	if len(snap.Benchmarks) == 0 {
 		fatal(fmt.Errorf("no benchmark lines found on stdin"))
 	}
+	snap.Env.fillHost()
 	data, err := json.MarshalIndent(snap, "", "  ")
 	if err != nil {
 		fatal(err)
@@ -119,12 +196,25 @@ func readSnapshot(path string) (*Snapshot, error) {
 //	BenchmarkTwoOptDelta-8    1    20335708 ns/op    53147 shifts
 //
 // i.e. name-GOMAXPROCS, iteration count, then (value, unit) pairs. The
-// GOMAXPROCS suffix is stripped so snapshots compare across machines.
+// GOMAXPROCS suffix is stripped so snapshots compare across machines;
+// the first line's (none means 1) goes into Env, with the goos, goarch
+// and cpu header lines `go test` prints. main completes Env from the
+// host (Environment.fillHost).
 func Parse(r io.Reader) (*Snapshot, error) {
-	snap := &Snapshot{Schema: schemaID, Benchmarks: map[string]map[string]float64{}}
+	snap := &Snapshot{Schema: schemaID, Env: &Environment{}, Benchmarks: map[string]map[string]float64{}}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
+		if k, v, ok := strings.Cut(sc.Text(), ": "); ok {
+			switch k {
+			case "goos":
+				snap.Env.GOOS = v
+			case "goarch":
+				snap.Env.GOARCH = v
+			case "cpu":
+				snap.Env.CPUModel = v
+			}
+		}
 		fields := strings.Fields(sc.Text())
 		if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 			continue
@@ -133,6 +223,12 @@ func Parse(r io.Reader) (*Snapshot, error) {
 			continue // not an iteration count: some other Benchmark-prefixed line
 		}
 		name := trimProcs(fields[0])
+		if snap.Env.GOMAXPROCS == 0 {
+			snap.Env.GOMAXPROCS = 1
+			if procs, err := strconv.Atoi(strings.TrimPrefix(fields[0], name+"-")); err == nil {
+				snap.Env.GOMAXPROCS = procs
+			}
+		}
 		for i := 2; i+1 < len(fields); i += 2 {
 			val, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
@@ -190,6 +286,11 @@ func Compare(base, cur *Snapshot, tolerance float64) (string, bool) {
 	}
 	sort.Strings(names)
 
+	fmt.Fprintf(&b, "baseline env: %s\n", base.Env)
+	fmt.Fprintf(&b, "current env:  %s\n", cur.Env)
+	if diff := envMismatch(base.Env, cur.Env); len(diff) > 0 {
+		fmt.Fprintf(&b, "WARNING: environments differ in %s; ns/op ratios compare the machines as well as the code\n", strings.Join(diff, ", "))
+	}
 	fmt.Fprintf(&b, "benchmark comparison (tolerance %+.0f%% ns/op and allocs/op)\n", 100*tolerance)
 	for _, name := range names {
 		bm := base.Benchmarks[name]

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -47,6 +50,107 @@ func TestParse(t *testing.T) {
 	// Sub-benchmark names keep the slash path, lose the -GOMAXPROCS.
 	if _, ok := snap.Benchmarks["BenchmarkGALocalImprove/on"]; !ok {
 		t.Errorf("missing sub-benchmark: %v", snap.Benchmarks)
+	}
+}
+
+// TestParseRecordsEnvironment: the goos/goarch/cpu header lines and the
+// -GOMAXPROCS suffix of go test's output land in the snapshot's Env;
+// fillHost completes the rest without overriding them.
+func TestParseRecordsEnvironment(t *testing.T) {
+	snap, err := Parse(strings.NewReader(sampleBench))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Env.fillHost()
+	e := snap.Env
+	if e.GOOS != "linux" || e.GOARCH != "amd64" || e.GOMAXPROCS != 8 || e.CPUModel != "Intel(R) Xeon(R) Processor @ 2.10GHz" {
+		t.Errorf("env from the bench output = %+v", e)
+	}
+	if e.GoVersion == "" || e.NumCPU < 1 || e.Kernel == "" {
+		t.Errorf("env from the host = %+v", e)
+	}
+	// Without a suffix go test ran the benchmark at GOMAXPROCS=1.
+	one, err := Parse(strings.NewReader("BenchmarkA \t 1 \t 100 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.Env.GOMAXPROCS != 1 {
+		t.Errorf("GOMAXPROCS = %d for an unsuffixed name, want 1", one.Env.GOMAXPROCS)
+	}
+}
+
+// TestSnapshotEnvRoundTrip: the environment block survives writing and
+// reading a snapshot, and a snapshot written before the block existed
+// still loads, with Env nil.
+func TestSnapshotEnvRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	snap, err := Parse(strings.NewReader(sampleBench))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Env.fillHost()
+	data, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "new.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := readSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Env == nil || *got.Env != *snap.Env {
+		t.Errorf("env round trip: got %+v, want %+v", got.Env, snap.Env)
+	}
+
+	old := filepath.Join(dir, "old.json")
+	if err := os.WriteFile(old, []byte(`{"schema": "rtm-bench/v1", "benchmarks": {"BenchmarkA": {"ns/op": 1000, "allocs/op": 4}}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	prev, err := readSnapshot(old)
+	if err != nil {
+		t.Fatalf("snapshot without an env block: %v", err)
+	}
+	if prev.Env != nil || prev.Benchmarks["BenchmarkA"]["allocs/op"] != 4 {
+		t.Errorf("old snapshot loaded as %+v", prev)
+	}
+}
+
+// TestCompareReportsEnvironments: -compare prints both environments and
+// warns when they differ or one is missing, without changing the verdict.
+func TestCompareReportsEnvironments(t *testing.T) {
+	env := Environment{GoVersion: "go1.24.0", GOOS: "linux", GOARCH: "amd64", GOMAXPROCS: 2, NumCPU: 2, CPUModel: "A", Kernel: "6.1"}
+	other := env
+	other.CPUModel, other.NumCPU = "B", 4
+	entries := func(ns float64) map[string]map[string]float64 {
+		return map[string]map[string]float64{"BenchmarkA": {"ns/op": ns}}
+	}
+	for _, tc := range []struct {
+		name       string
+		base, cur  *Environment
+		warn       string
+		ns         float64
+		wantFailed bool
+	}{
+		{"same", &env, &env, "", 1100, false},
+		{"different", &env, &other, "WARNING: environments differ in num_cpu, cpu_model;", 1100, false},
+		{"different, regressed", &env, &other, "WARNING: environments differ in num_cpu, cpu_model;", 1300, true},
+		{"baseline not recorded", nil, &env, "WARNING: environments differ in all (an environment is not recorded);", 1100, false},
+	} {
+		base, cur := snapOf(entries(1000)), snapOf(entries(tc.ns))
+		base.Env, cur.Env = tc.base, tc.cur
+		report, failed := Compare(base, cur, 0.20)
+		if failed != tc.wantFailed {
+			t.Errorf("%s: failed = %v, want %v:\n%s", tc.name, failed, tc.wantFailed, report)
+		}
+		if !strings.Contains(report, "baseline env: "+tc.base.String()) || !strings.Contains(report, "current env:  "+tc.cur.String()) {
+			t.Errorf("%s: environments not printed:\n%s", tc.name, report)
+		}
+		if got := strings.Contains(report, "WARNING"); got != (tc.warn != "") || !strings.Contains(report, tc.warn) {
+			t.Errorf("%s: want warning %q:\n%s", tc.name, tc.warn, report)
+		}
 	}
 }
 

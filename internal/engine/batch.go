@@ -23,7 +23,8 @@ type Hooks struct {
 	// start and finish; it must be safe for concurrent use.
 	Progress func(Event)
 	// Kernel, when non-nil, supplies the cost kernel for a sequence
-	// (called once per distinct sequence per batch, possibly
+	// (called once per distinct sequence per batch that has a cell whose
+	// strategy searches with a kernel — placement.UsesKernel — possibly
 	// concurrently). The returned kernel must be bound to exactly the
 	// given sequence — content-addressed caches rebind before returning.
 	// Nil means build a fresh kernel per batch.
@@ -71,9 +72,7 @@ type Event struct {
 // A PlaceJob is one placement cell: run one registry strategy on one
 // sequence at one DBC count. Options carries the full per-cell knob
 // set, including the cost model: Options.Ports > 1 makes the cell
-// optimize and report under the exact multi-port model (the batch
-// kernel is still threaded — the single-port surrogate stages inside
-// port-aware strategies use it).
+// optimize and report under the exact multi-port model.
 type PlaceJob struct {
 	Sequence *trace.Sequence
 	Strategy placement.StrategyID
@@ -92,11 +91,13 @@ type PlaceOutcome struct {
 // worker count; the first failing job (lowest index) aborts the batch.
 //
 // Before dispatch, one placement.CostKernel is built per distinct
-// sequence in the batch (in parallel, on the same worker budget) and
-// threaded to every job via Options.Kernel: the eval drivers typically
-// submit the same sequence under many strategies and DBC counts, and the
-// shared kernel lets each cell price placements in O(nnz) instead of
-// replaying the access stream. Costs are bit-identical either way, so
+// sequence that has a cell whose strategy searches with a kernel (the
+// GA family and the random walk, see placement.UsesKernel), in parallel
+// on the same worker budget, and threaded to those cells via
+// Options.Kernel: the eval drivers submit the same sequence under many
+// strategies and DBC counts, and the searches price thousands of
+// placements each. The other cells place once and price by replay,
+// which is cheaper than a build. Costs are bit-identical either way, so
 // batch results do not depend on the sharing.
 func BatchPlace(ctx context.Context, jobs []PlaceJob, workers int) ([]PlaceOutcome, error) {
 	return BatchPlaceWith(ctx, jobs, workers, Hooks{})
@@ -105,7 +106,9 @@ func BatchPlace(ctx context.Context, jobs []PlaceJob, workers int) ([]PlaceOutco
 // BatchPlaceWith is BatchPlace with resolution, kernel sourcing and
 // progress reporting customized by hooks.
 func BatchPlaceWith(ctx context.Context, jobs []PlaceJob, workers int, hooks Hooks) ([]PlaceOutcome, error) {
-	kernels, err := batchKernels(ctx, len(jobs), workers, hooks, func(i int) *trace.Sequence { return jobs[i].Sequence })
+	kernels, err := cellKernels(ctx, len(jobs), workers, hooks, func(i int) (*trace.Sequence, placement.StrategyID) {
+		return jobs[i].Sequence, jobs[i].Strategy
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +117,9 @@ func BatchPlaceWith(ctx context.Context, jobs []PlaceJob, workers int, hooks Hoo
 		if hooks.Progress != nil {
 			hooks.Progress(Event{Index: i, Total: len(jobs), Sequence: j.Sequence, Strategy: j.Strategy, DBCs: j.DBCs})
 		}
-		j.Options.Kernel = kernels[j.Sequence]
+		if k := kernels[i]; k != nil {
+			j.Options.Kernel = k
+		}
 		// Thread the batch context to the cell so long-running search
 		// strategies (the GA) can honor cancellation mid-search.
 		j.Options.Context = ctx
@@ -129,23 +134,30 @@ func BatchPlaceWith(ctx context.Context, jobs []PlaceJob, workers int, hooks Hoo
 	})
 }
 
-// batchKernels builds the per-sequence cost kernels of a batch: one per
-// distinct sequence (pointer identity), constructed concurrently through
-// the same deterministic worker pool the batch itself runs on. When the
-// hooks supply a kernel source (the session kernel cache), it is
-// consulted instead of building from scratch.
-func batchKernels(ctx context.Context, n, workers int, hooks Hooks, seqAt func(i int) *trace.Sequence) (map[*trace.Sequence]*placement.CostKernel, error) {
+// cellKernels returns each cell's cost kernel: nil unless the cell's
+// strategy searches with one (placement.UsesKernel), and otherwise one
+// kernel per distinct sequence (pointer identity), constructed
+// concurrently through the same deterministic worker pool the batch
+// itself runs on. When the hooks supply a kernel source (the session
+// kernel cache), it is consulted instead of building from scratch.
+func cellKernels(ctx context.Context, n, workers int, hooks Hooks, cell func(i int) (*trace.Sequence, placement.StrategyID)) ([]*placement.CostKernel, error) {
+	resolve := hooks.resolve()
+	index := make(map[*trace.Sequence]int, 8) // sequence -> distinct slot
 	var distinct []*trace.Sequence
-	kernels := make(map[*trace.Sequence]*placement.CostKernel, 8)
-	for i := 0; i < n; i++ {
-		s := seqAt(i)
-		if s == nil {
+	slot := make([]int, n)
+	for i := range slot {
+		slot[i] = -1
+		s, id := cell(i)
+		if st, ok := resolve(id); s == nil || !ok || !placement.UsesKernel(st) {
 			continue
 		}
-		if _, seen := kernels[s]; !seen {
-			kernels[s] = nil
+		k, seen := index[s]
+		if !seen {
+			k = len(distinct)
+			index[s] = k
 			distinct = append(distinct, s)
 		}
+		slot[i] = k
 	}
 	source := hooks.Kernel
 	if source == nil {
@@ -157,8 +169,11 @@ func batchKernels(ctx context.Context, n, workers int, hooks Hooks, seqAt func(i
 	if err != nil {
 		return nil, err
 	}
-	for i, s := range distinct {
-		kernels[s] = built[i]
+	kernels := make([]*placement.CostKernel, n)
+	for i, k := range slot {
+		if k >= 0 {
+			kernels[i] = built[k]
+		}
 	}
 	return kernels, nil
 }
@@ -176,8 +191,8 @@ type SimJob struct {
 // size and returns the per-cell results in job order. Callers aggregate
 // the returned slice in input order, so totals (including float latency
 // and energy sums) are bit-identical for any worker count. As in
-// BatchPlace, one cost kernel per distinct sequence is shared across the
-// cells' placement phases.
+// BatchPlace, the cells whose strategy searches with a cost kernel share
+// one per distinct sequence.
 func BatchSimulate(ctx context.Context, jobs []SimJob, workers int) ([]sim.Result, error) {
 	return BatchSimulateWith(ctx, jobs, workers, Hooks{})
 }
@@ -185,7 +200,9 @@ func BatchSimulate(ctx context.Context, jobs []SimJob, workers int) ([]sim.Resul
 // BatchSimulateWith is BatchSimulate with resolution, kernel sourcing and
 // progress reporting customized by hooks.
 func BatchSimulateWith(ctx context.Context, jobs []SimJob, workers int, hooks Hooks) ([]sim.Result, error) {
-	kernels, err := batchKernels(ctx, len(jobs), workers, hooks, func(i int) *trace.Sequence { return jobs[i].Sequence })
+	kernels, err := cellKernels(ctx, len(jobs), workers, hooks, func(i int) (*trace.Sequence, placement.StrategyID) {
+		return jobs[i].Sequence, jobs[i].Strategy
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -195,7 +212,9 @@ func BatchSimulateWith(ctx context.Context, jobs []SimJob, workers int, hooks Ho
 		if hooks.Progress != nil {
 			hooks.Progress(Event{Index: i, Total: len(jobs), Sequence: j.Sequence, Strategy: j.Strategy, DBCs: q})
 		}
-		j.Options.Kernel = kernels[j.Sequence]
+		if k := kernels[i]; k != nil {
+			j.Options.Kernel = k
+		}
 		j.Options.Context = ctx
 		var r sim.Result
 		p, _, err := hooks.Place(j.Strategy, j.Sequence, q, j.Options)

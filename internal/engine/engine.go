@@ -19,13 +19,12 @@ import (
 
 // Run executes fn(ctx, i) for every i in [0, n) on up to `workers`
 // goroutines (0 or 1 means sequential; workers are additionally capped at
-// n). On failure it returns the error of the lowest-index failing job
-// among those that ran, so error reporting does not flap with goroutine
-// completion order.
+// n). On failure it returns the error of the lowest-index failing job,
+// so error reporting does not flap with goroutine completion order.
 //
 // Cancellation: the supplied context is propagated to every job, and the
 // first failure cancels the derived context, so long-running jobs can
-// bail out early and unstarted jobs are skipped. Run itself stops
+// bail out early and undispatched jobs are skipped. Run itself stops
 // dispatching once the context is done and returns ctx.Err() when no job
 // error outranks it.
 func Run(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {

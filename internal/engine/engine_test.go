@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -192,6 +193,96 @@ func TestBatchSimulateDeterministic(t *testing.T) {
 	for i := range one {
 		if one[i] != eight[i] {
 			t.Errorf("cell %d: %+v vs %+v", i, one[i], eight[i])
+		}
+	}
+}
+
+// TestBatchKernelSharing: a batch builds a cost kernel only for the
+// sequences that have a cell whose strategy searches with one (GA, RW),
+// exactly once per sequence at any worker count, and hands it to those
+// cells only; the heuristic cells price by replay. A heuristic-only
+// batch never calls the kernel source.
+func TestBatchKernelSharing(t *testing.T) {
+	b, err := offsetstone.Generate("adpcm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := placement.NewRegistry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs := b.Sequences[:2]
+	var opts placement.Options
+	opts.GA = placement.DefaultGAConfig()
+	opts.GA.Mu, opts.GA.Lambda, opts.GA.Generations = 6, 6, 2
+	opts.RW = placement.RWConfig{Iterations: 50, Seed: 1}
+	batch := func(ids ...placement.StrategyID) []PlaceJob {
+		var jobs []PlaceJob
+		for _, q := range []int{2, 4, 8} {
+			for _, s := range seqs {
+				for _, id := range ids {
+					jobs = append(jobs, PlaceJob{Sequence: s, Strategy: id, DBCs: q, Options: opts})
+				}
+			}
+		}
+		return jobs
+	}
+	for _, tc := range []struct {
+		name  string
+		jobs  []PlaceJob
+		wantK int // kernel-source calls per sequence
+	}{
+		{"mixed", batch(placement.StrategyGA, placement.StrategyDMAOFU, placement.StrategyRW, placement.StrategyAFDOFU, placement.StrategyDMATwoOpt), 1},
+		{"heuristic-only", batch(placement.StrategyDMASR, placement.StrategyDMAOFU, placement.StrategyDMATwoOpt), 0},
+	} {
+		var want []PlaceOutcome
+		for _, workers := range []int{1, 4} {
+			var mu sync.Mutex
+			calls := map[*trace.Sequence]int{}
+			var withKernel atomic.Int32
+			hooks := Hooks{
+				Kernel: func(s *trace.Sequence) *placement.CostKernel {
+					mu.Lock()
+					calls[s]++
+					mu.Unlock()
+					return placement.NewCostKernel(s)
+				},
+				// Heuristic cells go through a wrapper that records
+				// whether a kernel reached them.
+				Resolve: func(id placement.StrategyID) (placement.Strategy, bool) {
+					st, ok := reg.Lookup(id)
+					if !ok || placement.UsesKernel(st) {
+						return st, ok
+					}
+					return placement.NewStrategy(st.Name(), func(s *trace.Sequence, q int, o placement.Options) (*placement.Placement, int64, error) {
+						if o.Kernel != nil {
+							withKernel.Add(1)
+						}
+						return st.Place(s, q, o)
+					}), true
+				},
+			}
+			out, err := BatchPlaceWith(context.Background(), tc.jobs, workers, hooks)
+			if err != nil {
+				t.Fatalf("%s, workers=%d: %v", tc.name, workers, err)
+			}
+			for _, s := range seqs {
+				if calls[s] != tc.wantK {
+					t.Errorf("%s, workers=%d: kernel source called %d times for a sequence, want %d", tc.name, workers, calls[s], tc.wantK)
+				}
+			}
+			if n := withKernel.Load(); n != 0 {
+				t.Errorf("%s, workers=%d: %d heuristic cells received a kernel", tc.name, workers, n)
+			}
+			if want == nil {
+				want = out
+				continue
+			}
+			for i := range want {
+				if out[i].Shifts != want[i].Shifts || !out[i].Placement.Equal(want[i].Placement) {
+					t.Errorf("%s: cell %d differs between worker counts", tc.name, i)
+				}
+			}
 		}
 	}
 }

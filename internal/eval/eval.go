@@ -58,7 +58,8 @@ type Config struct {
 	Parallel int
 	// Hooks customizes strategy resolution, kernel sourcing and progress
 	// reporting for every cell the drivers dispatch. The zero value uses
-	// the process-wide registry with per-batch kernels and no progress.
+	// the process-wide registry, per-batch kernels for the strategies
+	// that search with one, and no progress.
 	// The public session API (racetrack.Lab) threads its instance
 	// registry, kernel cache and progress callback through here.
 	Hooks engine.Hooks

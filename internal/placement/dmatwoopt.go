@@ -10,13 +10,14 @@ import (
 // Since the delta-evaluator rewrite the polish pass prices each candidate
 // move in O(freq) instead of replaying the DBC's restricted subsequence,
 // so the strategy stays affordable on long traces (BenchmarkTwoOptDelta);
-// with a batch-shared cost kernel at hand the per-DBC evaluator setup is
-// derived from it in O(nnz) too, so nothing on this path replays the
-// stream. TwoOpt can only keep or improve the intra cost, so this
-// strategy is never worse than DMA-SR on the cost model. It is not one of
-// the paper's six evaluated strategies; the racetrack package registers
-// it as "DMA-2opt" through the public RegisterStrategy hook to
-// demonstrate registry extensibility.
+// when the caller passes a cost kernel the per-DBC evaluator setup is
+// derived from it in O(nnz) instead of a replay. The engine and the Lab
+// pass none: one replay-built evaluator per DBC is cheaper than a kernel
+// build (see DESIGN.md §8). TwoOpt can only keep or improve the intra
+// cost, so this strategy is never worse than DMA-SR on the cost model.
+// It is not one of the paper's six evaluated strategies; the racetrack
+// package registers it as "DMA-2opt" through the public
+// RegisterStrategy hook to demonstrate registry extensibility.
 func PlaceDMATwoOpt(s *trace.Sequence, q int, opts Options) (*Placement, int64, error) {
 	a := trace.Analyze(s)
 	r, err := DMA(a, q, opts.Capacity)

@@ -82,12 +82,14 @@ type PortfolioResult struct {
 	Entries []PortfolioEntry
 }
 
-// constructive is the optional fast path of the race: a strategy that
-// can return its placement without pricing it, so the race can price it
-// with bounded evaluation against the incumbent instead of paying a full
-// replay for a result that cannot win. The constructive heuristics (AFD
-// and the DMA family) implement it; search strategies price candidates
-// internally and run their normal Place.
+// constructive is the optional fast path of the race and of windowed
+// placement: a strategy that can return its placement without pricing
+// it, so the race can price it with bounded evaluation against the
+// incumbent instead of paying a full replay for a result that cannot
+// win, and PlaceStreamed can leave the pricing to its stitching replay.
+// The constructive heuristics (AFD and the DMA family) implement it;
+// search strategies price candidates internally and run their normal
+// Place.
 type constructive interface {
 	construct(s *trace.Sequence, q int, opts Options) (*Placement, error)
 }

@@ -244,6 +244,22 @@ func (d dma) Place(s *trace.Sequence, q int, opts Options) (*Placement, int64, e
 	return p, c, err
 }
 
+// kernelSearcher marks the strategies whose search prices enough
+// placements to pay back an O(nnz) CostKernel build: the GA, GA-2opt
+// (and so the island model) and the random walk. The others — the
+// constructive heuristics, DMA-2opt and custom strategies — price one
+// result and run faster on the replay oracle than on a fresh build.
+type kernelSearcher interface{ searchesWithKernel() }
+
+// UsesKernel reports whether st searches through a CostKernel. Kernel
+// sources — the engine's batch layer, a session's kernel cache — build
+// or look one up only for such strategies; every other strategy prices
+// with the replay oracle unless its caller set Options.Kernel.
+func UsesKernel(st Strategy) bool {
+	_, ok := st.(kernelSearcher)
+	return ok
+}
+
 // ga is the paper's µ+λ genetic algorithm; with memetic == true it is the
 // "GA-2opt" variant with the delta-evaluated local-improvement mutation
 // enabled (GAConfig.ImproveWeight).
@@ -252,7 +268,8 @@ type ga struct {
 	memetic bool
 }
 
-func (g ga) Name() string { return string(g.id) }
+func (g ga) Name() string      { return string(g.id) }
+func (ga) searchesWithKernel() {}
 
 func (g ga) Place(s *trace.Sequence, q int, opts Options) (*Placement, int64, error) {
 	cfg := opts.GA
@@ -321,7 +338,8 @@ const StrategyDMATwoOpt StrategyID = "DMA-2opt"
 // rw is the random-walk search baseline.
 type rw struct{}
 
-func (rw) Name() string { return string(StrategyRW) }
+func (rw) Name() string        { return string(StrategyRW) }
+func (rw) searchesWithKernel() {}
 
 func (rw) Place(s *trace.Sequence, q int, opts Options) (*Placement, int64, error) {
 	cfg := opts.RW

@@ -58,9 +58,11 @@ type Options struct {
 	// Kernel optionally carries a pre-built cost kernel for the sequence
 	// being placed. Strategies evaluate full placements through it in
 	// O(nnz) instead of replaying the access stream; the engine batch
-	// layer builds one kernel per distinct sequence in a batch and
-	// threads it here. A kernel built from a different sequence (pointer
-	// identity) is ignored. Results are bit-identical either way.
+	// layer and the session kernel cache thread one here for the
+	// strategies that search with it (UsesKernel), at most one build per
+	// distinct sequence in a batch. A kernel built from a different
+	// sequence (pointer identity) is ignored. Results are bit-identical
+	// either way.
 	Kernel *CostKernel
 	// Ports selects the cost model every strategy optimizes and reports
 	// under: 0 or 1 is the paper's single-port |x−y| model; larger

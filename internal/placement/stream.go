@@ -147,6 +147,7 @@ func PlaceStreamed(ctx context.Context, r trace.AccessReader, cfg StreamConfig) 
 	if cfg.Options.Ports > 1 {
 		return nil, fmt.Errorf("placement: stream: %d ports unsupported (the window-stitching shift model is single-port)", cfg.Options.Ports)
 	}
+	q := cfg.DBCs
 	window := cfg.Window
 	if window <= 0 {
 		window = DefaultStreamWindow
@@ -158,7 +159,8 @@ func PlaceStreamed(ctx context.Context, r trace.AccessReader, cfg StreamConfig) 
 			return nil, fmt.Errorf("placement: stream: %w", err)
 		}
 	}
-	if _, ok := reg.Lookup(cfg.Strategy); !ok {
+	st, ok := reg.Lookup(cfg.Strategy)
+	if !ok {
 		return nil, fmt.Errorf("placement: stream: unknown strategy %q", cfg.Strategy)
 	}
 	stOpts := cfg.Options
@@ -166,7 +168,6 @@ func PlaceStreamed(ctx context.Context, r trace.AccessReader, cfg StreamConfig) 
 	stOpts.Kernel = nil // window sequences are ephemeral; a caller kernel can never match
 
 	res := &StreamResult{}
-	q := cfg.DBCs
 
 	// last[d] is DBC d's port offset after the previous access — the
 	// state that persists across window boundaries and makes the stitched
@@ -234,8 +235,17 @@ func PlaceStreamed(ctx context.Context, r trace.AccessReader, cfg StreamConfig) 
 			break
 		}
 
-		// Place the compacted window.
-		p, _, err := reg.Place(cfg.Strategy, ws, q, stOpts)
+		// Place the compacted window. The stitching replay below prices
+		// it, so a strategy that can build its placement without pricing
+		// it (the constructive heuristics) skips the cost Place would
+		// compute and discard.
+		var p *Placement
+		var err error
+		if h, ok := st.(constructive); ok {
+			p, err = h.construct(ws, q, stOpts)
+		} else {
+			p, _, err = st.Place(ws, q, stOpts)
+		}
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
 				// Cancelled mid-window: the unstitched window is

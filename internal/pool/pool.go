@@ -20,13 +20,15 @@ import (
 
 // Run executes fn(ctx, i) for every i in [0, n) on up to `workers`
 // goroutines (0 or 1 means sequential; workers are additionally capped at
-// n). On failure it returns the error of the lowest-index failing job
-// among those that ran, so error reporting does not flap with goroutine
-// completion order.
+// n). On failure it returns the error of the lowest-index failing job,
+// so error reporting does not flap with goroutine completion order:
+// jobs are dispatched in index order, and a dispatched job is skipped
+// only once the caller's context is done or a job at a lower index has
+// failed, so every job below the first failure still runs.
 //
 // Cancellation: the supplied context is propagated to every job, and the
 // first failure cancels the derived context, so long-running jobs can
-// bail out early and unstarted jobs are skipped. Run itself stops
+// bail out early and undispatched jobs are skipped. Run itself stops
 // dispatching once the context is done and returns ctx.Err() when no job
 // error outranks it.
 func Run(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
@@ -36,7 +38,8 @@ func Run(ctx context.Context, n, workers int, fn func(ctx context.Context, i int
 	if n <= 0 {
 		return ctx.Err()
 	}
-	ctx, cancel := context.WithCancel(ctx)
+	parent := ctx
+	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 
 	if workers > n {
@@ -70,15 +73,22 @@ func Run(ctx context.Context, n, workers int, fn func(ctx context.Context, i int
 		mu.Unlock()
 		cancel()
 	}
+	failedBelow := func(i int) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return errI >= 0 && errI < i
+	}
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range next {
-				if ctx.Err() != nil {
-					// A sibling failed (or the caller cancelled): drain
-					// the queue without running further jobs.
+				if parent.Err() != nil || failedBelow(i) {
+					// The caller cancelled, or a lower-index job already
+					// owns the error: drain the queue without running
+					// the job. A job below the recorded failure still
+					// runs, since its error would outrank it.
 					continue
 				}
 				if err := fn(ctx, i); err != nil {

@@ -147,9 +147,12 @@ func (l *Lab) Device() DeviceConfig { return l.device }
 
 // KernelCacheStats reports the Lab's content-addressed kernel-cache
 // counters: hits (a content-equal sequence reused a cached kernel) and
-// misses (a kernel was built). A Lab with the cache disabled
-// (WithKernelCache(0)) reports zeros. This is the cache's observability
-// hook — a serving front-end exports it as warm/cold metrics.
+// misses (a kernel was built). Only the strategies that search with a
+// kernel (placement.UsesKernel) and portfolio races consult the cache,
+// so heuristic-only traffic leaves both counters at zero, as does a Lab
+// with the cache disabled (WithKernelCache(0)). This is the cache's
+// observability hook — a serving front-end exports it as warm/cold
+// metrics.
 func (l *Lab) KernelCacheStats() (hits, misses int64) {
 	if l.cache == nil {
 		return 0, 0
@@ -264,11 +267,13 @@ func priceResult(s *Sequence, res *PlaceResult, m *placement.CostModel) error {
 
 // placeOne runs one strategy on one sequence and attributes the cost per
 // DBC, asserting that the strategy's reported cost agrees with the cost
-// model (a mismatch means a buggy — typically custom — strategy). With
-// the kernel cache enabled both the strategy's cost evaluation and the
-// attribution run through the cached kernel; costs are bit-identical to
-// the replay path either way. When the effective cost model has more
-// than one port, both the strategy and the attribution price the exact
+// model (a mismatch means a buggy — typically custom — strategy). A
+// strategy that searches with a cost kernel (placement.UsesKernel) gets
+// one from the kernel cache, when enabled, and the attribution reuses
+// it; every other strategy and its attribution price by replay, which
+// for one placement is cheaper than a kernel build. Costs are
+// bit-identical either way. When the effective cost model has more than
+// one port, both the strategy and the attribution price the exact
 // multi-port replay instead.
 func (l *Lab) placeOne(ctx context.Context, s *Sequence, opts PlaceOptions) (*PlaceResult, error) {
 	stOpts := opts.options()
@@ -278,7 +283,11 @@ func (l *Lab) placeOne(ctx context.Context, s *Sequence, opts PlaceOptions) (*Pl
 		return nil, err
 	}
 	stOpts.Cost = model
-	if l.cache != nil {
+	st, ok := l.registry.Lookup(opts.Strategy)
+	if !ok {
+		return nil, fmt.Errorf("placement: unknown strategy %q", opts.Strategy)
+	}
+	if l.cache != nil && placement.UsesKernel(st) {
 		stOpts.Kernel = l.cache.kernel(s)
 	}
 	if l.progress != nil && stOpts.GA.Islands > 1 && stOpts.GA.IslandProgress == nil {
@@ -289,7 +298,7 @@ func (l *Lab) placeOne(ctx context.Context, s *Sequence, opts PlaceOptions) (*Pl
 			})
 		}
 	}
-	p, c, err := l.registry.Place(opts.Strategy, s, opts.DBCs, stOpts)
+	p, c, err := st.Place(s, opts.DBCs, stOpts)
 	if err != nil {
 		// A deadline-bounded search (GA, islands) surfaces its
 		// best-so-far placement alongside the context's error
@@ -299,7 +308,7 @@ func (l *Lab) placeOne(ctx context.Context, s *Sequence, opts PlaceOptions) (*Pl
 		if p == nil || ctx.Err() == nil {
 			return nil, err
 		}
-		b, berr := l.breakdownFor(s, p, stOpts, opts.DBCs)
+		b, berr := breakdownFor(s, p, stOpts, opts.DBCs)
 		if berr != nil || b.Total != c {
 			return nil, err
 		}
@@ -309,7 +318,7 @@ func (l *Lab) placeOne(ctx context.Context, s *Sequence, opts PlaceOptions) (*Pl
 		}
 		return res, err
 	}
-	b, err := l.breakdownFor(s, p, stOpts, opts.DBCs)
+	b, err := breakdownFor(s, p, stOpts, opts.DBCs)
 	if err != nil {
 		return nil, err
 	}
@@ -422,7 +431,7 @@ func (l *Lab) PlacePortfolio(ctx context.Context, s *Sequence, opts PlaceOptions
 	if err != nil {
 		return nil, fmt.Errorf("racetrack: place portfolio: %w", err)
 	}
-	b, err := l.breakdownFor(s, r.Placement, stOpts, opts.DBCs)
+	b, err := breakdownFor(s, r.Placement, stOpts, opts.DBCs)
 	if err != nil {
 		return nil, err
 	}
@@ -464,12 +473,11 @@ func (l *Lab) PlaceBenchmark(ctx context.Context, b *Benchmark, opts PlaceOption
 	if err != nil {
 		return nil, fmt.Errorf("racetrack: place benchmark %s: %w", b.Name, err)
 	}
-	// Attribute each placement's cost per DBC on the same worker budget
-	// (kernel-cache hits make this O(nnz) per sequence; without the
-	// cache it is the replay pass the pre-session API also paid).
+	// Attribute each placement's cost per DBC on the same worker budget:
+	// one replay pass per sequence, as the pre-session API also paid.
 	results, err := engine.Map(ctx, len(out), opts.Workers, func(_ context.Context, i int) (*PlaceResult, error) {
 		o := out[i]
-		bd, err := l.breakdownFor(b.Sequences[i], o.Placement, stOpts, opts.DBCs)
+		bd, err := breakdownFor(b.Sequences[i], o.Placement, stOpts, opts.DBCs)
 		if err != nil {
 			return nil, fmt.Errorf("sequence %d: %w", i, err)
 		}
@@ -502,9 +510,9 @@ func (l *Lab) PlaceBenchmark(ctx context.Context, b *Benchmark, opts PlaceOption
 
 // breakdownFor attributes a placement's cost per DBC under the options'
 // effective cost model: the exact multi-port replay when the options
-// select more than one port, otherwise the kernel cache (when enabled)
-// or the replay oracle.
-func (l *Lab) breakdownFor(s *Sequence, p *Placement, stOpts StrategyOptions, q int) (*placement.CostBreakdown, error) {
+// select more than one port, otherwise the options' kernel when it was
+// built for s, otherwise the replay oracle.
+func breakdownFor(s *Sequence, p *Placement, stOpts StrategyOptions, q int) (*placement.CostBreakdown, error) {
 	pm, err := stOpts.PortModelFor(q)
 	if err != nil {
 		return nil, err
@@ -512,8 +520,8 @@ func (l *Lab) breakdownFor(s *Sequence, p *Placement, stOpts StrategyOptions, q 
 	if pm != nil {
 		return placement.PortCostBreakdown(s, p, pm)
 	}
-	if l.cache != nil {
-		return l.cache.kernel(s).Breakdown(p)
+	if k := stOpts.Kernel; k != nil && k.Sequence() == s {
+		return k.Breakdown(p)
 	}
 	return placement.ShiftCostBreakdown(s, p)
 }
@@ -581,8 +589,8 @@ func (l *Lab) SimulateBenchmarkOn(ctx context.Context, dev DeviceConfig, b *Benc
 // shares the process-wide strategy registry (so RegisterStrategy remains
 // process-visible, as it always was), keeps the legacy sequential
 // default (PlaceOptions.Workers == 0 means one worker, exactly as
-// before) and prices repeated traces through a kernel cache. The cache
-// retains up to DefaultKernelCacheSize recently placed traces and their
+// before) and prices repeated searches through a kernel cache. The cache
+// retains up to DefaultKernelCacheSize recently searched traces and their
 // kernels for the process lifetime — bounded, but a memory footprint
 // the stateless pre-session API did not have; long-running embedders
 // that stream huge one-shot traces should build their own Lab with

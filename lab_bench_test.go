@@ -58,3 +58,29 @@ func BenchmarkLabKernelCache(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkOneShotPlace is rtmplace's placement path without the file
+// decode: a fresh Lab and one PlaceBenchmark of an OffsetStone benchmark
+// with a strategy that places each sequence once. These strategies price
+// by replay and build no cost kernel, so the bench gate's allocs/op
+// entries fail if an eager kernel build comes back.
+func BenchmarkOneShotPlace(b *testing.B) {
+	bench, err := GenerateBenchmark("gsm")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, st := range []Strategy{DMAOFU, DMA2Opt} {
+		b.Run(string(st), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				lab, err := New(WithWorkers(1))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := lab.PlaceBenchmark(ctx, bench, PlaceOptions{Strategy: st, DBCs: 4}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

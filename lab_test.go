@@ -524,8 +524,13 @@ func TestProgressEvents(t *testing.T) {
 
 // --- Kernel cache ----------------------------------------------------
 
-// TestKernelCacheContentAddressed: repeated placement of content-equal
-// sequences — different pointers — hits the cache; results stay
+// tinyRW is a random-walk budget small enough for unit tests; RW is one
+// of the strategies that search with a cost kernel, so it reaches the
+// Lab's kernel cache.
+var tinyRW = PlaceOptions{Strategy: RW, RW: RWConfig{Iterations: 200, Seed: 3}}
+
+// TestKernelCacheContentAddressed: repeated searches on content-equal
+// sequences — different pointers — hit the cache; results stay
 // identical with the cache disabled.
 func TestKernelCacheContentAddressed(t *testing.T) {
 	text := "a b a b c a c a d d a i e f e f g e g h g i h i"
@@ -537,17 +542,19 @@ func TestKernelCacheContentAddressed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	opts := tinyRW
+	opts.DBCs = 2
 	var want *PlaceResult
 	for i := 0; i < 5; i++ {
 		s, err := ParseSequence(text) // fresh pointer every iteration
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := lab.Place(context.Background(), s, PlaceOptions{Strategy: DMA2Opt, DBCs: 2})
+		got, err := lab.Place(context.Background(), s, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cold, err := noCache.Place(context.Background(), s, PlaceOptions{Strategy: DMA2Opt, DBCs: 2})
+		cold, err := noCache.Place(context.Background(), s, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -581,7 +588,7 @@ func TestKernelCacheEviction(t *testing.T) {
 	traces := []string{"a b a b", "c d c d c", "e f e f e e"}
 	for _, text := range traces {
 		s, _ := ParseSequence(text)
-		if _, err := lab.Place(context.Background(), s, PlaceOptions{}); err != nil {
+		if _, err := lab.Place(context.Background(), s, tinyRW); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -591,11 +598,120 @@ func TestKernelCacheEviction(t *testing.T) {
 	// The oldest trace was evicted: placing it again misses.
 	_, missesBefore := lab.cache.stats()
 	s, _ := ParseSequence(traces[0])
-	if _, err := lab.Place(context.Background(), s, PlaceOptions{}); err != nil {
+	if _, err := lab.Place(context.Background(), s, tinyRW); err != nil {
 		t.Fatal(err)
 	}
 	if _, misses := lab.cache.stats(); misses != missesBefore+1 {
 		t.Errorf("expected an eviction-induced miss, misses %d -> %d", missesBefore, misses)
+	}
+}
+
+// TestLabKernelSharing: only the strategies that search with a cost
+// kernel reach the Lab's cache. The one-shot heuristics price by replay
+// and leave the cache at (0, 0) with results equal to a cache-less
+// Lab's; a GA or RW call builds exactly one kernel, and repeating it on
+// a content-equal sequence hits it.
+func TestLabKernelSharing(t *testing.T) {
+	ctx := context.Background()
+	sameResult := func(t *testing.T, got, want *PlaceResult) {
+		t.Helper()
+		if got.Shifts != want.Shifts || !got.Placement.Equal(want.Placement) {
+			t.Fatalf("got %d shifts (%v), want %d (%v)", got.Shifts, got.Placement, want.Shifts, want.Placement)
+		}
+		for d := range want.PerDBC {
+			if got.PerDBC[d] != want.PerDBC[d] {
+				t.Fatalf("PerDBC = %v, want %v", got.PerDBC, want.PerDBC)
+			}
+		}
+	}
+	stats := func(t *testing.T, lab *Lab, wantHits, wantMisses int64) {
+		t.Helper()
+		if hits, misses := lab.KernelCacheStats(); hits != wantHits || misses != wantMisses {
+			t.Fatalf("KernelCacheStats() = (%d, %d), want (%d, %d)", hits, misses, wantHits, wantMisses)
+		}
+	}
+	newLabs := func(t *testing.T) (cached, uncached *Lab) {
+		t.Helper()
+		cached, err := New(WithWorkers(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		uncached, err = New(WithWorkers(1), WithKernelCache(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cached, uncached
+	}
+	b := compatBenchmark(t)
+	opts := func(st Strategy) PlaceOptions {
+		o := PlaceOptions{Strategy: st, DBCs: 4, Objective: "energy"}
+		switch st {
+		case GA:
+			o.GA = DefaultGAConfig()
+			o.GA.Mu, o.GA.Lambda, o.GA.Generations = 8, 8, 3
+		case RW:
+			o.RW = tinyRW.RW
+		}
+		return o
+	}
+
+	for _, st := range []Strategy{AFDOFU, DMAOFU, DMAChen, DMASR, DMA2Opt} {
+		t.Run(string(st), func(t *testing.T) {
+			lab, ref := newLabs(t)
+			got, err := lab.Place(ctx, b.Sequences[0], opts(st))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ref.Place(ctx, b.Sequences[0], opts(st))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResult(t, got, want)
+			gotB, err := lab.PlaceBenchmark(ctx, b, opts(st))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantB, err := ref.PlaceBenchmark(ctx, b, opts(st))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range wantB.Results {
+				sameResult(t, gotB.Results[i], wantB.Results[i])
+			}
+			stats(t, lab, 0, 0)
+		})
+	}
+
+	for _, st := range []Strategy{GA, RW} {
+		t.Run(string(st), func(t *testing.T) {
+			// Generation is deterministic: a content-equal sequence
+			// under a fresh pointer on every call.
+			seq := func() *Sequence { return compatBenchmark(t).Sequences[0] }
+			lab, ref := newLabs(t)
+			want, err := ref.Place(ctx, seq(), opts(st))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for round := int64(0); round < 2; round++ {
+				got, err := lab.Place(ctx, seq(), opts(st))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResult(t, got, want)
+				stats(t, lab, round, 1)
+			}
+
+			lab, _ = newLabs(t)
+			for round := int64(0); round < 2; round++ {
+				one := &Benchmark{Name: "one", Sequences: []*Sequence{seq()}}
+				res, err := lab.PlaceBenchmark(ctx, one, opts(st))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResult(t, res.Results[0], want)
+				stats(t, lab, round, 1)
+			}
+		})
 	}
 }
 

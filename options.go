@@ -117,12 +117,13 @@ func WithIslands(n int) Option {
 }
 
 // WithKernelCache bounds the Lab's content-addressed cost-kernel cache
-// to n kernels (evicted least-recently-used). Repeated pricing of the
-// same access sequence — same content, not necessarily the same
-// *Sequence pointer — reuses the cached kernel, making repeated
-// Place/PlaceBenchmark calls over a working set of traces measurably
-// faster. n == 0 disables the cache; n < 0 is an error. The default
-// capacity is 64.
+// to n kernels (evicted least-recently-used). The cache serves the
+// strategies that search with a kernel (GA, GA-2opt and RW, islands
+// included) and portfolio races: repeating one on the same access
+// sequence — same content, not necessarily the same *Sequence pointer —
+// reuses the cached kernel instead of building it again. One-shot
+// heuristics never build a kernel and leave the cache untouched. n == 0
+// disables the cache; n < 0 is an error. The default capacity is 64.
 func WithKernelCache(n int) Option {
 	return func(c *labConfig) {
 		if n < 0 {

@@ -270,7 +270,7 @@ type PlaceResult struct {
 }
 
 // PlaceTrace computes a placement for one access sequence. It is a
-// compat wrapper over the default Lab's Place (repeated calls on the
+// compat wrapper over the default Lab's Place (repeated searches on the
 // same trace content therefore hit the Lab's kernel cache).
 func PlaceTrace(s *Sequence, opts PlaceOptions) (*PlaceResult, error) {
 	l, err := defaultLab()
@@ -429,9 +429,11 @@ func ShiftCost(s *Sequence, p *Placement) (int64, error) { return placement.Shif
 // sequence from which the exact shift cost of any placement is computed
 // without replaying the access stream (bit-identical to ShiftCost; see
 // DESIGN.md §8). Build one per sequence and share it freely — it is
-// immutable and safe for concurrent use. Custom strategies receive a
-// batch-shared kernel through StrategyOptions.Kernel when invoked via
-// the experiment engine.
+// immutable and safe for concurrent use. The engine and the Lab hand
+// kernels only to the built-in searches (GA, GA-2opt, RW); a custom
+// strategy that prices many placements builds its own with
+// NewCostKernel, and StrategyOptions.Kernel reaches it only when its
+// caller sets one.
 type CostKernel = placement.CostKernel
 
 // NewCostKernel summarizes the sequence into a cost kernel.
