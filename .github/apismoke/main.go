@@ -71,11 +71,6 @@ func main() {
 		fmt.Printf("%-10s %3d shifts\n", strategy, res.Shifts)
 	}
 
-	// Legacy flat API still works through the compat wrappers.
-	if _, err := racetrack.PlaceTrace(seq, racetrack.PlaceOptions{Strategy: racetrack.DMASR}); err != nil {
-		log.Fatal(err)
-	}
-
 	// One tiny experiment through the typed spec.
 	cfg := racetrack.QuickConfig()
 	cfg.Benchmarks = []string{"anagram"}

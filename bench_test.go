@@ -12,11 +12,11 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/eval"
 	"repro/internal/offsetstone"
 	"repro/internal/placement"
 	"repro/internal/sim"
-	"repro/internal/soa"
 	"repro/internal/tensor"
 	"repro/internal/trace"
 )
@@ -28,6 +28,7 @@ func benchCfg() eval.Config {
 	cfg := eval.Quick()
 	cfg.MaxSequences = 1
 	cfg.MaxSequenceLen = 1200
+	cfg.Hooks = engine.Hooks{Registry: testRegistry}
 	return cfg
 }
 
@@ -182,7 +183,7 @@ func BenchmarkAblationGASeeding(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			var cost int64
 			for i := 0; i < b.N; i++ {
-				_, c, err := placement.Place(placement.StrategyGA, seq, 4,
+				_, c, err := testRegistry.Place(placement.StrategyGA, seq, 4,
 					placement.Options{GA: gaBase(int64(i) + 1), DisableGASeeding: mode.cold})
 				if err != nil {
 					b.Fatal(err)
@@ -208,7 +209,7 @@ func BenchmarkAblationMutationSkew(b *testing.B) {
 				cfg := gaBase(int64(i) + 1)
 				cfg.PermuteWeight = mode.permute
 				opts := placement.Options{GA: cfg}
-				_, c, err := placement.Place(placement.StrategyGA, seq, 4, opts)
+				_, c, err := testRegistry.Place(placement.StrategyGA, seq, 4, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -388,7 +389,7 @@ func BenchmarkAblationRuntimeSwap(b *testing.B) {
 	for i, v := range a.ByFirstUse() {
 		naive.DBC[i%4] = append(naive.DBC[i%4], v)
 	}
-	srPlace, _, err := placement.Place(placement.StrategyDMASR, seq, 4, placement.Options{})
+	srPlace, _, err := testRegistry.Place(placement.StrategyDMASR, seq, 4, placement.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -503,7 +504,7 @@ func BenchmarkGALocalImprove(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := gaBase(int64(i) + 1)
 				cfg.ImproveWeight = mode.improve
-				_, c, err := placement.Place(placement.StrategyGA, seq, 4,
+				_, c, err := testRegistry.Place(placement.StrategyGA, seq, 4,
 					placement.Options{GA: cfg})
 				if err != nil {
 					b.Fatal(err)
@@ -548,17 +549,6 @@ func BenchmarkRTMCacheAccess(b *testing.B) {
 		}
 	}
 	b.ReportMetric(100*c.Stats().HitRatio(), "hit%")
-}
-
-func BenchmarkSOALiao(b *testing.B) {
-	seq := ablationWorkload(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		order := soa.Liao(seq)
-		if len(order) == 0 {
-			b.Fatal("empty layout")
-		}
-	}
 }
 
 func BenchmarkTensorTrace(b *testing.B) {

@@ -89,10 +89,15 @@ func main() {
 	stopProfiles()
 }
 
-// strategyNames lists every registered strategy for the flag help.
+// strategyNames lists every strategy a fresh Lab resolves, for the flag
+// help.
 func strategyNames() string {
+	lab, err := racetrack.New()
+	if err != nil {
+		return err.Error()
+	}
 	var names []string
-	for _, id := range racetrack.RegisteredStrategies() {
+	for _, id := range lab.RegisteredStrategies() {
 		names = append(names, string(id))
 	}
 	return strings.Join(names, ", ")

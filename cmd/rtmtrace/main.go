@@ -1,15 +1,23 @@
-// Command rtmtrace converts, inspects and generates access traces in
+// Command rtmtrace generates, converts and inspects access traces: the
+// synthetic OffsetStone workloads in the text format rtmplace reads, and
 // the compact binary format the out-of-core pipeline consumes
 // (DESIGN.md §12).
 //
 // Usage:
 //
+//	rtmtrace gen -list
+//	rtmtrace gen gsm > gsm.trace
+//	rtmtrace gen -vars 40 -len 600 -sequences 3 -phases 3 custom > c.trace
+//	rtmtrace gen -all traces/
 //	rtmtrace convert -from vars -to bin -o trace.rtb trace.txt
 //	rtmtrace convert -from bin -to vars trace.rtb
 //	rtmtrace inspect trace.rtb
 //	rtmtrace synth -vars 4096 -accesses 10000000 -seed 1 -o big.rtb
 //	rtmtrace kernel big.rtb
 //
+// gen writes a bundled synthetic OffsetStone workload (-list names
+// them), a custom profile (-vars and -len set, the name labels it) or,
+// with -all, every workload as <dir>/<name>.trace, in the text format.
 // convert translates between the text formats ('vars' named-variable
 // traces, 'addr' raw R/W address records) and the binary format; it
 // materializes the trace, so it is for corpus-sized inputs, not
@@ -28,8 +36,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	racetrack "repro"
+	"repro/internal/offsetstone"
 )
 
 func main() {
@@ -39,6 +49,8 @@ func main() {
 	}
 	var err error
 	switch os.Args[1] {
+	case "gen":
+		err = cmdGen(os.Args[2:])
 	case "convert":
 		err = cmdConvert(os.Args[2:])
 	case "inspect":
@@ -63,6 +75,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
+  rtmtrace gen [-list] [-all dir] [-vars n -len n [-sequences n] [-phases n] [-loopiness f] [-writes f]] <benchmark>
   rtmtrace convert [-from vars|addr|bin] [-to bin|vars] [-word-bytes n] [-o out] <in|->
   rtmtrace inspect <trace.rtb|->
   rtmtrace synth -vars n -accesses n [-seed n] [-zipf s] [-write-fraction f] [-o out]
@@ -92,6 +105,78 @@ func createOut(path string) (io.Writer, func() error, error) {
 		return nil, nil, err
 	}
 	return f, f.Close, nil
+}
+
+func cmdGen(args []string) error {
+	fs := flag.NewFlagSet("gen", flag.ExitOnError)
+	list := fs.Bool("list", false, "list available benchmark names")
+	all := fs.String("all", "", "write every benchmark as <dir>/<name>.trace and exit")
+	vars := fs.Int("vars", 0, "custom profile: max variables per sequence")
+	length := fs.Int("len", 0, "custom profile: max sequence length")
+	sequences := fs.Int("sequences", 4, "custom profile: number of sequences")
+	phases := fs.Int("phases", 3, "custom profile: program phases per sequence")
+	loopiness := fs.Float64("loopiness", 0.5, "custom profile: loop-kernel fraction")
+	writes := fs.Float64("writes", 0.3, "custom profile: write fraction")
+	fs.Parse(args)
+
+	if *list {
+		for _, n := range offsetstone.Names() {
+			p, _ := offsetstone.ProfileFor(n)
+			fmt.Printf("%-10s %2d sequences, %4d..%4d vars, %4d..%4d accesses\n",
+				n, p.Sequences, p.MinVars, p.MaxVars, p.MinLen, p.MaxLen)
+		}
+		return nil
+	}
+	if *all != "" {
+		return writeAll(*all)
+	}
+	if fs.NArg() != 1 {
+		return fmt.Errorf("gen wants exactly one benchmark name (or -list, -all)")
+	}
+	name := fs.Arg(0)
+
+	var b *racetrack.Benchmark
+	if *vars > 0 && *length > 0 {
+		b = offsetstone.GenerateProfile(offsetstone.Profile{
+			Name: name, Sequences: *sequences,
+			MinVars: 2, MaxVars: *vars,
+			MinLen: 2, MaxLen: *length,
+			Phases: *phases, Loopiness: *loopiness,
+			HotFraction: 0.15, WriteFraction: *writes,
+		})
+	} else {
+		var err error
+		if b, err = racetrack.GenerateBenchmark(name); err != nil {
+			return err
+		}
+	}
+	return racetrack.WriteBenchmark(os.Stdout, b)
+}
+
+// writeAll dumps the full synthetic suite into dir, one file per
+// benchmark.
+func writeAll(dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	for _, name := range racetrack.BenchmarkNames() {
+		b, err := racetrack.GenerateBenchmark(name)
+		if err != nil {
+			return err
+		}
+		f, err := os.Create(filepath.Join(dir, name+".trace"))
+		if err != nil {
+			return err
+		}
+		if err := racetrack.WriteBenchmark(f, b); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func cmdConvert(args []string) error {

@@ -1,6 +1,7 @@
 package racetrack_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -9,13 +10,17 @@ import (
 
 // The paper's Fig. 3 example: parse the access sequence, place it with
 // the sequence-aware heuristic and report the shift cost.
-func ExamplePlaceTrace() {
+func ExampleLab_Place() {
+	lab, err := racetrack.New()
+	if err != nil {
+		log.Fatal(err)
+	}
 	seq, err := racetrack.ParseSequence(
 		"a b a b c a c a d d a i e f e f g e g h g i h i")
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := racetrack.PlaceTrace(seq, racetrack.PlaceOptions{
+	res, err := lab.Place(context.Background(), seq, racetrack.PlaceOptions{
 		Strategy: racetrack.DMAOFU,
 		DBCs:     2,
 	})
@@ -51,22 +56,21 @@ func ExampleShiftCost() {
 }
 
 // Simulate a placement on the paper's 4-DBC Table I device.
-func ExampleSimulate() {
+func ExampleLab_Simulate() {
+	ctx := context.Background()
+	lab, err := racetrack.New(racetrack.WithDevice(4))
+	if err != nil {
+		log.Fatal(err)
+	}
 	seq, err := racetrack.ParseSequence("x y! x y x z")
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := racetrack.PlaceTrace(seq, racetrack.PlaceOptions{
-		Strategy: racetrack.DMASR, DBCs: 4,
-	})
+	res, err := lab.Place(ctx, seq, racetrack.PlaceOptions{Strategy: racetrack.DMASR})
 	if err != nil {
 		log.Fatal(err)
 	}
-	dev, err := racetrack.TableIDevice(4)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sim, err := racetrack.Simulate(dev, seq, res.Placement)
+	sim, err := lab.Simulate(ctx, seq, res.Placement)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -60,14 +61,17 @@ func main() {
 	}
 
 	const dbcs = 4
+	lab, err := racetrack.New(racetrack.WithDevice(dbcs))
+	if err != nil {
+		log.Fatal(err)
+	}
+	ctx := context.Background()
 	fmt.Printf("\nplacement on a %d-DBC scratchpad:\n", dbcs)
 	fmt.Printf("%-9s %10s %16s %16s\n", "strategy", "shifts", "serial cycles", "open-loop cycles")
 	for _, strategy := range []racetrack.Strategy{racetrack.AFDOFU, racetrack.DMASR} {
 		var shifts, serialCycles, openCycles int64
 		for _, seq := range bench.Sequences {
-			res, err := racetrack.PlaceTrace(seq, racetrack.PlaceOptions{
-				Strategy: strategy, DBCs: dbcs,
-			})
+			res, err := lab.Place(ctx, seq, racetrack.PlaceOptions{Strategy: strategy})
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -28,6 +29,10 @@ func main() {
 	fmt.Printf("benchmark %s: %d sequences, %d accesses\n\n",
 		bench.Name, len(bench.Sequences), bench.TotalAccesses())
 
+	lab, err := racetrack.New()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("%5s %10s %13s %13s %11s %11s\n",
 		"DBCs", "shifts", "latency[us]", "energy[nJ]", "leak[%]", "area[mm2]")
 	for _, dbcs := range racetrack.TableIDBCCounts() {
@@ -35,8 +40,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := racetrack.SimulateBenchmark(dev, bench, racetrack.DMASR,
-			racetrack.PlaceOptions{})
+		res, err := lab.SimulateBenchmarkOn(context.Background(), dev, bench,
+			racetrack.PlaceOptions{Strategy: racetrack.DMASR})
 		if err != nil {
 			log.Fatal(err)
 		}

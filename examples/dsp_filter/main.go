@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -51,10 +52,11 @@ func main() {
 	fmt.Printf("staged pipeline trace: %d accesses over %d variables\n\n",
 		seq.Len(), seq.NumVars())
 
-	dev, err := racetrack.TableIDevice(4)
+	lab, err := racetrack.New(racetrack.WithDevice(4))
 	if err != nil {
 		log.Fatal(err)
 	}
+	ctx := context.Background()
 
 	type row struct {
 		strategy racetrack.Strategy
@@ -67,13 +69,11 @@ func main() {
 	for _, strategy := range []racetrack.Strategy{
 		racetrack.AFDOFU, racetrack.DMAOFU, racetrack.DMAChen, racetrack.DMASR,
 	} {
-		res, err := racetrack.PlaceTrace(seq, racetrack.PlaceOptions{
-			Strategy: strategy, DBCs: 4,
-		})
+		res, err := lab.Place(ctx, seq, racetrack.PlaceOptions{Strategy: strategy})
 		if err != nil {
 			log.Fatal(err)
 		}
-		sim, err := racetrack.Simulate(dev, seq, res.Placement)
+		sim, err := lab.Simulate(ctx, seq, res.Placement)
 		if err != nil {
 			log.Fatal(err)
 		}

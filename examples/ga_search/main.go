@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,6 +30,11 @@ func main() {
 		}
 	}
 	const dbcs = 4
+	lab, err := racetrack.New(racetrack.WithDevice(dbcs))
+	if err != nil {
+		log.Fatal(err)
+	}
+	ctx := context.Background()
 	fmt.Printf("adpcm, largest sequence: %d accesses over %d variables, %d DBCs\n\n",
 		seq.Len(), seq.NumVars(), dbcs)
 
@@ -37,9 +43,7 @@ func main() {
 	for _, strategy := range []racetrack.Strategy{
 		racetrack.AFDOFU, racetrack.DMAOFU, racetrack.DMAChen, racetrack.DMASR,
 	} {
-		res, err := racetrack.PlaceTrace(seq, racetrack.PlaceOptions{
-			Strategy: strategy, DBCs: dbcs,
-		})
+		res, err := lab.Place(ctx, seq, racetrack.PlaceOptions{Strategy: strategy})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -55,9 +59,7 @@ func main() {
 		MutationRate: 0.5, MoveWeight: 10, TransposeWeight: 10,
 		PermuteWeight: 3, Seed: 1,
 	}
-	res, err := racetrack.PlaceTrace(seq, racetrack.PlaceOptions{
-		Strategy: racetrack.GA, DBCs: dbcs, GA: ga,
-	})
+	res, err := lab.Place(ctx, seq, racetrack.PlaceOptions{Strategy: racetrack.GA, GA: ga})
 	if err != nil {
 		log.Fatal(err)
 	}

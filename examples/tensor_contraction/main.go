@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -21,10 +22,11 @@ func main() {
 	fmt.Printf("%-6s %10s %10s %10s %12s\n",
 		"order", "accesses", "AFD-OFU", "DMA-SR", "improvement")
 
-	dev, err := racetrack.TableIDevice(8)
+	lab, err := racetrack.New(racetrack.WithDevice(8))
 	if err != nil {
 		log.Fatal(err)
 	}
+	ctx := context.Background()
 	for _, order := range []tensor.LoopOrder{tensor.IJK, tensor.IKJ, tensor.JKI} {
 		c := tensor.Contraction{I: 4, J: 4, K: 4, Order: order, Accumulate: true}
 		seq, err := c.Trace()
@@ -33,13 +35,11 @@ func main() {
 		}
 		costs := map[racetrack.Strategy]int64{}
 		for _, strategy := range []racetrack.Strategy{racetrack.AFDOFU, racetrack.DMASR} {
-			res, err := racetrack.PlaceTrace(seq, racetrack.PlaceOptions{
-				Strategy: strategy, DBCs: 8,
-			})
+			res, err := lab.Place(ctx, seq, racetrack.PlaceOptions{Strategy: strategy})
 			if err != nil {
 				log.Fatal(err)
 			}
-			if _, err := racetrack.Simulate(dev, seq, res.Placement); err != nil {
+			if _, err := lab.Simulate(ctx, seq, res.Placement); err != nil {
 				log.Fatal(err)
 			}
 			costs[strategy] = res.Shifts

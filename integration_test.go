@@ -1,6 +1,7 @@
 package racetrack_test
 
 import (
+	"context"
 	"testing"
 
 	racetrack "repro"
@@ -45,8 +46,9 @@ end
 		RW: placement.RWConfig{Iterations: 80, Seed: 1},
 	}
 
+	ctx := context.Background()
 	for _, dbcs := range racetrack.TableIDBCCounts() {
-		dev, err := racetrack.TableIDevice(dbcs)
+		lab, err := racetrack.New(racetrack.WithDevice(dbcs))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,8 +56,7 @@ end
 			for fi, seq := range bench.Sequences {
 				o := opts
 				o.Strategy = strategy
-				o.DBCs = dbcs
-				res, err := racetrack.PlaceTrace(seq, o)
+				res, err := lab.Place(ctx, seq, o)
 				if err != nil {
 					t.Fatalf("%s q=%d func %d: %v", strategy, dbcs, fi, err)
 				}
@@ -64,7 +65,7 @@ end
 				}
 
 				// Analytic simulation must agree with the placement cost.
-				sr, err := racetrack.Simulate(dev, seq, res.Placement)
+				sr, err := lab.Simulate(ctx, seq, res.Placement)
 				if err != nil {
 					t.Fatalf("%s q=%d func %d: simulate: %v", strategy, dbcs, fi, err)
 				}
@@ -98,6 +99,10 @@ func TestSuiteWideSanity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite-wide pass is slow")
 	}
+	lab, err := racetrack.New()
+	if err != nil {
+		t.Fatal(err)
+	}
 	totals := map[racetrack.Strategy]int64{}
 	for _, name := range racetrack.BenchmarkNames() {
 		bench, err := racetrack.GenerateBenchmark(name)
@@ -108,7 +113,7 @@ func TestSuiteWideSanity(t *testing.T) {
 			for _, strategy := range []racetrack.Strategy{
 				racetrack.AFDOFU, racetrack.DMAOFU, racetrack.DMAChen, racetrack.DMASR,
 			} {
-				res, err := racetrack.PlaceTrace(seq, racetrack.PlaceOptions{
+				res, err := lab.Place(context.Background(), seq, racetrack.PlaceOptions{
 					Strategy: strategy, DBCs: 4,
 				})
 				if err != nil {
@@ -144,11 +149,16 @@ func TestCapacityEnforcedPipeline(t *testing.T) {
 	}
 	dev.EnforceCapacity = true
 	capacity := dev.Geometry.WordsPerDBC()
+	lab, err := racetrack.New(racetrack.WithDevice(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
 	for _, seq := range bench.Sequences {
 		if seq.NumVars() > 16*capacity {
 			continue // cannot fit at all
 		}
-		res, err := racetrack.PlaceTrace(seq, racetrack.PlaceOptions{
+		res, err := lab.Place(ctx, seq, racetrack.PlaceOptions{
 			Strategy: racetrack.DMASR, DBCs: 16, Capacity: capacity,
 		})
 		if err != nil {
@@ -157,7 +167,7 @@ func TestCapacityEnforcedPipeline(t *testing.T) {
 		if err := res.Placement.Validate(seq, capacity); err != nil {
 			t.Fatalf("capacity violated: %v", err)
 		}
-		if _, err := racetrack.Simulate(dev, seq, res.Placement); err != nil {
+		if _, err := lab.SimulateOn(ctx, dev, seq, res.Placement); err != nil {
 			t.Fatalf("capacity-enforcing simulation rejected placement: %v", err)
 		}
 	}

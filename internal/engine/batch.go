@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/placement"
@@ -10,44 +11,36 @@ import (
 )
 
 // Hooks customizes how a batch resolves, prices and reports its cells.
-// The zero value reproduces the plain batch behaviour: strategies resolve
-// against the process-wide registry, kernels are built per batch, and no
-// progress is reported. The public session API (racetrack.Lab) supplies
-// all three so instance registries, the content-addressed kernel cache
-// and progress callbacks reach every worker.
+// Registry is required: every cell's strategy name resolves in it, and a
+// batch without one fails. The public session API (racetrack.Lab)
+// supplies its instance registry, its content-addressed kernel cache and
+// its progress callback, so all three reach every worker.
 type Hooks struct {
-	// Resolve maps a strategy name to its implementation. Nil means the
-	// process-wide placement registry.
-	Resolve func(placement.StrategyID) (placement.Strategy, bool)
+	// Registry resolves the cells' strategy names.
+	Registry *placement.Registry
 	// Progress, when non-nil, is called from worker goroutines as cells
 	// start and finish; it must be safe for concurrent use.
 	Progress func(Event)
 	// Kernel, when non-nil, supplies the cost kernel for a sequence
-	// (called once per distinct sequence per batch that has a cell whose
-	// strategy searches with a kernel — placement.UsesKernel — possibly
-	// concurrently). The returned kernel must be bound to exactly the
-	// given sequence — content-addressed caches rebind before returning.
-	// Nil means build a fresh kernel per batch.
+	// (called once per distinct sequence per batch that has a cell the
+	// kernel serves — placement.UsesKernel — possibly concurrently). The
+	// returned kernel must be bound to exactly the given sequence —
+	// content-addressed caches rebind before returning. Nil means build
+	// a fresh kernel per batch.
 	Kernel func(*trace.Sequence) *placement.CostKernel
 }
 
-// resolve returns the effective strategy resolver.
-func (h Hooks) resolve() func(placement.StrategyID) (placement.Strategy, bool) {
-	if h.Resolve != nil {
-		return h.Resolve
-	}
-	return placement.LookupStrategy
-}
+// errNoRegistry rejects hooks without a strategy registry.
+var errNoRegistry = errors.New("engine: hooks have no strategy registry")
 
-// Place resolves the named strategy through the hooks' resolver and
-// runs it — the single place the batch layer (and the eval drivers'
-// inline probes) turn a strategy name into a placement.
+// Place resolves the named strategy in the hooks' registry and runs it —
+// the single place the batch layer (and the eval drivers' inline probes)
+// turn a strategy name into a placement.
 func (h Hooks) Place(id placement.StrategyID, s *trace.Sequence, q int, opts placement.Options) (*placement.Placement, int64, error) {
-	st, ok := h.resolve()(id)
-	if !ok {
-		return nil, 0, fmt.Errorf("placement: unknown strategy %q", id)
+	if h.Registry == nil {
+		return nil, 0, errNoRegistry
 	}
-	return st.Place(s, q, opts)
+	return h.Registry.Place(id, s, q, opts)
 }
 
 // An Event reports the life cycle of one batch cell to the Progress hook:
@@ -87,27 +80,23 @@ type PlaceOutcome struct {
 }
 
 // BatchPlace runs every placement job on a worker pool of the given size
-// and returns the outcomes in job order. Results are identical for any
-// worker count; the first failing job (lowest index) aborts the batch.
+// and returns the outcomes in job order. Strategy names resolve in
+// hooks.Registry. Results are identical for any worker count; the first
+// failing job (lowest index) aborts the batch.
 //
-// Before dispatch, one placement.CostKernel is built per distinct
-// sequence that has a cell whose strategy searches with a kernel (the
-// GA family and the random walk, see placement.UsesKernel), in parallel
-// on the same worker budget, and threaded to those cells via
-// Options.Kernel: the eval drivers submit the same sequence under many
-// strategies and DBC counts, and the searches price thousands of
-// placements each. The other cells place once and price by replay,
-// which is cheaper than a build. Costs are bit-identical either way, so
-// batch results do not depend on the sharing.
-func BatchPlace(ctx context.Context, jobs []PlaceJob, workers int) ([]PlaceOutcome, error) {
-	return BatchPlaceWith(ctx, jobs, workers, Hooks{})
-}
-
-// BatchPlaceWith is BatchPlace with resolution, kernel sourcing and
-// progress reporting customized by hooks.
-func BatchPlaceWith(ctx context.Context, jobs []PlaceJob, workers int, hooks Hooks) ([]PlaceOutcome, error) {
-	kernels, err := cellKernels(ctx, len(jobs), workers, hooks, func(i int) (*trace.Sequence, placement.StrategyID) {
-		return jobs[i].Sequence, jobs[i].Strategy
+// Before dispatch, one placement.CostKernel is built (or taken from
+// hooks.Kernel) per distinct sequence that has a cell the kernel serves
+// (the GA family and the random walk at one port, see
+// placement.UsesKernel), in parallel on the same worker budget, and
+// threaded to those cells via Options.Kernel: the eval drivers submit
+// the same sequence under many strategies and DBC counts, and the
+// searches price thousands of placements each. The other cells place
+// once and price by replay, which is cheaper than a build. Costs are
+// bit-identical either way, so batch results do not depend on the
+// sharing.
+func BatchPlace(ctx context.Context, jobs []PlaceJob, workers int, hooks Hooks) ([]PlaceOutcome, error) {
+	kernels, err := cellKernels(ctx, len(jobs), workers, hooks, func(i int) (*trace.Sequence, placement.StrategyID, placement.Options) {
+		return jobs[i].Sequence, jobs[i].Strategy, jobs[i].Options
 	})
 	if err != nil {
 		return nil, err
@@ -134,21 +123,25 @@ func BatchPlaceWith(ctx context.Context, jobs []PlaceJob, workers int, hooks Hoo
 	})
 }
 
-// cellKernels returns each cell's cost kernel: nil unless the cell's
-// strategy searches with one (placement.UsesKernel), and otherwise one
-// kernel per distinct sequence (pointer identity), constructed
-// concurrently through the same deterministic worker pool the batch
-// itself runs on. When the hooks supply a kernel source (the session
-// kernel cache), it is consulted instead of building from scratch.
-func cellKernels(ctx context.Context, n, workers int, hooks Hooks, cell func(i int) (*trace.Sequence, placement.StrategyID)) ([]*placement.CostKernel, error) {
-	resolve := hooks.resolve()
+// cellKernels returns each cell's cost kernel: nil unless the kernel
+// serves the cell's strategy under its options (placement.UsesKernel),
+// and otherwise one kernel per distinct sequence (pointer identity),
+// constructed concurrently through the same deterministic worker pool
+// the batch itself runs on. When the hooks supply a kernel source (the
+// session kernel cache), it is consulted instead of building from
+// scratch. It also rejects hooks without a registry, before any cell
+// runs.
+func cellKernels(ctx context.Context, n, workers int, hooks Hooks, cell func(i int) (*trace.Sequence, placement.StrategyID, placement.Options)) ([]*placement.CostKernel, error) {
+	if hooks.Registry == nil {
+		return nil, errNoRegistry
+	}
 	index := make(map[*trace.Sequence]int, 8) // sequence -> distinct slot
 	var distinct []*trace.Sequence
 	slot := make([]int, n)
 	for i := range slot {
 		slot[i] = -1
-		s, id := cell(i)
-		if st, ok := resolve(id); s == nil || !ok || !placement.UsesKernel(st) {
+		s, id, opts := cell(i)
+		if st, ok := hooks.Registry.Lookup(id); s == nil || !ok || !placement.UsesKernel(st, opts) {
 			continue
 		}
 		k, seen := index[s]
@@ -191,17 +184,11 @@ type SimJob struct {
 // size and returns the per-cell results in job order. Callers aggregate
 // the returned slice in input order, so totals (including float latency
 // and energy sums) are bit-identical for any worker count. As in
-// BatchPlace, the cells whose strategy searches with a cost kernel share
-// one per distinct sequence.
-func BatchSimulate(ctx context.Context, jobs []SimJob, workers int) ([]sim.Result, error) {
-	return BatchSimulateWith(ctx, jobs, workers, Hooks{})
-}
-
-// BatchSimulateWith is BatchSimulate with resolution, kernel sourcing and
-// progress reporting customized by hooks.
-func BatchSimulateWith(ctx context.Context, jobs []SimJob, workers int, hooks Hooks) ([]sim.Result, error) {
-	kernels, err := cellKernels(ctx, len(jobs), workers, hooks, func(i int) (*trace.Sequence, placement.StrategyID) {
-		return jobs[i].Sequence, jobs[i].Strategy
+// BatchPlace, strategy names resolve in hooks.Registry and the cells a
+// cost kernel serves share one per distinct sequence.
+func BatchSimulate(ctx context.Context, jobs []SimJob, workers int, hooks Hooks) ([]sim.Result, error) {
+	kernels, err := cellKernels(ctx, len(jobs), workers, hooks, func(i int) (*trace.Sequence, placement.StrategyID, placement.Options) {
+		return jobs[i].Sequence, jobs[i].Strategy, jobs[i].Options
 	})
 	if err != nil {
 		return nil, err

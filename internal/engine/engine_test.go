@@ -118,6 +118,20 @@ func TestMapCollectsInOrder(t *testing.T) {
 	}
 }
 
+// testRegistry returns a fresh strategy registry seeded with the
+// builtins.
+func testRegistry(t testing.TB) *placement.Registry {
+	t.Helper()
+	reg, err := placement.NewRegistry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reg
+}
+
+// testHooks resolves the batch cells in a fresh registry.
+func testHooks(t testing.TB) Hooks { return Hooks{Registry: testRegistry(t)} }
+
 // testJobs builds a realistic mixed batch over a generated benchmark:
 // every (sequence × heuristic strategy × DBC count) cell.
 func testJobs(t testing.TB, bench string) []PlaceJob {
@@ -142,11 +156,12 @@ func testJobs(t testing.TB, bench string) []PlaceJob {
 // workers=1 and workers=8.
 func TestBatchPlaceDeterministic(t *testing.T) {
 	jobs := testJobs(t, "gsm")
-	seq, err := BatchPlace(context.Background(), jobs, 1)
+	hooks := testHooks(t)
+	seq, err := BatchPlace(context.Background(), jobs, 1, hooks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := BatchPlace(context.Background(), jobs, 8)
+	par, err := BatchPlace(context.Background(), jobs, 8, hooks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,11 +197,12 @@ func TestBatchSimulateDeterministic(t *testing.T) {
 			}
 		}
 	}
-	one, err := BatchSimulate(context.Background(), jobs, 1)
+	hooks := testHooks(t)
+	one, err := BatchSimulate(context.Background(), jobs, 1, hooks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eight, err := BatchSimulate(context.Background(), jobs, 8)
+	eight, err := BatchSimulate(context.Background(), jobs, 8, hooks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,25 +214,42 @@ func TestBatchSimulateDeterministic(t *testing.T) {
 }
 
 // TestBatchKernelSharing: a batch builds a cost kernel only for the
-// sequences that have a cell whose strategy searches with one (GA, RW),
-// exactly once per sequence at any worker count, and hands it to those
-// cells only; the heuristic cells price by replay. A heuristic-only
-// batch never calls the kernel source.
+// sequences that have a cell whose strategy searches with one (GA, RW at
+// one port), exactly once per sequence at any worker count, and hands it
+// to those cells only; the heuristic cells price by replay. A
+// heuristic-only batch and a batch under a two-port objective never call
+// the kernel source.
 func TestBatchKernelSharing(t *testing.T) {
 	b, err := offsetstone.Generate("adpcm")
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, err := placement.NewRegistry()
-	if err != nil {
-		t.Fatal(err)
+	// The heuristics run as probes, registered under their own names
+	// next to the builtins, that record whether a kernel reached them.
+	reg := testRegistry(t)
+	var withKernel atomic.Int32
+	probe := func(id placement.StrategyID) placement.StrategyID {
+		st, _ := reg.Lookup(id)
+		name := "probe-" + string(id)
+		err := reg.Register(placement.NewStrategy(name, func(s *trace.Sequence, q int, o placement.Options) (*placement.Placement, int64, error) {
+			if o.Kernel != nil {
+				withKernel.Add(1)
+			}
+			return st.Place(s, q, o)
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return placement.StrategyID(name)
 	}
 	seqs := b.Sequences[:2]
 	var opts placement.Options
 	opts.GA = placement.DefaultGAConfig()
 	opts.GA.Mu, opts.GA.Lambda, opts.GA.Generations = 6, 6, 2
 	opts.RW = placement.RWConfig{Iterations: 50, Seed: 1}
-	batch := func(ids ...placement.StrategyID) []PlaceJob {
+	twoPort := opts
+	twoPort.Ports = 2
+	batch := func(opts placement.Options, ids ...placement.StrategyID) []PlaceJob {
 		var jobs []PlaceJob
 		for _, q := range []int{2, 4, 8} {
 			for _, s := range seqs {
@@ -227,42 +260,32 @@ func TestBatchKernelSharing(t *testing.T) {
 		}
 		return jobs
 	}
+	dmaOFU, dmaSR := probe(placement.StrategyDMAOFU), probe(placement.StrategyDMASR)
+	afd, twoOpt := probe(placement.StrategyAFDOFU), probe(placement.StrategyDMATwoOpt)
 	for _, tc := range []struct {
 		name  string
 		jobs  []PlaceJob
 		wantK int // kernel-source calls per sequence
 	}{
-		{"mixed", batch(placement.StrategyGA, placement.StrategyDMAOFU, placement.StrategyRW, placement.StrategyAFDOFU, placement.StrategyDMATwoOpt), 1},
-		{"heuristic-only", batch(placement.StrategyDMASR, placement.StrategyDMAOFU, placement.StrategyDMATwoOpt), 0},
+		{"mixed", batch(opts, placement.StrategyGA, dmaOFU, placement.StrategyRW, afd, twoOpt), 1},
+		{"heuristic-only", batch(opts, dmaSR, dmaOFU, twoOpt), 0},
+		{"two-port", batch(twoPort, placement.StrategyGA, placement.StrategyRW, dmaOFU), 0},
 	} {
 		var want []PlaceOutcome
 		for _, workers := range []int{1, 4} {
 			var mu sync.Mutex
 			calls := map[*trace.Sequence]int{}
-			var withKernel atomic.Int32
+			withKernel.Store(0)
 			hooks := Hooks{
+				Registry: reg,
 				Kernel: func(s *trace.Sequence) *placement.CostKernel {
 					mu.Lock()
 					calls[s]++
 					mu.Unlock()
 					return placement.NewCostKernel(s)
 				},
-				// Heuristic cells go through a wrapper that records
-				// whether a kernel reached them.
-				Resolve: func(id placement.StrategyID) (placement.Strategy, bool) {
-					st, ok := reg.Lookup(id)
-					if !ok || placement.UsesKernel(st) {
-						return st, ok
-					}
-					return placement.NewStrategy(st.Name(), func(s *trace.Sequence, q int, o placement.Options) (*placement.Placement, int64, error) {
-						if o.Kernel != nil {
-							withKernel.Add(1)
-						}
-						return st.Place(s, q, o)
-					}), true
-				},
 			}
-			out, err := BatchPlaceWith(context.Background(), tc.jobs, workers, hooks)
+			out, err := BatchPlace(context.Background(), tc.jobs, workers, hooks)
 			if err != nil {
 				t.Fatalf("%s, workers=%d: %v", tc.name, workers, err)
 			}
@@ -296,8 +319,16 @@ func TestBatchPlaceUnknownStrategy(t *testing.T) {
 		{Sequence: s, Strategy: placement.StrategyDMASR, DBCs: 2},
 		{Sequence: s, Strategy: "no-such-strategy", DBCs: 2},
 	}
-	if _, err := BatchPlace(context.Background(), jobs, 4); err == nil {
+	if _, err := BatchPlace(context.Background(), jobs, 4, testHooks(t)); err == nil {
 		t.Fatal("unknown strategy accepted")
+	}
+	// Without a registry no name resolves: the batch fails before any
+	// cell runs.
+	if _, err := BatchPlace(context.Background(), jobs[:1], 4, Hooks{}); !errors.Is(err, errNoRegistry) {
+		t.Fatalf("batch without a registry: err = %v", err)
+	}
+	if _, err := BatchSimulate(context.Background(), nil, 4, Hooks{}); !errors.Is(err, errNoRegistry) {
+		t.Fatalf("simulation batch without a registry: err = %v", err)
 	}
 }
 
@@ -306,10 +337,11 @@ func TestBatchPlaceUnknownStrategy(t *testing.T) {
 // GOMAXPROCS).
 func BenchmarkBatch(b *testing.B) {
 	jobs := testJobs(b, "gsm")
+	hooks := testHooks(b)
 	workers := runtime.GOMAXPROCS(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := BatchPlace(context.Background(), jobs, workers); err != nil {
+		if _, err := BatchPlace(context.Background(), jobs, workers, hooks); err != nil {
 			b.Fatal(err)
 		}
 	}

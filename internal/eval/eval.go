@@ -25,7 +25,7 @@ import (
 )
 
 // Config scales the experiments. The zero value is unusable; start from
-// Quick() or Full().
+// Quick() or Full() and set Hooks.Registry.
 type Config struct {
 	// DBCCounts lists the RTM configurations (paper: 2, 4, 8, 16).
 	DBCCounts []int
@@ -56,11 +56,10 @@ type Config struct {
 	// run concurrently (0 or 1 = sequential). Results are deterministic
 	// regardless of the worker count.
 	Parallel int
-	// Hooks customizes strategy resolution, kernel sourcing and progress
-	// reporting for every cell the drivers dispatch. The zero value uses
-	// the process-wide registry, per-batch kernels for the strategies
-	// that search with one, and no progress.
-	// The public session API (racetrack.Lab) threads its instance
+	// Hooks resolves strategies, sources kernels and reports progress
+	// for every cell the drivers dispatch. Hooks.Registry is required:
+	// every strategy name resolves in it, and the drivers fail without
+	// one. The public session API (racetrack.Lab) threads its instance
 	// registry, kernel cache and progress callback through here.
 	Hooks engine.Hooks
 }

@@ -8,13 +8,30 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/placement"
 )
+
+// testHooks resolves the drivers' strategies in one fresh registry.
+var testHooks = func() engine.Hooks {
+	reg, err := placement.NewRegistry()
+	if err != nil {
+		panic(err)
+	}
+	return engine.Hooks{Registry: reg}
+}()
+
+// quickConfig is Quick with the test registry.
+func quickConfig() Config {
+	c := Quick()
+	c.Hooks = testHooks
+	return c
+}
 
 // tinyConfig is a minimal configuration for fast unit tests: a few small
 // benchmarks, short sequences, tiny GA/RW budgets.
 func tinyConfig() Config {
-	c := Quick()
+	c := quickConfig()
 	c.Benchmarks = []string{"anagram", "dspstone", "fuzzy"}
 	c.MaxSequences = 2
 	c.MaxSequenceLen = 250

@@ -69,7 +69,7 @@ func Fig4(ctx context.Context, cfg Config) (*Fig4Result, error) {
 			}
 		}
 	}
-	out, err := engine.BatchPlaceWith(ctx, jobs, cfg.workers(), cfg.Hooks)
+	out, err := engine.BatchPlace(ctx, jobs, cfg.workers(), cfg.Hooks)
 	if err != nil {
 		return nil, fmt.Errorf("eval: fig4: %w", err)
 	}

@@ -38,7 +38,7 @@ func simGrid(ctx context.Context, cfg Config, suite []*trace.Benchmark, strategi
 			}
 		}
 	}
-	out, err := engine.BatchSimulateWith(ctx, jobs, cfg.workers(), cfg.Hooks)
+	out, err := engine.BatchSimulate(ctx, jobs, cfg.workers(), cfg.Hooks)
 	if err != nil {
 		return nil, err
 	}

@@ -158,7 +158,7 @@ func Pareto(ctx context.Context, cfg Config, ports []int, faultRates []float64) 
 					jobs = append(jobs, engine.PlaceJob{Sequence: s, Strategy: paretoStrategy, DBCs: q, Options: opts})
 				}
 			}
-			placed, err := engine.BatchPlaceWith(ctx, jobs, cfg.workers(), cfg.Hooks)
+			placed, err := engine.BatchPlace(ctx, jobs, cfg.workers(), cfg.Hooks)
 			if err != nil {
 				return nil, fmt.Errorf("eval: pareto %d DBCs %d ports: %w", q, p, err)
 			}

@@ -105,7 +105,7 @@ func TestMarkParetoFrontMinimality(t *testing.T) {
 // end-to-end test fast: one benchmark, short sequences, two Table I
 // DBC counts.
 func paretoTestConfig() Config {
-	cfg := Quick()
+	cfg := quickConfig()
 	cfg.Benchmarks = []string{"adpcm"}
 	cfg.MaxSequences = 2
 	cfg.MaxSequenceLen = 400

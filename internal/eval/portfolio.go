@@ -76,7 +76,7 @@ func Portfolio(ctx context.Context, cfg Config) (*PortfolioStudyResult, error) {
 		for _, s := range b.Sequences {
 			r, err := placement.RacePortfolio(ctx, s, q, placement.PortfolioConfig{
 				Strategies: ids,
-				Resolve:    cfg.Hooks.Resolve,
+				Registry:   cfg.Hooks.Registry,
 				Workers:    cfg.workers(),
 				Options:    opts,
 			})

@@ -109,7 +109,7 @@ func PortsSweep(ctx context.Context, cfg Config, maxPorts int) (*PortsResult, er
 			jobs = append(jobs, engine.PlaceJob{Sequence: s, Strategy: id, DBCs: q, Options: baseOpts})
 		}
 	}
-	placed, err := engine.BatchPlaceWith(ctx, jobs, cfg.workers(), cfg.Hooks)
+	placed, err := engine.BatchPlace(ctx, jobs, cfg.workers(), cfg.Hooks)
 	if err != nil {
 		return nil, fmt.Errorf("eval: ports: %w", err)
 	}
@@ -156,7 +156,7 @@ func PortsSweep(ctx context.Context, cfg Config, maxPorts int) (*PortsResult, er
 			for _, s := range seqs {
 				reoptJobs = append(reoptJobs, engine.PlaceJob{Sequence: s, Strategy: placement.StrategyDMATwoOpt, DBCs: q, Options: reoptOpts})
 			}
-			reopt, err = engine.BatchPlaceWith(ctx, reoptJobs, cfg.workers(), cfg.Hooks)
+			reopt, err = engine.BatchPlace(ctx, reoptJobs, cfg.workers(), cfg.Hooks)
 			if err != nil {
 				return nil, fmt.Errorf("eval: ports: %w", err)
 			}

@@ -7,6 +7,16 @@ import (
 	"repro/internal/placement"
 )
 
+// testRegistry resolves the tests' strategy names: a fresh registry
+// seeded with the builtins.
+var testRegistry = func() *placement.Registry {
+	reg, err := placement.NewRegistry()
+	if err != nil {
+		panic(err)
+	}
+	return reg
+}()
+
 func TestParseAndEmitBasic(t *testing.T) {
 	src := `
 # a tiny function
@@ -197,11 +207,11 @@ func TestCompiledProgramPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := b.Sequences[0]
-	_, afd, err := placement.Place(placement.StrategyAFDOFU, s, 4, placement.Options{})
+	_, afd, err := testRegistry.Place(placement.StrategyAFDOFU, s, 4, placement.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, dma, err := placement.Place(placement.StrategyDMAOFU, s, 4, placement.Options{})
+	_, dma, err := testRegistry.Place(placement.StrategyDMAOFU, s, 4, placement.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -224,7 +224,7 @@ func TestPerDBCTallies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, total, err := Place(StrategyDMAOFU, s, 2, Options{})
+	p, total, err := testRegistry.Place(StrategyDMAOFU, s, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

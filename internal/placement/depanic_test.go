@@ -40,17 +40,3 @@ func TestSeedRegistryDuplicateIsErrorNotPanic(t *testing.T) {
 		t.Fatalf("error %q does not identify the seeding phase", err)
 	}
 }
-
-func TestDefaultRegistrySharedAndErrorFree(t *testing.T) {
-	a, err := DefaultRegistry()
-	if err != nil {
-		t.Fatalf("DefaultRegistry: %v", err)
-	}
-	b, err := DefaultRegistry()
-	if err != nil {
-		t.Fatalf("DefaultRegistry (second call): %v", err)
-	}
-	if a != b {
-		t.Fatal("DefaultRegistry returned different instances")
-	}
-}

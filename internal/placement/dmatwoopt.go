@@ -15,9 +15,8 @@ import (
 // pass none: one replay-built evaluator per DBC is cheaper than a kernel
 // build (see DESIGN.md §8). TwoOpt can only keep or improve the intra
 // cost, so this strategy is never worse than DMA-SR on the cost model.
-// It is not one of the paper's six evaluated strategies; the racetrack
-// package registers it as "DMA-2opt" through the public
-// RegisterStrategy hook to demonstrate registry extensibility.
+// It is not one of the paper's six evaluated strategies; it is a builtin
+// (builtinStrategies), seeded into every Registry as "DMA-2opt".
 func PlaceDMATwoOpt(s *trace.Sequence, q int, opts Options) (*Placement, int64, error) {
 	a := trace.Analyze(s)
 	r, err := DMA(a, q, opts.Capacity)

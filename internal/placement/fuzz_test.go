@@ -399,7 +399,7 @@ func FuzzPortfolioParity(f *testing.F) {
 
 		wantID, wantCost := StrategyID(""), int64(-1)
 		for _, id := range ids {
-			_, c, err := Place(id, s, q, opts)
+			_, c, err := testRegistry.Place(id, s, q, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -409,6 +409,7 @@ func FuzzPortfolioParity(f *testing.F) {
 		}
 
 		r, err := RacePortfolio(context.Background(), s, q, PortfolioConfig{
+			Registry:   testRegistry,
 			Strategies: ids, Workers: 4, Options: opts,
 		})
 		if err != nil {

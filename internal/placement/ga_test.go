@@ -114,14 +114,14 @@ func TestGAMemeticStrategy(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	s := randSeq(rng, 12, 150)
 	opts := Options{GA: quickGA(7), DisableGASeeding: true}
-	p1, c1, err := Place(StrategyGAMemetic, s, 4, opts)
+	p1, c1, err := testRegistry.Place(StrategyGAMemetic, s, 4, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := p1.Validate(s, 0); err != nil {
 		t.Fatalf("GA-2opt produced invalid placement: %v", err)
 	}
-	p2, c2, err := Place(StrategyGAMemetic, s, 4, opts)
+	p2, c2, err := testRegistry.Place(StrategyGAMemetic, s, 4, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestGAFindsOptimumOnSmallInstances(t *testing.T) {
 		cfg.Mu, cfg.Lambda, cfg.Generations = 40, 40, 120
 		// Seed with the heuristics, as the paper's GA does.
 		for _, id := range HeuristicStrategies() {
-			sp, _, err := Place(id, s, q, Options{})
+			sp, _, err := testRegistry.Place(id, s, q, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -600,7 +600,7 @@ func TestHeuristicsVsExact(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, id := range HeuristicStrategies() {
-			_, c, err := Place(id, s, q, Options{})
+			_, c, err := testRegistry.Place(id, s, q, Options{})
 			if err != nil {
 				t.Fatalf("%s: %v", id, err)
 			}
@@ -615,7 +615,7 @@ func TestHeuristicsVsExact(t *testing.T) {
 	// 2, so DMA must land in [optimum, l-1].
 	s := trace.NewSequence(0, 0, 0, 1, 1, 2, 2, 2, 3, 3)
 	ex, _ := Exact(s, 2, 0)
-	p, c, err := Place(StrategyDMAOFU, s, 2, Options{})
+	p, c, err := testRegistry.Place(StrategyDMAOFU, s, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -626,7 +626,7 @@ func TestHeuristicsVsExact(t *testing.T) {
 
 func TestPlaceUnknownStrategy(t *testing.T) {
 	s := trace.NewSequence(0, 1)
-	if _, _, err := Place("nope", s, 2, Options{}); err == nil {
+	if _, _, err := testRegistry.Place("nope", s, 2, Options{}); err == nil {
 		t.Error("unknown strategy accepted")
 	}
 }

@@ -57,6 +57,7 @@ func BenchmarkPortfolio(b *testing.B) {
 		var cost int64
 		for i := 0; i < b.N; i++ {
 			r, err := RacePortfolio(context.Background(), s, 4, PortfolioConfig{
+				Registry:   testRegistry,
 				Strategies: ids, Workers: len(ids), Options: opts,
 			})
 			if err != nil {
@@ -71,7 +72,7 @@ func BenchmarkPortfolio(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			best := int64(-1)
 			for _, id := range ids {
-				_, c, err := Place(id, s, 4, opts)
+				_, c, err := testRegistry.Place(id, s, 4, opts)
 				if err != nil {
 					b.Fatal(err)
 				}

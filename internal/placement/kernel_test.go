@@ -104,7 +104,7 @@ func TestKernelMatchesReplayOnSuite(t *testing.T) {
 			k := NewCostKernel(s)
 			for _, q := range []int{2, 4, 8} {
 				for _, id := range HeuristicStrategies() {
-					p, c, err := Place(id, s, q, Options{})
+					p, c, err := testRegistry.Place(id, s, q, Options{})
 					if err != nil {
 						t.Fatal(err)
 					}

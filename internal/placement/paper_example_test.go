@@ -165,7 +165,7 @@ func TestFig3Strategies(t *testing.T) {
 		RW: RWConfig{Iterations: 2000, Seed: 7},
 	}
 	for _, id := range AllStrategies() {
-		p, c, err := Place(id, s, 2, opts)
+		p, c, err := testRegistry.Place(id, s, 2, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}

@@ -403,7 +403,7 @@ func TestPlaceGAColdStart(t *testing.T) {
 			PermuteWeight: 3, Seed: 1},
 		DisableGASeeding: true,
 	}
-	p, c, err := Place(StrategyGA, s, 2, opts)
+	p, c, err := testRegistry.Place(StrategyGA, s, 2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

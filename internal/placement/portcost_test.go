@@ -306,11 +306,11 @@ func TestPortAwareSearchStrategies(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []StrategyID{StrategyGA, StrategyRW, StrategyGAMemetic} {
-		p1, c1, err := Place(id, s, 3, opts)
+		p1, c1, err := testRegistry.Place(id, s, 3, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		p2, c2, err := Place(id, s, 3, opts)
+		p2, c2, err := testRegistry.Place(id, s, 3, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,11 +328,11 @@ func TestPortAwareSearchStrategies(t *testing.T) {
 
 	par := opts
 	par.GA.Workers = 4
-	pp, cp, err := Place(StrategyGA, s, 3, par)
+	pp, cp, err := testRegistry.Place(StrategyGA, s, 3, par)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, cs, err := Place(StrategyGA, s, 3, opts)
+	ps, cs, err := testRegistry.Place(StrategyGA, s, 3, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

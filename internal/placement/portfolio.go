@@ -27,13 +27,8 @@ type PortfolioConfig struct {
 	// deterministic tie-break order). Empty means every strategy of the
 	// registry, in Registered() order.
 	Strategies []StrategyID
-	// Registry resolves the strategy names; nil is the process-wide
-	// default registry.
+	// Registry resolves the strategy names. Required.
 	Registry *Registry
-	// Resolve, when non-nil, overrides Registry for name resolution
-	// (the experiment engine threads its hook here). It does not affect
-	// the default Strategies enumeration.
-	Resolve func(StrategyID) (Strategy, bool)
 	// Workers bounds the number of concurrently racing strategies
 	// (0 or 1 = sequential).
 	Workers int
@@ -105,14 +100,7 @@ func RacePortfolio(ctx context.Context, s *trace.Sequence, q int, cfg PortfolioC
 	}
 	reg := cfg.Registry
 	if reg == nil {
-		var err error
-		if reg, err = DefaultRegistry(); err != nil {
-			return nil, fmt.Errorf("placement: portfolio: %w", err)
-		}
-	}
-	resolve := cfg.Resolve
-	if resolve == nil {
-		resolve = reg.Lookup
+		return nil, fmt.Errorf("placement: portfolio: no registry")
 	}
 	ids := cfg.Strategies
 	if len(ids) == 0 {
@@ -160,7 +148,7 @@ func RacePortfolio(ctx context.Context, s *trace.Sequence, q int, cfg PortfolioC
 	placements := make([]*Placement, len(ids))
 	err = pool.Run(ctx, len(ids), cfg.Workers, func(ctx context.Context, i int) error {
 		id := ids[i]
-		st, ok := resolve(id)
+		st, ok := reg.Lookup(id)
 		if !ok {
 			return fmt.Errorf("placement: unknown strategy %q", id)
 		}

@@ -32,7 +32,7 @@ func oracleBest(t *testing.T, ids []StrategyID, s *trace.Sequence, q int, opts O
 	t.Helper()
 	bestID, bestCost := StrategyID(""), int64(-1)
 	for _, id := range ids {
-		_, c, err := Place(id, s, q, opts)
+		_, c, err := testRegistry.Place(id, s, q, opts)
 		if err != nil {
 			t.Fatalf("oracle %s: %v", id, err)
 		}
@@ -56,6 +56,7 @@ func TestPortfolioMatchesSequentialOracle(t *testing.T) {
 		wantID, wantCost := oracleBest(t, ids, s, q, opts)
 		for _, workers := range []int{1, 3, 4, runtime.GOMAXPROCS(0)} {
 			r, err := RacePortfolio(context.Background(), s, q, PortfolioConfig{
+				Registry:   testRegistry,
 				Strategies: ids, Workers: workers, Options: opts,
 			})
 			if err != nil {
@@ -102,6 +103,7 @@ func TestPortfolioMultiPort(t *testing.T) {
 	ids := racePortfolioIDs()
 	wantID, wantCost := oracleBest(t, ids, s, 3, opts)
 	r, err := RacePortfolio(context.Background(), s, 3, PortfolioConfig{
+		Registry:   testRegistry,
 		Strategies: ids, Workers: 3, Options: opts,
 	})
 	if err != nil {
@@ -127,6 +129,7 @@ func TestPortfolioProgress(t *testing.T) {
 	ids := racePortfolioIDs()
 	var events []PortfolioEvent
 	r, err := RacePortfolio(context.Background(), s, 2, PortfolioConfig{
+		Registry:   testRegistry,
 		Strategies: ids, Workers: 2, Options: raceOptions(3),
 		Progress: func(ev PortfolioEvent) { events = append(events, ev) },
 	})
@@ -161,6 +164,7 @@ func TestPortfolioUnknownStrategy(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	s := randSeq(rng, 5, 30)
 	_, err := RacePortfolio(context.Background(), s, 2, PortfolioConfig{
+		Registry:   testRegistry,
 		Strategies: []StrategyID{"AFD-OFU", "no-such-strategy"},
 		Options:    raceOptions(1),
 	})
@@ -184,6 +188,7 @@ func TestPortfolioCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := RacePortfolio(ctx, s, 2, PortfolioConfig{
+		Registry:   testRegistry,
 		Strategies: racePortfolioIDs(), Workers: 2, Options: raceOptions(4),
 	})
 	if err == nil {
@@ -204,6 +209,7 @@ func TestPortfolioRaceStress(t *testing.T) {
 		opts := raceOptions(int64(trial))
 		wantID, wantCost := oracleBest(t, ids, s, 3, opts)
 		r, err := RacePortfolio(context.Background(), s, 3, PortfolioConfig{
+			Registry:   testRegistry,
 			Strategies: ids, Workers: 8, Options: opts,
 		})
 		if err != nil {

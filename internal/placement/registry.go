@@ -8,12 +8,12 @@ import (
 	"repro/internal/trace"
 )
 
-// A Strategy is a pluggable placement algorithm. The six paper strategies
-// are registered at package init; additional strategies can be plugged in
-// with Register (or racetrack.RegisterStrategy from the public API)
+// A Strategy is a pluggable placement algorithm. Every Registry starts
+// with the built-in strategies; additional strategies are plugged in with
+// Registry.Register (racetrack.Lab.RegisterStrategy from the public API)
 // without touching the dispatch code — every driver that resolves
-// strategies by name (Place, the eval harness, the CLI tools) picks them
-// up automatically.
+// strategies by name through that registry (Registry.Place, the engine's
+// batches, the eval harness, the CLI tools) picks them up automatically.
 type Strategy interface {
 	// Name returns the identifier the strategy is dispatched under.
 	Name() string
@@ -142,49 +142,6 @@ func (r *Registry) Registered() []StrategyID {
 	return append(builtin, plugins...)
 }
 
-// defaultRegistry lazily builds the process-wide registry behind the
-// package-level functions — the table the legacy flat API and the
-// internal drivers resolve against when no instance registry is
-// supplied. Construction is deferred (and its error retained) so a
-// seeding failure reaches callers as an error instead of an init-time
-// panic.
-var defaultRegistry = sync.OnceValues(NewRegistry)
-
-// DefaultRegistry exposes the process-wide registry (the one the
-// package-level Register/LookupStrategy/Registered operate on), so the
-// public API's default session can share it. The error reports a failed
-// builtin seed and is stable across calls.
-func DefaultRegistry() (*Registry, error) { return defaultRegistry() }
-
-// Register adds a strategy to the process-wide registry.
-func Register(st Strategy) error {
-	reg, err := DefaultRegistry()
-	if err != nil {
-		return err
-	}
-	return reg.Register(st)
-}
-
-// LookupStrategy resolves a strategy by name in the process-wide
-// registry; an unseedable registry resolves nothing.
-func LookupStrategy(id StrategyID) (Strategy, bool) {
-	reg, err := DefaultRegistry()
-	if err != nil {
-		return nil, false
-	}
-	return reg.Lookup(id)
-}
-
-// Registered lists every strategy name of the process-wide registry
-// (nil if the registry failed to seed).
-func Registered() []StrategyID {
-	reg, err := DefaultRegistry()
-	if err != nil {
-		return nil
-	}
-	return reg.Registered()
-}
-
 // The six paper strategies, behind the Strategy interface.
 
 // afdOFU is the state-of-the-art baseline: AFD inter-DBC distribution with
@@ -251,13 +208,16 @@ func (d dma) Place(s *trace.Sequence, q int, opts Options) (*Placement, int64, e
 // result and run faster on the replay oracle than on a fresh build.
 type kernelSearcher interface{ searchesWithKernel() }
 
-// UsesKernel reports whether st searches through a CostKernel. Kernel
-// sources — the engine's batch layer, a session's kernel cache — build
-// or look one up only for such strategies; every other strategy prices
-// with the replay oracle unless its caller set Options.Kernel.
-func UsesKernel(st Strategy) bool {
+// UsesKernel reports whether st searches through a CostKernel when run
+// with opts. Kernel sources — the engine's batch layer, a session's
+// kernel cache — build or look one up only for such calls; every other
+// call prices with the replay oracle unless its caller set Options.Kernel.
+// Under a multi-port objective (Ports > 1) no strategy uses a kernel: the
+// kernel is the single-port model, so the searches price the exact port
+// replay instead.
+func UsesKernel(st Strategy, opts Options) bool {
 	_, ok := st.(kernelSearcher)
-	return ok
+	return ok && opts.Ports <= 1
 }
 
 // ga is the paper's µ+λ genetic algorithm; with memetic == true it is the

@@ -10,12 +10,33 @@ import (
 	"repro/internal/trace"
 )
 
+// testRegistry is the registry the package's tests resolve strategy names
+// in: one fresh instance seeded with the builtins. Tests that register
+// strategies build their own with newRegistry.
+var testRegistry = func() *Registry {
+	r, err := NewRegistry()
+	if err != nil {
+		panic(err)
+	}
+	return r
+}()
+
+func newRegistry(t *testing.T) *Registry {
+	t.Helper()
+	r, err := NewRegistry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestLookupUnknownStrategy(t *testing.T) {
-	if _, ok := LookupStrategy("no-such-strategy"); ok {
+	r := newRegistry(t)
+	if _, ok := r.Lookup("no-such-strategy"); ok {
 		t.Fatal("unknown strategy resolved")
 	}
 	s := mustSeq(t, "a b a b")
-	if _, _, err := Place("no-such-strategy", s, 2, Options{}); err == nil {
+	if _, _, err := r.Place("no-such-strategy", s, 2, Options{}); err == nil {
 		t.Fatal("Place accepted unknown strategy")
 	} else if !strings.Contains(err.Error(), "unknown strategy") {
 		t.Fatalf("unexpected error: %v", err)
@@ -23,27 +44,32 @@ func TestLookupUnknownStrategy(t *testing.T) {
 }
 
 func TestRegisterRejectsDuplicatesAndEmpty(t *testing.T) {
+	r := newRegistry(t)
 	dummy := func(s *trace.Sequence, q int, opts Options) (*Placement, int64, error) {
 		return NewEmpty(q), 0, nil
 	}
-	if err := Register(NewStrategy(string(StrategyAFDOFU), dummy)); err == nil {
+	if err := r.Register(NewStrategy(string(StrategyAFDOFU), dummy)); err == nil {
 		t.Fatal("duplicate registration of a builtin accepted")
 	}
-	if err := Register(NewStrategy("", dummy)); err == nil {
+	if err := r.Register(NewStrategy("", dummy)); err == nil {
 		t.Fatal("empty name accepted")
 	}
-	if err := Register(nil); err == nil {
+	if err := r.Register(nil); err == nil {
 		t.Fatal("nil strategy accepted")
 	}
-	if err := Register(NewStrategy("registry-test-nil-fn", nil)); err == nil {
+	if err := r.Register(NewStrategy("registry-test-nil-fn", nil)); err == nil {
 		t.Fatal("nil placement function accepted")
 	}
 	name := "registry-test-dup"
-	if err := Register(NewStrategy(name, dummy)); err != nil {
+	if err := r.Register(NewStrategy(name, dummy)); err != nil {
 		t.Fatalf("first registration: %v", err)
 	}
-	if err := Register(NewStrategy(name, dummy)); err == nil {
+	if err := r.Register(NewStrategy(name, dummy)); err == nil {
 		t.Fatal("duplicate registration accepted")
+	}
+	// The registration is scoped to r: another registry does not see it.
+	if _, ok := newRegistry(t).Lookup(StrategyID(name)); ok {
+		t.Fatal("registration leaked into a second registry")
 	}
 }
 
@@ -51,6 +77,7 @@ func TestRegisterRejectsDuplicatesAndEmpty(t *testing.T) {
 // registrations from many goroutines; run under -race this checks the
 // registry's locking.
 func TestRegistryConcurrentAccess(t *testing.T) {
+	r := newRegistry(t)
 	dummy := func(s *trace.Sequence, q int, opts Options) (*Placement, int64, error) {
 		return NewEmpty(q), 0, nil
 	}
@@ -60,13 +87,13 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				if _, ok := LookupStrategy(StrategyDMASR); !ok {
+				if _, ok := r.Lookup(StrategyDMASR); !ok {
 					t.Error("builtin disappeared")
 					return
 				}
-				Registered()
+				r.Registered()
 				if i%10 == 0 {
-					if err := Register(NewStrategy(fmt.Sprintf("registry-test-conc-%d-%d", g, i), dummy)); err != nil {
+					if err := r.Register(NewStrategy(fmt.Sprintf("registry-test-conc-%d-%d", g, i), dummy)); err != nil {
 						t.Errorf("register: %v", err)
 						return
 					}
@@ -78,14 +105,49 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 }
 
 func TestRegisteredOrderBuiltinsFirst(t *testing.T) {
-	ids := Registered()
-	if len(ids) < len(AllStrategies()) {
-		t.Fatalf("registered %d < builtin %d", len(ids), len(AllStrategies()))
+	r := newRegistry(t)
+	dummy := func(s *trace.Sequence, q int, opts Options) (*Placement, int64, error) {
+		return NewEmpty(q), 0, nil
 	}
-	for i, want := range AllStrategies() {
-		if ids[i] != want {
-			t.Fatalf("position %d: got %s, want %s", i, ids[i], want)
+	// Plugins sort by name after the paper strategies, whatever the
+	// registration order.
+	for _, name := range []string{"zz-plugin", "AA-plugin"} {
+		if err := r.Register(NewStrategy(name, dummy)); err != nil {
+			t.Fatal(err)
 		}
+	}
+	ids := r.Registered()
+	paper := AllStrategies()
+	want := append(paper, "AA-plugin", StrategyDMATwoOpt, StrategyGAMemetic, "zz-plugin")
+	if len(ids) != len(want) {
+		t.Fatalf("registered %v, want %v", ids, want)
+	}
+	for i := range want {
+		if ids[i] != want[i] {
+			t.Fatalf("position %d: got %s, want %s (all: %v)", i, ids[i], want[i], ids)
+		}
+	}
+}
+
+// TestUsesKernelBuiltins pins which builtins a kernel source serves: the
+// GA, GA-2opt and RW searches at one port, and no strategy under a
+// multi-port objective, where the searches price the exact port replay.
+func TestUsesKernelBuiltins(t *testing.T) {
+	want := map[StrategyID]bool{StrategyGA: true, StrategyGAMemetic: true, StrategyRW: true}
+	for _, st := range builtinStrategies() {
+		id := StrategyID(st.Name())
+		for _, ports := range []int{0, 1, 2, 4} {
+			got := UsesKernel(st, Options{Ports: ports})
+			if exp := want[id] && ports <= 1; got != exp {
+				t.Errorf("UsesKernel(%s, Ports %d) = %v, want %v", id, ports, got, exp)
+			}
+		}
+	}
+	custom := NewStrategy("custom", func(s *trace.Sequence, q int, opts Options) (*Placement, int64, error) {
+		return NewEmpty(q), 0, nil
+	})
+	if UsesKernel(custom, Options{}) {
+		t.Error("a custom strategy uses a kernel")
 	}
 }
 
@@ -155,8 +217,8 @@ func legacyPlace(id StrategyID, s *trace.Sequence, q int, opts Options) (*Placem
 }
 
 // TestRegistryParityWithLegacySwitch is the golden parity test: every
-// registered paper strategy must produce the same placement and shift
-// count through the registry as through the seed's switch dispatch.
+// paper strategy must produce the same placement and shift count through
+// a fresh registry as through the seed's switch dispatch.
 func TestRegistryParityWithLegacySwitch(t *testing.T) {
 	seqs := []string{
 		"a b a b c a c a d d a",
@@ -170,12 +232,13 @@ func TestRegistryParityWithLegacySwitch(t *testing.T) {
 			MutationRate: 0.5, MoveWeight: 10, TransposeWeight: 10, PermuteWeight: 3, Seed: 7},
 		RW: RWConfig{Iterations: 120, Seed: 7},
 	}
+	reg := newRegistry(t)
 	for _, text := range seqs {
 		s := mustSeq(t, text)
 		for _, q := range []int{1, 2, 4} {
 			for _, id := range AllStrategies() {
 				wantP, wantC, wantErr := legacyPlace(id, s, q, opts)
-				gotP, gotC, gotErr := Place(id, s, q, opts)
+				gotP, gotC, gotErr := reg.Place(id, s, q, opts)
 				if (wantErr == nil) != (gotErr == nil) {
 					t.Fatalf("%s q=%d %q: error mismatch: legacy %v, registry %v", id, q, text, wantErr, gotErr)
 				}
@@ -197,10 +260,7 @@ func TestRegistryParityWithLegacySwitch(t *testing.T) {
 // lookup or a pricing pass; they must still be exactly the placements the
 // registry's heuristic strategies return, in HeuristicStrategies order.
 func TestHeuristicSeedsMatchRegistry(t *testing.T) {
-	reg, err := NewRegistry()
-	if err != nil {
-		t.Fatal(err)
-	}
+	reg := newRegistry(t)
 	s := mustSeq(t, "a b a b c a c a d d a e f e f g h g h a b")
 	for _, opts := range []Options{{}, {Capacity: 3}} {
 		seeds, err := heuristicSeeds(s, 3, opts)
@@ -236,7 +296,7 @@ func TestDMATwoOptNeverWorseThanDMASR(t *testing.T) {
 	for _, text := range seqs {
 		s := mustSeq(t, text)
 		for _, q := range []int{1, 2, 4} {
-			_, sr, err := Place(StrategyDMASR, s, q, Options{})
+			_, sr, err := testRegistry.Place(StrategyDMASR, s, q, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -258,4 +318,18 @@ func mustSeq(t *testing.T, text string) *trace.Sequence {
 		t.Fatal(err)
 	}
 	return s
+}
+
+// TestNilRegistryIsError: the by-name drivers resolve only in the
+// registry they are handed; without one they fail instead of falling
+// back to shared state.
+func TestNilRegistryIsError(t *testing.T) {
+	s := mustSeq(t, "a b a b c c")
+	if _, err := RacePortfolio(context.Background(), s, 2, PortfolioConfig{}); err == nil || !strings.Contains(err.Error(), "no registry") {
+		t.Errorf("RacePortfolio without a registry: err = %v", err)
+	}
+	cfg := StreamConfig{NumVars: s.NumVars(), DBCs: 2, Strategy: StrategyDMAOFU}
+	if _, err := PlaceStreamed(context.Background(), trace.NewSliceReader(s), cfg); err == nil || !strings.Contains(err.Error(), "no registry") {
+		t.Errorf("PlaceStreamed without a registry: err = %v", err)
+	}
 }

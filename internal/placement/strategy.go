@@ -2,7 +2,6 @@ package placement
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/rtm"
 	"repro/internal/trace"
@@ -51,9 +50,10 @@ type Options struct {
 	GA GAConfig
 	// RW configures the random walk; zero value means DefaultRWConfig.
 	RW RWConfig
-	// SeedGAWithHeuristics injects AFD/DMA placements into the GA's
-	// initial population, as the paper describes. Enabled by default
-	// through Place; disable for cold-start ablations.
+	// DisableGASeeding turns off the heuristic seeding of the GA
+	// strategies: by default they inject the AFD/DMA placements into
+	// the initial population, as the paper describes. Set it for
+	// cold-start ablations.
 	DisableGASeeding bool
 	// Kernel optionally carries a pre-built cost kernel for the sequence
 	// being placed. Strategies evaluate full placements through it in
@@ -146,18 +146,6 @@ func costOf(s *trace.Sequence, p *Placement, q int, opts Options) (int64, error)
 		return k.Evaluate(p)
 	}
 	return ShiftCost(s, p)
-}
-
-// Place runs the named strategy on the sequence with q DBCs and returns
-// the resulting placement and its shift cost. It is a thin compatibility
-// wrapper over the strategy registry: every registered strategy — the six
-// paper strategies and any plugged-in ones — is reachable by name.
-func Place(id StrategyID, s *trace.Sequence, q int, opts Options) (*Placement, int64, error) {
-	st, ok := LookupStrategy(id)
-	if !ok {
-		return nil, 0, fmt.Errorf("placement: unknown strategy %q", id)
-	}
-	return st.Place(s, q, opts)
 }
 
 // heuristicSeeds produces the heuristic placements used to seed the GA:

@@ -51,7 +51,7 @@ type StreamConfig struct {
 	Window int
 	// Strategy names the per-window placement strategy. Required.
 	Strategy StrategyID
-	// Registry resolves Strategy; nil uses the process-wide registry.
+	// Registry resolves Strategy. Required.
 	Registry *Registry
 	// Options is passed to the per-window strategy calls. Ports > 1 is
 	// rejected: the window-stitching shift model is single-port.
@@ -152,14 +152,10 @@ func PlaceStreamed(ctx context.Context, r trace.AccessReader, cfg StreamConfig) 
 	if window <= 0 {
 		window = DefaultStreamWindow
 	}
-	reg := cfg.Registry
-	if reg == nil {
-		var err error
-		if reg, err = DefaultRegistry(); err != nil {
-			return nil, fmt.Errorf("placement: stream: %w", err)
-		}
+	if cfg.Registry == nil {
+		return nil, fmt.Errorf("placement: stream: no registry")
 	}
-	st, ok := reg.Lookup(cfg.Strategy)
+	st, ok := cfg.Registry.Lookup(cfg.Strategy)
 	if !ok {
 		return nil, fmt.Errorf("placement: stream: unknown strategy %q", cfg.Strategy)
 	}

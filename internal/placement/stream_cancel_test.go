@@ -43,7 +43,7 @@ func TestPlaceStreamedCancelReturnsBestSoFar(t *testing.T) {
 		t.Fatal(err)
 	}
 	const window = 4
-	cfg := StreamConfig{NumVars: seq.NumVars(), DBCs: 2, Window: window, Strategy: StrategyDMAOFU}
+	cfg := StreamConfig{NumVars: seq.NumVars(), DBCs: 2, Window: window, Strategy: StrategyDMAOFU, Registry: testRegistry}
 
 	// Cancel while reading the third window: the ctx check at the top of
 	// that window's iteration sees it after two windows completed.

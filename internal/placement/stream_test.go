@@ -30,12 +30,13 @@ func TestPlaceStreamedWindowInfinity(t *testing.T) {
 	s := streamSeq(t, "a b a c b a d c a b d d a c a b")
 	for _, strat := range []StrategyID{StrategyDMAOFU, StrategyAFDOFU, StrategyDMASR} {
 		for _, q := range []int{1, 2, 4} {
-			p, want, err := Place(strat, s, q, Options{})
+			p, want, err := testRegistry.Place(strat, s, q, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			res, err := PlaceStreamed(context.Background(), trace.NewSliceReader(s), StreamConfig{
-				NumVars: s.NumVars(), DBCs: q, Window: s.Len() + 100, Strategy: strat,
+				Registry: testRegistry,
+				NumVars:  s.NumVars(), DBCs: q, Window: s.Len() + 100, Strategy: strat,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -72,7 +73,8 @@ func TestPlaceStreamedStitchingByHand(t *testing.T) {
 	s := streamSeq(t, "a b b a")
 	var events []StreamWindowEvent
 	res, err := PlaceStreamed(context.Background(), trace.NewSliceReader(s), StreamConfig{
-		NumVars: 2, DBCs: 1, Window: 2, Strategy: StrategyDMAOFU,
+		Registry: testRegistry,
+		NumVars:  2, DBCs: 1, Window: 2, Strategy: StrategyDMAOFU,
 		Progress: func(ev StreamWindowEvent) { events = append(events, ev) },
 	})
 	if err != nil {
@@ -108,7 +110,7 @@ func TestPlaceStreamedPricesCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := StreamConfig{NumVars: 3, DBCs: 2, Window: 3, Strategy: StrategyDMAOFU}
+	cfg := StreamConfig{NumVars: 3, DBCs: 2, Window: 3, Strategy: StrategyDMAOFU, Registry: testRegistry}
 	plain, err := PlaceStreamed(context.Background(), trace.NewSliceReader(s), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +146,8 @@ func TestPlaceStreamedDeterministic(t *testing.T) {
 				t.Fatal(err)
 			}
 			got[i], err = PlaceStreamed(context.Background(), gen, StreamConfig{
-				NumVars: cfg.Vars, DBCs: 4, Window: window, Strategy: StrategyDMAOFU,
+				Registry: testRegistry,
+				NumVars:  cfg.Vars, DBCs: 4, Window: window, Strategy: StrategyDMAOFU,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -177,7 +180,7 @@ func TestPlaceStreamedDeterministic(t *testing.T) {
 func TestPlaceStreamedErrors(t *testing.T) {
 	s := streamSeq(t, "a b a")
 	ctx := context.Background()
-	base := StreamConfig{NumVars: 2, DBCs: 2, Strategy: StrategyDMAOFU}
+	base := StreamConfig{NumVars: 2, DBCs: 2, Strategy: StrategyDMAOFU, Registry: testRegistry}
 
 	bad := base
 	bad.DBCs = 0
@@ -207,7 +210,8 @@ func TestPlaceStreamedErrors(t *testing.T) {
 
 	boom := errors.New("truncated tape")
 	if _, err := PlaceStreamed(ctx, &failingReader{n: 2, err: boom}, StreamConfig{
-		NumVars: 1, DBCs: 1, Strategy: StrategyDMAOFU,
+		Registry: testRegistry,
+		NumVars:  1, DBCs: 1, Strategy: StrategyDMAOFU,
 	}); !errors.Is(err, boom) {
 		t.Fatalf("reader error not propagated: %v", err)
 	}
@@ -239,7 +243,8 @@ func TestPlaceStreamedMigrationVsWhole(t *testing.T) {
 		t.Fatal(err)
 	}
 	windowed, err := PlaceStreamed(context.Background(), gen, StreamConfig{
-		NumVars: cfg.Vars, DBCs: 4, Window: 500, Strategy: StrategyDMAOFU,
+		Registry: testRegistry,
+		NumVars:  cfg.Vars, DBCs: 4, Window: 500, Strategy: StrategyDMAOFU,
 	})
 	if err != nil {
 		t.Fatal(err)

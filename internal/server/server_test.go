@@ -19,6 +19,16 @@ import (
 	"repro/rtmclient"
 )
 
+// testRegistry resolves the tests' strategy names: a fresh registry
+// seeded with the builtins.
+var testRegistry = func() *placement.Registry {
+	reg, err := placement.NewRegistry()
+	if err != nil {
+		panic(err)
+	}
+	return reg
+}()
+
 // newTestServer builds a Server over a fresh Lab (plus any custom
 // strategies) and mounts it on an httptest server.
 func newTestServer(t *testing.T, cfg Config, strategies ...racetrack.Option) (*Server, *httptest.Server) {
@@ -134,7 +144,7 @@ func TestCoalescing(t *testing.T) {
 			return nil, 0, opts.Context.Err()
 		case <-time.After(150 * time.Millisecond):
 		}
-		return placement.Place(placement.StrategyDMAOFU, s, q, placement.Options{Capacity: opts.Capacity})
+		return testRegistry.Place(placement.StrategyDMAOFU, s, q, placement.Options{Capacity: opts.Capacity})
 	}
 	_, ts := newTestServer(t, Config{MaxConcurrent: 4, MaxQueue: 16},
 		racetrack.WithStrategy("slowcount", slow))
@@ -203,7 +213,7 @@ func TestPanicContained(t *testing.T) {
 // set, and the partial result is NOT written to the persistent cache.
 func TestDeadlinePartial(t *testing.T) {
 	blocker := func(s *racetrack.Sequence, q int, opts racetrack.StrategyOptions) (*racetrack.Placement, int64, error) {
-		p, c, err := placement.Place(placement.StrategyDMAOFU, s, q, placement.Options{Capacity: opts.Capacity})
+		p, c, err := testRegistry.Place(placement.StrategyDMAOFU, s, q, placement.Options{Capacity: opts.Capacity})
 		if err != nil {
 			return nil, 0, err
 		}

@@ -129,6 +129,6 @@ func RunSequence(cfg Config, s *trace.Sequence, p *placement.Placement) (Result,
 
 // Benchmark-level simulation (place every sequence with a strategy,
 // replay, accumulate) lives in the engine batch layer
-// (engine.BatchSimulateWith) and the public session API
+// (engine.BatchSimulate) and the public session API
 // (racetrack.Lab.SimulateBenchmark); this package only simulates one
 // already-placed sequence at a time.

@@ -10,6 +10,16 @@ import (
 	"repro/internal/trace"
 )
 
+// testRegistry resolves the tests' strategy names: a fresh registry
+// seeded with the builtins.
+var testRegistry = func() *placement.Registry {
+	reg, err := placement.NewRegistry()
+	if err != nil {
+		panic(err)
+	}
+	return reg
+}()
+
 func cfg4(t *testing.T) Config {
 	t.Helper()
 	c, err := TableIConfig(4)
@@ -105,7 +115,7 @@ func TestRunSequencesAccumulate(t *testing.T) {
 		trace.NewSequence(0, 1, 0, 1),
 		trace.NewSequence(0, 0, 1, 2),
 	} {
-		p, _, err := placement.Place(placement.StrategyDMAOFU, s, cfg.Geometry.DBCs(), placement.Options{})
+		p, _, err := testRegistry.Place(placement.StrategyDMAOFU, s, cfg.Geometry.DBCs(), placement.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

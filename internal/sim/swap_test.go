@@ -95,7 +95,7 @@ func TestSwapVsStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dmasr, _, err := placement.Place(placement.StrategyDMASR, s, 4, placement.Options{})
+	dmasr, _, err := testRegistry.Place(placement.StrategyDMASR, s, 4, placement.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,16 @@ import (
 	"repro/internal/trace"
 )
 
+// testRegistry resolves the tests' strategy names: a fresh registry
+// seeded with the builtins.
+var testRegistry = func() *placement.Registry {
+	reg, err := placement.NewRegistry()
+	if err != nil {
+		panic(err)
+	}
+	return reg
+}()
+
 func TestTraceShape(t *testing.T) {
 	c := Contraction{I: 2, J: 3, K: 4, Order: IJK, Accumulate: true}
 	s, err := c.Trace()
@@ -111,7 +121,7 @@ func TestLoopOrderAffectsShiftCost(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, cost, err := placement.Place(placement.StrategyDMASR, s, 4, placement.Options{})
+		_, cost, err := testRegistry.Place(placement.StrategyDMASR, s, 4, placement.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,11 +142,11 @@ func TestPlacementBeatsBaselineOnContraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, afd, err := placement.Place(placement.StrategyAFDOFU, s, 8, placement.Options{})
+	_, afd, err := testRegistry.Place(placement.StrategyAFDOFU, s, 8, placement.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, sr, err := placement.Place(placement.StrategyDMASR, s, 8, placement.Options{})
+	_, sr, err := testRegistry.Place(placement.StrategyDMASR, s, 8, placement.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

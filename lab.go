@@ -22,10 +22,9 @@ import (
 // under the same name — and every method takes a context, which cancels
 // the remaining experiment cells promptly.
 //
-// The zero value is not usable; construct Labs with New. The legacy
-// package-level functions (PlaceTrace, PlaceBenchmark, ...) are thin
-// wrappers over a lazily initialized default Lab that shares the
-// process-wide registry RegisterStrategy writes to.
+// The zero value is not usable; construct Labs with New. A Lab is the
+// package's only front door for running strategies by name: every
+// by-name call resolves in the Lab's own registry.
 type Lab struct {
 	registry *placement.Registry
 	workers  int
@@ -147,9 +146,10 @@ func (l *Lab) Device() DeviceConfig { return l.device }
 
 // KernelCacheStats reports the Lab's content-addressed kernel-cache
 // counters: hits (a content-equal sequence reused a cached kernel) and
-// misses (a kernel was built). Only the strategies that search with a
-// kernel (placement.UsesKernel) and portfolio races consult the cache,
-// so heuristic-only traffic leaves both counters at zero, as does a Lab
+// misses (a kernel was built). Only the calls a kernel serves
+// (placement.UsesKernel: the GA family and RW at one port) and
+// portfolio races consult the cache, so heuristic-only and multi-port
+// single-strategy traffic leaves both counters at zero, as does a Lab
 // with the cache disabled (WithKernelCache(0)). This is the cache's
 // observability hook — a serving front-end exports it as warm/cold
 // metrics.
@@ -174,7 +174,7 @@ func (l *Lab) emit(ev ProgressEvent) {
 // hooks wires this Lab's registry, kernel cache and progress callback
 // into the experiment engine's batch layer.
 func (l *Lab) hooks() engine.Hooks {
-	h := engine.Hooks{Resolve: l.registry.Lookup}
+	h := engine.Hooks{Registry: l.registry}
 	if l.cache != nil {
 		h.Kernel = l.cache.kernel
 	}
@@ -268,13 +268,14 @@ func priceResult(s *Sequence, res *PlaceResult, m *placement.CostModel) error {
 // placeOne runs one strategy on one sequence and attributes the cost per
 // DBC, asserting that the strategy's reported cost agrees with the cost
 // model (a mismatch means a buggy — typically custom — strategy). A
-// strategy that searches with a cost kernel (placement.UsesKernel) gets
-// one from the kernel cache, when enabled, and the attribution reuses
-// it; every other strategy and its attribution price by replay, which
-// for one placement is cheaper than a kernel build. Costs are
-// bit-identical either way. When the effective cost model has more than
-// one port, both the strategy and the attribution price the exact
-// multi-port replay instead.
+// strategy that searches with a cost kernel under the call's options
+// (placement.UsesKernel) gets one from the kernel cache, when enabled,
+// and the attribution reuses it; every other strategy and its
+// attribution price by replay, which for one placement is cheaper than
+// a kernel build. Costs are bit-identical either way. When the
+// effective cost model has more than one port, no kernel is fetched:
+// both the strategy and the attribution price the exact multi-port
+// replay instead.
 func (l *Lab) placeOne(ctx context.Context, s *Sequence, opts PlaceOptions) (*PlaceResult, error) {
 	stOpts := opts.options()
 	stOpts.Context = ctx
@@ -287,7 +288,7 @@ func (l *Lab) placeOne(ctx context.Context, s *Sequence, opts PlaceOptions) (*Pl
 	if !ok {
 		return nil, fmt.Errorf("placement: unknown strategy %q", opts.Strategy)
 	}
-	if l.cache != nil && placement.UsesKernel(st) {
+	if l.cache != nil && placement.UsesKernel(st, stOpts) {
 		stOpts.Kernel = l.cache.kernel(s)
 	}
 	if l.progress != nil && stOpts.GA.Islands > 1 && stOpts.GA.IslandProgress == nil {
@@ -469,7 +470,7 @@ func (l *Lab) PlaceBenchmark(ctx context.Context, b *Benchmark, opts PlaceOption
 	for i, s := range b.Sequences {
 		jobs[i] = engine.PlaceJob{Sequence: s, Strategy: opts.Strategy, DBCs: opts.DBCs, Options: stOpts}
 	}
-	out, err := engine.BatchPlaceWith(ctx, jobs, opts.Workers, l.hooks())
+	out, err := engine.BatchPlace(ctx, jobs, opts.Workers, l.hooks())
 	if err != nil {
 		return nil, fmt.Errorf("racetrack: place benchmark %s: %w", b.Name, err)
 	}
@@ -543,8 +544,8 @@ func (l *Lab) SimulateOn(ctx context.Context, dev DeviceConfig, s *Sequence, p *
 }
 
 // SimulateBenchmark places (with opts.Strategy, defaulting to DMA-OFU as
-// in PlaceTrace) and replays every sequence of the benchmark on the
-// Lab's device, accumulating totals. The cells fan out on the experiment
+// in Place) and replays every sequence of the benchmark on the Lab's
+// device, accumulating totals. The cells fan out on the experiment
 // engine with opts.Workers workers; totals are bit-identical for any
 // worker count.
 func (l *Lab) SimulateBenchmark(ctx context.Context, b *Benchmark, opts PlaceOptions) (SimResult, error) {
@@ -574,7 +575,7 @@ func (l *Lab) SimulateBenchmarkOn(ctx context.Context, dev DeviceConfig, b *Benc
 	for i, s := range b.Sequences {
 		jobs[i] = engine.SimJob{Config: dev, Sequence: s, Strategy: opts.Strategy, Options: stOpts}
 	}
-	out, err := engine.BatchSimulateWith(ctx, jobs, opts.Workers, l.hooks())
+	out, err := engine.BatchSimulate(ctx, jobs, opts.Workers, l.hooks())
 	if err != nil {
 		return SimResult{}, fmt.Errorf("racetrack: simulate benchmark %s: %w", b.Name, err)
 	}
@@ -584,35 +585,3 @@ func (l *Lab) SimulateBenchmarkOn(ctx context.Context, dev DeviceConfig, b *Benc
 	}
 	return agg, nil
 }
-
-// defaultLab is the session behind the legacy package-level API. It
-// shares the process-wide strategy registry (so RegisterStrategy remains
-// process-visible, as it always was), keeps the legacy sequential
-// default (PlaceOptions.Workers == 0 means one worker, exactly as
-// before) and prices repeated searches through a kernel cache. The cache
-// retains up to DefaultKernelCacheSize recently searched traces and their
-// kernels for the process lifetime — bounded, but a memory footprint
-// the stateless pre-session API did not have; long-running embedders
-// that stream huge one-shot traces should build their own Lab with
-// WithKernelCache(0) (or a small capacity) instead of the flat API.
-//
-// Construction can fail (a missing Table I row, an unseedable process
-// registry); the error is retained and returned on every call instead
-// of panicking — the flat wrappers surface it like any other call error.
-var defaultLab = sync.OnceValues(func() (*Lab, error) {
-	dev, err := sim.TableIConfig(4)
-	if err != nil {
-		return nil, fmt.Errorf("racetrack: default session device: %w", err)
-	}
-	reg, err := placement.DefaultRegistry()
-	if err != nil {
-		return nil, fmt.Errorf("racetrack: default session registry: %w", err)
-	}
-	return &Lab{
-		registry: reg,
-		workers:  1,
-		dbcs:     4,
-		device:   dev,
-		cache:    newKernelCache(DefaultKernelCacheSize),
-	}, nil
-})

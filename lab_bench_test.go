@@ -11,9 +11,7 @@ import (
 // fresh kernel and recomputes the four heuristic seed placements; the
 // cached Lab reuses the kernel across calls, so the build happens once
 // and the seeds come out of the kernel's per-(q, capacity) memo.
-// Results are bit-identical; only the time differs. The legacy
-// PlaceTrace wrapper runs over a cached default Lab, so repeated
-// same-trace PlaceTrace calls follow the "cached" line.
+// Results are bit-identical; only the time differs.
 func BenchmarkLabKernelCache(b *testing.B) {
 	bench, err := GenerateBenchmark("gsm")
 	if err != nil {

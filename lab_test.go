@@ -58,27 +58,6 @@ func TestNewDefaults(t *testing.T) {
 			t.Errorf("fresh Lab missing builtin %s (have %s)", want, joined)
 		}
 	}
-	// A fresh Lab does not see strategies registered in the process-wide
-	// registry, and vice versa. The global registration survives across
-	// in-process test runs (-count=2), so tolerate the duplicate.
-	err = RegisterStrategy("lab-test-global-only", func(s *Sequence, q int, opts StrategyOptions) (*Placement, int64, error) {
-		return nil, 0, nil
-	})
-	if err != nil && !strings.Contains(err.Error(), "already registered") {
-		t.Fatal(err)
-	}
-	s, _ := ParseSequence("a b a b")
-	if _, err := lab.Place(context.Background(), s, PlaceOptions{Strategy: "lab-test-global-only"}); err == nil {
-		t.Error("instance Lab resolved a process-global registration")
-	}
-	if err := lab.RegisterStrategy("lab-test-instance-only", func(s *Sequence, q int, opts StrategyOptions) (*Placement, int64, error) {
-		return nil, 0, nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := PlaceTrace(s, PlaceOptions{Strategy: "lab-test-instance-only"}); err == nil {
-		t.Error("default Lab resolved an instance registration")
-	}
 }
 
 func TestWithDeviceSelectsDBCDefault(t *testing.T) {
@@ -96,9 +75,9 @@ func TestWithDeviceSelectsDBCDefault(t *testing.T) {
 	}
 }
 
-// --- Golden compat: legacy package-level functions vs Lab methods ----
+// --- Determinism across Labs -----------------------------------------
 
-// labEquivalentSeqs is a mixed workload for the parity tests.
+// compatBenchmark is the mixed workload of the Lab tests below.
 func compatBenchmark(t *testing.T) *Benchmark {
 	t.Helper()
 	b, err := GenerateBenchmark("adpcm")
@@ -106,130 +85,6 @@ func compatBenchmark(t *testing.T) *Benchmark {
 		t.Fatal(err)
 	}
 	return b
-}
-
-// TestCompatPlaceTrace: PlaceTrace must be bit-identical to Lab.Place on
-// a fresh Lab for every strategy (same placement, same shifts, same
-// per-DBC attribution) — the wrapper and the session path share one
-// implementation.
-func TestCompatPlaceTrace(t *testing.T) {
-	lab, err := New(WithWorkers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := compatBenchmark(t)
-	opts := PlaceOptions{
-		GA: GAConfig{Mu: 10, Lambda: 10, Generations: 5, TournamentK: 4,
-			MutationRate: 0.5, MoveWeight: 10, TransposeWeight: 10, PermuteWeight: 3, Seed: 1},
-		RW: RWConfig{Iterations: 60, Seed: 1},
-	}
-	for _, s := range b.Sequences[:3] {
-		for _, strat := range append(Strategies(), DMA2Opt, GA2Opt) {
-			o := opts
-			o.Strategy = strat
-			legacy, err := PlaceTrace(s, o)
-			if err != nil {
-				t.Fatalf("%s: PlaceTrace: %v", strat, err)
-			}
-			session, err := lab.Place(context.Background(), s, o)
-			if err != nil {
-				t.Fatalf("%s: Lab.Place: %v", strat, err)
-			}
-			if legacy.Shifts != session.Shifts {
-				t.Errorf("%s: shifts %d (legacy) vs %d (Lab)", strat, legacy.Shifts, session.Shifts)
-			}
-			if !legacy.Placement.Equal(session.Placement) {
-				t.Errorf("%s: placements differ", strat)
-			}
-			if len(legacy.PerDBC) != len(session.PerDBC) {
-				t.Fatalf("%s: PerDBC lengths differ", strat)
-			}
-			for d := range legacy.PerDBC {
-				if legacy.PerDBC[d] != session.PerDBC[d] {
-					t.Errorf("%s: PerDBC[%d] %d vs %d", strat, d, legacy.PerDBC[d], session.PerDBC[d])
-				}
-			}
-		}
-	}
-}
-
-// TestCompatPlaceBenchmark: the legacy wrapper and the Lab method agree
-// exactly, for any worker count, with and without the kernel cache.
-func TestCompatPlaceBenchmark(t *testing.T) {
-	b := compatBenchmark(t)
-	legacy, err := PlaceBenchmark(b, PlaceOptions{Strategy: DMASR})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cacheCap := range []int{0, DefaultKernelCacheSize} {
-		lab, err := New(WithWorkers(4), WithKernelCache(cacheCap))
-		if err != nil {
-			t.Fatal(err)
-		}
-		session, err := lab.PlaceBenchmark(context.Background(), b, PlaceOptions{Strategy: DMASR})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if legacy.TotalShifts != session.TotalShifts {
-			t.Fatalf("cache=%d: totals %d vs %d", cacheCap, legacy.TotalShifts, session.TotalShifts)
-		}
-		for i := range legacy.Results {
-			if legacy.Results[i].Shifts != session.Results[i].Shifts {
-				t.Errorf("cache=%d seq %d: shifts differ", cacheCap, i)
-			}
-			if !legacy.Results[i].Placement.Equal(session.Results[i].Placement) {
-				t.Errorf("cache=%d seq %d: placements differ", cacheCap, i)
-			}
-			for d := range legacy.Results[i].PerDBC {
-				if legacy.Results[i].PerDBC[d] != session.Results[i].PerDBC[d] {
-					t.Errorf("cache=%d seq %d: PerDBC[%d] differs", cacheCap, i, d)
-				}
-			}
-		}
-	}
-}
-
-// TestCompatSimulate: Simulate and SimulateBenchmark agree with their
-// Lab equivalents bit-for-bit (float latency and energy included).
-func TestCompatSimulate(t *testing.T) {
-	lab, err := New(WithWorkers(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := compatBenchmark(t)
-	dev, err := TableIDevice(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s := b.Sequences[0]
-	res, err := PlaceTrace(s, PlaceOptions{Strategy: DMASR})
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacySim, err := Simulate(dev, s, res.Placement)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sessionSim, err := lab.SimulateOn(context.Background(), dev, s, res.Placement)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacySim != sessionSim {
-		t.Errorf("Simulate differs: %+v vs %+v", legacySim, sessionSim)
-	}
-
-	legacyB, err := SimulateBenchmark(dev, b, DMASR, PlaceOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sessionB, err := lab.SimulateBenchmarkOn(context.Background(), dev, b, PlaceOptions{Strategy: DMASR})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacyB != sessionB {
-		t.Errorf("SimulateBenchmark differs: %+v vs %+v", legacyB, sessionB)
-	}
 }
 
 // TestCompatExperiment: Lab.Run produces the same dataset as the same
@@ -610,7 +465,8 @@ func TestKernelCacheEviction(t *testing.T) {
 // kernel reach the Lab's cache. The one-shot heuristics price by replay
 // and leave the cache at (0, 0) with results equal to a cache-less
 // Lab's; a GA or RW call builds exactly one kernel, and repeating it on
-// a content-equal sequence hits it.
+// a content-equal sequence hits it. Under a two-port objective GA and RW
+// price the exact port replay, so they leave the cache at (0, 0) too.
 func TestLabKernelSharing(t *testing.T) {
 	ctx := context.Background()
 	sameResult := func(t *testing.T, got, want *PlaceResult) {
@@ -655,23 +511,33 @@ func TestLabKernelSharing(t *testing.T) {
 		return o
 	}
 
-	for _, st := range []Strategy{AFDOFU, DMAOFU, DMAChen, DMASR, DMA2Opt} {
-		t.Run(string(st), func(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		st    Strategy
+		ports int
+	}{
+		{"AFD-OFU", AFDOFU, 0}, {"DMA-OFU", DMAOFU, 0}, {"DMA-Chen", DMAChen, 0},
+		{"DMA-SR", DMASR, 0}, {"DMA-2opt", DMA2Opt, 0},
+		{"GA-2ports", GA, 2}, {"RW-2ports", RW, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			lab, ref := newLabs(t)
-			got, err := lab.Place(ctx, b.Sequences[0], opts(st))
+			o := opts(tc.st)
+			o.Ports = tc.ports
+			got, err := lab.Place(ctx, b.Sequences[0], o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := ref.Place(ctx, b.Sequences[0], opts(st))
+			want, err := ref.Place(ctx, b.Sequences[0], o)
 			if err != nil {
 				t.Fatal(err)
 			}
 			sameResult(t, got, want)
-			gotB, err := lab.PlaceBenchmark(ctx, b, opts(st))
+			gotB, err := lab.PlaceBenchmark(ctx, b, o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantB, err := ref.PlaceBenchmark(ctx, b, opts(st))
+			wantB, err := ref.PlaceBenchmark(ctx, b, o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -717,21 +583,26 @@ func TestLabKernelSharing(t *testing.T) {
 
 // --- SimulateBenchmark satellite fixes -------------------------------
 
-// TestSimulateBenchmarkDefaultsAndWorkers: the legacy wrapper now
-// applies the same defaults as PlaceTrace (a missing strategy means
-// DMA-OFU, not an error) and honors opts.Workers deterministically.
+// TestSimulateBenchmarkDefaultsAndWorkers: SimulateBenchmarkOn applies
+// the same defaults as Place (a missing strategy means DMA-OFU, not an
+// error) and honors opts.Workers deterministically.
 func TestSimulateBenchmarkDefaultsAndWorkers(t *testing.T) {
+	ctx := context.Background()
+	lab, err := New(WithWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	b := compatBenchmark(t)
 	dev, err := TableIDevice(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Default strategy: empty Strategy must behave like DMA-OFU.
-	defaulted, err := SimulateBenchmark(dev, b, "", PlaceOptions{})
+	defaulted, err := lab.SimulateBenchmarkOn(ctx, dev, b, PlaceOptions{})
 	if err != nil {
 		t.Fatalf("empty strategy rejected: %v", err)
 	}
-	explicit, err := SimulateBenchmark(dev, b, DMAOFU, PlaceOptions{})
+	explicit, err := lab.SimulateBenchmarkOn(ctx, dev, b, PlaceOptions{Strategy: DMAOFU})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -739,7 +610,7 @@ func TestSimulateBenchmarkDefaultsAndWorkers(t *testing.T) {
 		t.Errorf("empty-strategy result %+v != DMA-OFU %+v", defaulted, explicit)
 	}
 	// Worker counts do not change the totals (bit-identical floats).
-	parallel, err := SimulateBenchmark(dev, b, DMAOFU, PlaceOptions{Workers: 8})
+	parallel, err := lab.SimulateBenchmarkOn(ctx, dev, b, PlaceOptions{Strategy: DMAOFU, Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // accounting verified against the real breakdown.
 func TestPlacePartialOnDeadline(t *testing.T) {
 	blocker := func(s *Sequence, q int, opts StrategyOptions) (*Placement, int64, error) {
-		p, c, err := placement.Place(placement.StrategyDMAOFU, s, q, placement.Options{Capacity: opts.Capacity})
+		p, c, err := testRegistry.Place(placement.StrategyDMAOFU, s, q, placement.Options{Capacity: opts.Capacity})
 		if err != nil {
 			return nil, 0, err
 		}
@@ -46,25 +46,5 @@ func TestPlacePartialOnDeadline(t *testing.T) {
 	}
 	if res.Shifts != want.Shifts {
 		t.Fatalf("partial Shifts = %d, want %d (the strategy's best-so-far was DMA-OFU's result)", res.Shifts, want.Shifts)
-	}
-}
-
-// TestDefaultLabConstructionErrorFree pins the removal of the default
-// Lab's construction panic: the lazy singleton builds cleanly and the
-// flat API works through it.
-func TestDefaultLabConstructionErrorFree(t *testing.T) {
-	l, err := defaultLab()
-	if err != nil {
-		t.Fatalf("defaultLab: %v", err)
-	}
-	if l == nil {
-		t.Fatal("defaultLab returned nil Lab")
-	}
-	l2, err := defaultLab()
-	if err != nil || l2 != l {
-		t.Fatalf("defaultLab not a stable singleton (err %v)", err)
-	}
-	if got := RegisteredStrategies(); len(got) == 0 {
-		t.Fatal("flat RegisteredStrategies empty through the default Lab")
 	}
 }

@@ -34,12 +34,9 @@
 // ExperimentSpec), simulate placements on Table I devices (Lab.Simulate,
 // Lab.SimulateBenchmark) and accept custom strategies scoped to the
 // instance (WithStrategy, Lab.RegisterStrategy) — two Labs can register
-// different strategies under the same name and run concurrently.
-//
-// The flat package-level functions (PlaceTrace, PlaceBenchmark,
-// Simulate, ...) remain as thin wrappers over a lazily initialized
-// default Lab whose registry is process-wide, exactly as before the
-// session API existed.
+// different strategies under the same name and run concurrently. The
+// Lab is the only way to run a strategy by name: there is no
+// process-wide registry and no package-level placement function.
 //
 // The subpackages under internal/ hold the implementation: trace analysis
 // (internal/trace), the RTM device model (internal/rtm), the Table I
@@ -50,7 +47,6 @@
 package racetrack
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -89,20 +85,6 @@ const (
 // Strategies lists the six paper strategies in the paper's order.
 func Strategies() []Strategy { return placement.AllStrategies() }
 
-// RegisteredStrategies lists every strategy resolvable by name in the
-// default Lab: the six paper strategies first, then plugged-in
-// strategies (including the built-in "DMA-2opt" and "GA-2opt"
-// extensions). It returns nil if the default session failed to
-// construct (an unseedable process registry — see RegisterStrategy for
-// the error).
-func RegisteredStrategies() []Strategy {
-	l, err := defaultLab()
-	if err != nil {
-		return nil
-	}
-	return l.RegisteredStrategies()
-}
-
 // StrategyOptions carries the per-strategy tuning knobs (capacity, GA/RW
 // parameters) passed to every strategy, including custom ones.
 type StrategyOptions = placement.Options
@@ -121,24 +103,6 @@ type RWConfig = placement.RWConfig
 // DefaultRWConfig returns the paper's random-walk budget (60 000
 // iterations).
 func DefaultRWConfig() RWConfig { return placement.DefaultRWConfig() }
-
-// RegisterStrategy plugs a custom placement strategy into the
-// process-wide registry (the default Lab's registry) under the given
-// name. Once registered, the strategy is resolvable everywhere a
-// Strategy name is accepted: PlaceTrace, PlaceBenchmark,
-// SimulateBenchmark, the experiment drivers and the CLI tools — but not
-// in Labs built with New, which carry their own instance registries
-// (use WithStrategy or Lab.RegisterStrategy there). fn must be safe for
-// concurrent use (the experiment engine calls it from multiple workers)
-// and deterministic for a fixed input if reproducible experiments are
-// desired. Registration fails on an empty or already-taken name.
-func RegisterStrategy(name string, fn func(s *Sequence, q int, opts StrategyOptions) (*Placement, int64, error)) error {
-	l, err := defaultLab()
-	if err != nil {
-		return err
-	}
-	return l.RegisterStrategy(name, fn)
-}
 
 // DMA2Opt is the two-opt-refined DMA strategy (DMA inter-DBC placement,
 // ShiftsReduce + 2-opt local search on the non-disjoint DBCs). It is not
@@ -197,11 +161,14 @@ func ReadAddressTrace(r io.Reader, wordBytes int) (*Sequence, error) {
 	return trace.ParseAddressTrace(r, wordBytes)
 }
 
-// PlaceOptions configures PlaceTrace.
+// PlaceOptions configures the Lab's placement and simulation methods
+// (Lab.Place, Lab.PlaceBenchmark, Lab.SimulateBenchmark, ...). Zero
+// fields take the Lab's defaults.
 type PlaceOptions struct {
 	// Strategy selects the algorithm; default DMAOFU.
 	Strategy Strategy
-	// DBCs is the number of domain block clusters (q); default 4.
+	// DBCs is the number of domain block clusters (q); 0 = the Lab's
+	// device DBC count (4 unless WithDevice chose another).
 	DBCs int
 	// Capacity is the optional per-DBC word capacity (0 = unlimited).
 	Capacity int
@@ -211,8 +178,10 @@ type PlaceOptions struct {
 	// RW overrides the random-walk parameters (zero value: the paper's
 	// 60 000 iterations).
 	RW RWConfig
-	// Workers sizes the worker pool PlaceBenchmark fans sequences out on
-	// (0 or 1 = sequential). Results are deterministic regardless.
+	// Workers sizes the worker pool Lab.PlaceBenchmark and
+	// Lab.SimulateBenchmark fan sequences out on (0 = the Lab's pool
+	// size, see WithWorkers; 1 = sequential). Results are deterministic
+	// regardless.
 	Workers int
 	// Ports selects the access-port count of the cost model placements
 	// are optimized and scored under. 0 follows the Lab's device (one
@@ -269,18 +238,6 @@ type PlaceResult struct {
 	PerDBCCost []Cost
 }
 
-// PlaceTrace computes a placement for one access sequence. It is a
-// compat wrapper over the default Lab's Place (repeated searches on the
-// same trace content therefore hit the Lab's kernel cache).
-func PlaceTrace(s *Sequence, opts PlaceOptions) (*PlaceResult, error) {
-	l, err := defaultLab()
-	if err != nil {
-		return nil, err
-	}
-	//rtmlint:ctxcheck-ok legacy compat wrapper is the public surface; no caller context exists
-	return l.Place(context.Background(), s, opts)
-}
-
 // BenchmarkPlaceResult is the outcome of placing every sequence of a
 // benchmark: one PlaceResult per sequence, in benchmark order, plus the
 // total shift count.
@@ -295,19 +252,6 @@ type BenchmarkPlaceResult struct {
 	TotalCost *Cost
 }
 
-// PlaceBenchmark places every sequence of the benchmark with the selected
-// strategy, fanning the sequences out on the shared experiment engine
-// when opts.Workers > 1. The results are identical for any worker count.
-// It is a compat wrapper over the default Lab's PlaceBenchmark.
-func PlaceBenchmark(b *Benchmark, opts PlaceOptions) (*BenchmarkPlaceResult, error) {
-	l, err := defaultLab()
-	if err != nil {
-		return nil, err
-	}
-	//rtmlint:ctxcheck-ok legacy compat wrapper is the public surface; no caller context exists
-	return l.PlaceBenchmark(context.Background(), b, opts)
-}
-
 // DeviceConfig describes a simulated RTM device.
 type DeviceConfig = sim.Config
 
@@ -320,34 +264,6 @@ func TableIDBCCounts() []int { return rtm.TableIDBCCounts() }
 
 // SimResult is the outcome of simulating a trace on a device.
 type SimResult = sim.Result
-
-// Simulate replays the sequence with the placement on the device and
-// returns shift/read/write counts, latency and the energy breakdown. It
-// is a compat wrapper over the default Lab's SimulateOn.
-func Simulate(dev DeviceConfig, s *Sequence, p *Placement) (SimResult, error) {
-	l, err := defaultLab()
-	if err != nil {
-		return SimResult{}, err
-	}
-	//rtmlint:ctxcheck-ok legacy compat wrapper is the public surface; no caller context exists
-	return l.SimulateOn(context.Background(), dev, s, p)
-}
-
-// SimulateBenchmark places (with the given strategy, defaulting to
-// DMA-OFU like PlaceTrace) and replays every sequence of a benchmark,
-// accumulating totals. It is a compat wrapper over the default Lab's
-// SimulateBenchmarkOn, so the cells fan out on the experiment engine
-// and opts.Workers is honored (totals are bit-identical for any worker
-// count).
-func SimulateBenchmark(dev DeviceConfig, b *Benchmark, strategy Strategy, opts PlaceOptions) (SimResult, error) {
-	opts.Strategy = strategy
-	l, err := defaultLab()
-	if err != nil {
-		return SimResult{}, err
-	}
-	//rtmlint:ctxcheck-ok legacy compat wrapper is the public surface; no caller context exists
-	return l.SimulateBenchmarkOn(context.Background(), dev, b, opts)
-}
 
 // EnergyParams exposes the Table I row for a DBC count.
 func EnergyParams(dbcs int) (energy.Params, error) { return energy.ForDBCs(dbcs) }

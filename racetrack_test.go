@@ -1,11 +1,33 @@
 package racetrack
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/placement"
 )
+
+// testRegistry resolves strategy names for the tests and benchmarks
+// that run strategies outside a Lab: a fresh registry, as every Lab has
+// its own.
+var testRegistry = func() *placement.Registry {
+	reg, err := placement.NewRegistry()
+	if err != nil {
+		panic(err)
+	}
+	return reg
+}()
+
+// newLab builds a Lab with the given options for a test.
+func newLab(t *testing.T, opts ...Option) *Lab {
+	t.Helper()
+	lab, err := New(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lab
+}
 
 func TestParseSequence(t *testing.T) {
 	s, err := ParseSequence("a b! a c")
@@ -35,7 +57,7 @@ func TestParseBenchmark(t *testing.T) {
 
 func TestPlaceTraceDefaults(t *testing.T) {
 	s, _ := ParseSequence("a b a b c c d d")
-	res, err := PlaceTrace(s, PlaceOptions{})
+	res, err := newLab(t).Place(context.Background(), s, PlaceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,13 +80,14 @@ func TestPlaceTraceDefaults(t *testing.T) {
 }
 
 func TestPlaceTraceAllStrategies(t *testing.T) {
+	lab := newLab(t)
 	s, _ := ParseSequence("a b a b c a c a d d a i e f e f g e g h g i h i")
 	for _, strat := range Strategies() {
 		opts := PlaceOptions{Strategy: strat, DBCs: 2,
 			GA: placement.GAConfig{Mu: 10, Lambda: 10, Generations: 5, TournamentK: 4,
 				MutationRate: 0.5, MoveWeight: 10, TransposeWeight: 10, PermuteWeight: 3, Seed: 1},
 			RW: placement.RWConfig{Iterations: 50, Seed: 1}}
-		res, err := PlaceTrace(s, opts)
+		res, err := lab.Place(context.Background(), s, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", strat, err)
 		}
@@ -75,16 +98,17 @@ func TestPlaceTraceAllStrategies(t *testing.T) {
 }
 
 func TestSimulateEndToEnd(t *testing.T) {
+	ctx := context.Background()
+	lab := newLab(t, WithDevice(2))
 	s, _ := ParseSequence("a b a b! c a c a d d a")
-	res, err := PlaceTrace(s, PlaceOptions{Strategy: DMASR, DBCs: 2})
+	res, err := lab.Place(ctx, s, PlaceOptions{Strategy: DMASR})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev, err := TableIDevice(2)
-	if err != nil {
-		t.Fatal(err)
+	if res.Placement.NumDBCs() != 2 {
+		t.Fatalf("placed into %d DBCs, want the device's 2", res.Placement.NumDBCs())
 	}
-	sr, err := Simulate(dev, s, res.Placement)
+	sr, err := lab.Simulate(ctx, s, res.Placement)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +126,7 @@ func TestSimulateEndToEnd(t *testing.T) {
 func TestSimulateBenchmark(t *testing.T) {
 	b, _ := ParseBenchmark("demo", "seq f\na b a b\nseq g\nx x y\n")
 	dev, _ := TableIDevice(4)
-	r, err := SimulateBenchmark(dev, b, DMAOFU, PlaceOptions{})
+	r, err := newLab(t).SimulateBenchmarkOn(context.Background(), dev, b, PlaceOptions{Strategy: DMAOFU})
 	if err != nil {
 		t.Fatal(err)
 	}

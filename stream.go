@@ -157,13 +157,3 @@ func (l *Lab) PlaceStream(ctx context.Context, numVars int, r AccessReader, opts
 	}
 	return res, nil
 }
-
-// PlaceStream is the package-level form of Lab.PlaceStream on the
-// default Lab.
-func PlaceStream(ctx context.Context, numVars int, r AccessReader, opts PlaceOptions) (*StreamResult, error) {
-	l, err := defaultLab()
-	if err != nil {
-		return nil, err
-	}
-	return l.PlaceStream(ctx, numVars, r, opts)
-}

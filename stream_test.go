@@ -34,8 +34,8 @@ func TestPlaceStreamWindowInfinity(t *testing.T) {
 }
 
 // TestPlaceStreamProgressAndDefaults exercises Lab defaults (strategy,
-// DBC count) plus the per-window progress callback, and the package-level
-// wrapper.
+// DBC count) plus the per-window progress callback, which observes the
+// run without changing it.
 func TestPlaceStreamProgressAndDefaults(t *testing.T) {
 	var windows int
 	lab, err := New(WithProgress(func(ev ProgressEvent) {
@@ -62,12 +62,12 @@ func TestPlaceStreamProgressAndDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := PlaceStream(context.Background(), 50, gen2, PlaceOptions{Window: 1000})
+	res2, err := newLab(t).PlaceStream(context.Background(), 50, gen2, PlaceOptions{Window: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res2.Shifts != res.Shifts {
-		t.Fatalf("package-level wrapper diverged: %d vs %d", res2.Shifts, res.Shifts)
+		t.Fatalf("a Lab without progress diverged: %d vs %d", res2.Shifts, res.Shifts)
 	}
 }
 
@@ -99,11 +99,12 @@ func TestBinaryTracePublicRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := PlaceStream(context.Background(), sc.NumVars(), sc, PlaceOptions{Strategy: DMAOFU})
+	lab := newLab(t)
+	res, err := lab.PlaceStream(context.Background(), sc.NumVars(), sc, PlaceOptions{Strategy: DMAOFU})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := PlaceTrace(b.Sequences[0], PlaceOptions{Strategy: DMAOFU})
+	want, err := lab.Place(context.Background(), b.Sequences[0], PlaceOptions{Strategy: DMAOFU})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestPlaceStreamMultiPortRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := PlaceStream(context.Background(), s.NumVars(), NewSequenceReader(s), PlaceOptions{
+	if _, err := newLab(t).PlaceStream(context.Background(), s.NumVars(), NewSequenceReader(s), PlaceOptions{
 		Ports: 2,
 	}); err == nil {
 		t.Fatal("multi-port streamed placement accepted")
