@@ -16,7 +16,6 @@ import (
 	"repro/internal/eval"
 	"repro/internal/offsetstone"
 	"repro/internal/placement"
-	"repro/internal/sim"
 	"repro/internal/tensor"
 	"repro/internal/trace"
 )
@@ -373,52 +372,6 @@ func BenchmarkPortsSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationRuntimeSwap compares static placement (the paper's
-// approach) against runtime data swapping (ref [20]) and the combination,
-// on the same workload and device. The paper's argument: placement gets
-// the shifts down without the swap-induced write traffic.
-func BenchmarkAblationRuntimeSwap(b *testing.B) {
-	seq := ablationWorkload(b)
-	simCfg, err := sim.TableIConfig(4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	a := trace.Analyze(seq)
-	// Naive layout for the dynamic-only variant: first-use round-robin.
-	naive := placement.NewEmpty(4)
-	for i, v := range a.ByFirstUse() {
-		naive.DBC[i%4] = append(naive.DBC[i%4], v)
-	}
-	srPlace, _, err := testRegistry.Place(placement.StrategyDMASR, seq, 4, placement.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []struct {
-		name string
-		p    *placement.Placement
-		swap bool
-	}{
-		{"static-naive", naive, false},
-		{"dynamic-swap", naive, true},
-		{"static-dma-sr", srPlace, false},
-		{"combined", srPlace, true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			var shifts, writes int64
-			for i := 0; i < b.N; i++ {
-				r, err := sim.RunSequenceSwapping(simCfg, seq, mode.p,
-					sim.SwapConfig{Enable: mode.swap})
-				if err != nil {
-					b.Fatal(err)
-				}
-				shifts, writes = r.Counts.Shifts, r.Counts.Writes
-			}
-			b.ReportMetric(float64(shifts), "shifts")
-			b.ReportMetric(float64(writes), "writes")
-		})
-	}
-}
-
 // --- Micro-benchmarks -------------------------------------------------
 
 func BenchmarkShiftCostEval(b *testing.B) {
@@ -481,7 +434,6 @@ func BenchmarkCycleSimSerialized(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cs.Reset()
 		if _, err := SimulateCycles(cs, seq, r.Placement, true); err != nil {
 			b.Fatal(err)
 		}

@@ -15,17 +15,14 @@ import "fmt"
 // distance from the current offset. With one port at position 0, the cost
 // of accessing x after y is exactly |x - y| — the cost model of the paper.
 //
-// The first access of a cold engine is free by default, matching the
-// paper's arithmetic in Fig. 3 (the port is considered pre-aligned to the
-// first accessed location). Set ChargeColdStart to charge it from offset 0.
+// The first access of a cold engine is free, matching the paper's
+// arithmetic in Fig. 3 (the port is considered pre-aligned to the first
+// accessed location).
 type ShiftEngine struct {
 	domains int
 	ports   []int
 	offset  int
 	warm    bool
-	// ChargeColdStart charges the first access as a move from shift
-	// offset 0 instead of treating it as free.
-	ChargeColdStart bool
 
 	shifts   int64
 	accesses int64
@@ -35,10 +32,9 @@ type ShiftEngine struct {
 // track of the given length: port j sits at floor(j*domains/ports), so a
 // single port sits at position 0. This is the one deterministic rule
 // every layer derives port positions from — the shift engines here, the
-// cycle-accurate model in internal/rtmsim, the trace simulator
-// (sim.RunSequence) and the placement cost stack
-// (placement.NewPortModel) — so a placement priced by one layer scores
-// identically on every other.
+// simulator (internal/sim, whose analytic and cycle views share one
+// replay) and the placement cost stack (placement.NewPortModel) — so a
+// placement priced by one layer scores identically on every other.
 func PortPositions(domains, ports int) ([]int, error) {
 	if domains <= 0 {
 		return nil, fmt.Errorf("rtm: domains must be positive, got %d", domains)
@@ -87,14 +83,6 @@ func NewShiftEngineAt(domains int, positions []int) (*ShiftEngine, error) {
 	return &ShiftEngine{domains: domains, ports: append([]int(nil), positions...)}, nil
 }
 
-// NewShiftEngineForGeometry builds a per-DBC engine from a geometry.
-func NewShiftEngineForGeometry(g Geometry) (*ShiftEngine, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return NewShiftEngine(g.DomainsPerTrack, g.PortsPerTrack)
-}
-
 // Domains returns the number of word locations the engine serves.
 func (e *ShiftEngine) Domains() int { return e.domains }
 
@@ -110,7 +98,7 @@ func (e *ShiftEngine) CostOf(x int) (int, error) {
 	if x < 0 || x >= e.domains {
 		return 0, fmt.Errorf("rtm: location %d out of range [0,%d)", x, e.domains)
 	}
-	if !e.warm && !e.ChargeColdStart {
+	if !e.warm {
 		return 0, nil
 	}
 	best := -1
@@ -134,13 +122,11 @@ func (e *ShiftEngine) Access(x int) (int, error) {
 		return 0, fmt.Errorf("rtm: location %d out of range [0,%d)", x, e.domains)
 	}
 	if !e.warm {
+		// Pre-align the cheapest port to x for free.
 		e.warm = true
-		if !e.ChargeColdStart {
-			// Pre-align the cheapest port to x for free.
-			e.offset = x - e.nearestPort(x)
-			e.accesses++
-			return 0, nil
-		}
+		e.offset = x - e.nearestPort(x)
+		e.accesses++
+		return 0, nil
 	}
 	bestCost := -1
 	bestOffset := 0
@@ -192,74 +178,4 @@ func (e *ShiftEngine) Reset() {
 	e.warm = false
 	e.shifts = 0
 	e.accesses = 0
-}
-
-// Controller aggregates one shift engine per DBC and routes accesses by
-// (dbc, offset) pairs, accumulating per-DBC and total statistics. It is the
-// minimal RTSim-like controller needed for placement studies.
-type Controller struct {
-	engines []*ShiftEngine
-}
-
-// NewController builds a controller for the geometry, one engine per DBC.
-func NewController(g Geometry) (*Controller, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	c := &Controller{}
-	for i := 0; i < g.DBCs(); i++ {
-		e, err := NewShiftEngine(g.DomainsPerTrack, g.PortsPerTrack)
-		if err != nil {
-			return nil, err
-		}
-		c.engines = append(c.engines, e)
-	}
-	return c, nil
-}
-
-// NumDBCs returns the number of DBCs the controller manages.
-func (c *Controller) NumDBCs() int { return len(c.engines) }
-
-// Engine exposes the shift engine of one DBC (for configuration such as
-// ChargeColdStart).
-func (c *Controller) Engine(dbc int) (*ShiftEngine, error) {
-	if dbc < 0 || dbc >= len(c.engines) {
-		return nil, fmt.Errorf("rtm: DBC %d out of range [0,%d)", dbc, len(c.engines))
-	}
-	return c.engines[dbc], nil
-}
-
-// Access serves an access to the given word offset of the given DBC and
-// returns the shifts issued.
-func (c *Controller) Access(dbc, offset int) (int, error) {
-	e, err := c.Engine(dbc)
-	if err != nil {
-		return 0, err
-	}
-	return e.Access(offset)
-}
-
-// TotalShifts sums shift counts over all DBCs.
-func (c *Controller) TotalShifts() int64 {
-	var t int64
-	for _, e := range c.engines {
-		t += e.Shifts()
-	}
-	return t
-}
-
-// TotalAccesses sums access counts over all DBCs.
-func (c *Controller) TotalAccesses() int64 {
-	var t int64
-	for _, e := range c.engines {
-		t += e.Accesses()
-	}
-	return t
-}
-
-// Reset cold-starts every DBC engine.
-func (c *Controller) Reset() {
-	for _, e := range c.engines {
-		e.Reset()
-	}
 }

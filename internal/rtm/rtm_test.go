@@ -90,14 +90,6 @@ func TestShiftEngineSinglePort(t *testing.T) {
 	}
 }
 
-func TestShiftEngineColdStartCharged(t *testing.T) {
-	e, _ := NewShiftEngine(16, 1)
-	e.ChargeColdStart = true
-	if c, _ := e.Access(5); c != 5 {
-		t.Errorf("charged cold access cost = %d, want 5", c)
-	}
-}
-
 func TestShiftEngineTwoPorts(t *testing.T) {
 	// Ports at 0 and 8 for 16 domains.
 	e, _ := NewShiftEngine(16, 2)
@@ -210,35 +202,6 @@ func TestMorePortsNeverWorse(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestControllerRouting(t *testing.T) {
-	g, _ := TableIGeometry(4)
-	c, err := NewController(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.NumDBCs() != 4 {
-		t.Fatalf("NumDBCs = %d, want 4", c.NumDBCs())
-	}
-	// Independent engines: shifting in DBC 0 does not affect DBC 1.
-	c.Access(0, 0)
-	c.Access(0, 10)
-	c.Access(1, 5)
-	c.Access(1, 5)
-	if got := c.TotalShifts(); got != 10 {
-		t.Errorf("total shifts = %d, want 10", got)
-	}
-	if got := c.TotalAccesses(); got != 4 {
-		t.Errorf("total accesses = %d, want 4", got)
-	}
-	if _, err := c.Access(9, 0); err == nil {
-		t.Error("out-of-range DBC accepted")
-	}
-	c.Reset()
-	if c.TotalShifts() != 0 || c.TotalAccesses() != 0 {
-		t.Error("Reset did not clear counters")
 	}
 }
 

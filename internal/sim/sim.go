@@ -1,8 +1,10 @@
 // Package sim is the trace-driven RTM simulator used by the evaluation —
 // the stand-in for RTSim (see DESIGN.md §3). It replays access sequences
-// against a placement on a configured RTM device, drives one shift engine
-// per DBC, and converts the resulting event counts into latency and energy
-// using the Table I model.
+// against a placement on a configured RTM device and drives one shift
+// engine per DBC. Two views time the same replay: RunSequence converts
+// the event counts into serialized latency and energy with the Table I
+// model, and RunCycles schedules every access on the device's banks in
+// whole controller cycles.
 package sim
 
 import (
@@ -63,17 +65,34 @@ func (r *Result) Add(other Result) {
 
 // RunSequence replays one sequence with its placement on the device.
 func RunSequence(cfg Config, s *trace.Sequence, p *placement.Placement) (Result, error) {
+	c, err := replay(cfg, s, p, nil)
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{
+		Counts:    c,
+		LatencyNS: cfg.Params.LatencyNS(c),
+		Energy:    cfg.Params.Energy(c),
+		Sequences: 1,
+	}, nil
+}
+
+// replay is the simulator's one loop over a sequence: it drives one shift
+// engine per DBC and returns the event totals. Both views of the device
+// run it — RunSequence prices the totals, RunCycles also hands every
+// access to a cycle schedule (sched, nil for RunSequence).
+func replay(cfg Config, s *trace.Sequence, p *placement.Placement, sched *schedule) (energy.Counts, error) {
 	if p.NumDBCs() > cfg.Geometry.DBCs() {
-		return Result{}, fmt.Errorf("sim: placement uses %d DBCs, device has %d", p.NumDBCs(), cfg.Geometry.DBCs())
+		return energy.Counts{}, fmt.Errorf("sim: placement uses %d DBCs, device has %d", p.NumDBCs(), cfg.Geometry.DBCs())
 	}
 	if cfg.EnforceCapacity {
 		if n := p.MaxDBCLen(); n > cfg.Geometry.WordsPerDBC() {
-			return Result{}, fmt.Errorf("sim: DBC occupancy %d exceeds %d domains", n, cfg.Geometry.WordsPerDBC())
+			return energy.Counts{}, fmt.Errorf("sim: DBC occupancy %d exceeds %d domains", n, cfg.Geometry.WordsPerDBC())
 		}
 	}
 	lookup, err := p.BuildLookup(s.NumVars())
 	if err != nil {
-		return Result{}, err
+		return energy.Counts{}, err
 	}
 
 	// The device may have fewer domains than the (capacity-relaxed)
@@ -86,7 +105,7 @@ func RunSequence(cfg Config, s *trace.Sequence, p *placement.Placement) (Result,
 	// device (regression-tested in TestRunSequenceGrownTrackKeepsPorts).
 	ports, err := cfg.Geometry.PortPositions()
 	if err != nil {
-		return Result{}, err
+		return energy.Counts{}, err
 	}
 	domains := cfg.Geometry.WordsPerDBC()
 	if n := p.MaxDBCLen(); n > domains {
@@ -96,7 +115,7 @@ func RunSequence(cfg Config, s *trace.Sequence, p *placement.Placement) (Result,
 	for i := range engines {
 		e, err := rtm.NewShiftEngineAt(domains, ports)
 		if err != nil {
-			return Result{}, err
+			return energy.Counts{}, err
 		}
 		engines[i] = e
 	}
@@ -105,11 +124,11 @@ func RunSequence(cfg Config, s *trace.Sequence, p *placement.Placement) (Result,
 	for i, a := range s.Accesses {
 		d := lookup.DBCOf[a.Var]
 		if d < 0 {
-			return Result{}, fmt.Errorf("sim: access %d to unplaced variable %s", i, s.Name(a.Var))
+			return energy.Counts{}, fmt.Errorf("sim: access %d to unplaced variable %s", i, s.Name(a.Var))
 		}
 		shifts, err := engines[d].Access(lookup.Offset[a.Var])
 		if err != nil {
-			return Result{}, err
+			return energy.Counts{}, err
 		}
 		c.Shifts += int64(shifts)
 		if a.Write {
@@ -117,14 +136,11 @@ func RunSequence(cfg Config, s *trace.Sequence, p *placement.Placement) (Result,
 		} else {
 			c.Reads++
 		}
+		if sched != nil {
+			sched.serve(d, int64(shifts), a.Write)
+		}
 	}
-
-	return Result{
-		Counts:    c,
-		LatencyNS: cfg.Params.LatencyNS(c),
-		Energy:    cfg.Params.Energy(c),
-		Sequences: 1,
-	}, nil
+	return c, nil
 }
 
 // Benchmark-level simulation (place every sequence with a strategy,

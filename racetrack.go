@@ -42,8 +42,9 @@
 // (internal/trace), the RTM device model (internal/rtm), the Table I
 // energy model (internal/energy), the placement algorithms
 // (internal/placement), the synthetic OffsetStone workloads
-// (internal/offsetstone), the trace-driven simulator (internal/sim) and
-// the per-figure experiment harness (internal/eval).
+// (internal/offsetstone), the trace-driven simulator whose one replay
+// both Lab.Simulate and SimulateCycles time (internal/sim) and the
+// per-figure experiment harness (internal/eval).
 package racetrack
 
 import (
@@ -57,7 +58,6 @@ import (
 	"repro/internal/offsetstone"
 	"repro/internal/placement"
 	"repro/internal/rtm"
-	"repro/internal/rtmsim"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -371,52 +371,51 @@ func CompileTrace(name, source string) (*Benchmark, error) {
 	return frontend.Compile(name, source)
 }
 
-// CycleSimulator is the cycle-accurate RTSim-style device model with
-// banked queues and per-DBC shift state machines (see internal/rtmsim).
-type CycleSimulator = rtmsim.Simulator
+// CycleSimulator is the cycle view of a device (see internal/sim): the
+// same replay and shift engines as Lab.Simulate, with every access
+// scheduled on the device's banks in whole controller cycles. It holds
+// no state between runs; one simulator serves any number of calls.
+type CycleSimulator = sim.CycleSimulator
 
-// CycleStats reports a cycle-accurate run.
-type CycleStats = rtmsim.Stats
+// CycleStats reports a cycle-view run: the completion cycle, the event
+// counts (identical to Lab.Simulate's), queue waits and per-bank load.
+type CycleStats = sim.CycleStats
 
-// NewCycleSimulator builds a cycle-accurate simulator for a Table I
-// configuration at the given controller clock.
+// NewCycleSimulator builds the cycle view of a Table I configuration at
+// the given controller clock. Table I latencies round up to whole
+// cycles, at least one per operation.
 func NewCycleSimulator(dbcs int, clockGHz float64) (*CycleSimulator, error) {
-	g, err := rtm.TableIGeometry(dbcs)
+	cfg, err := sim.TableIConfig(dbcs)
 	if err != nil {
 		return nil, err
 	}
-	p, err := energy.ForDBCs(dbcs)
-	if err != nil {
-		return nil, err
-	}
-	return rtmsim.New(g, p, clockGHz, rtmsim.InterleaveDomain)
+	return sim.NewCycleSimulator(cfg, clockGHz)
 }
 
 // NewBankedCycleSimulator is NewCycleSimulator with the iso-capacity DBCs
 // spread over `banks` independent banks (dbcs must divide evenly), so
 // open-loop request streams can overlap shifting across banks.
 func NewBankedCycleSimulator(dbcs, banks int, clockGHz float64) (*CycleSimulator, error) {
-	g, err := rtm.TableIGeometry(dbcs)
+	cfg, err := sim.TableIConfig(dbcs)
 	if err != nil {
 		return nil, err
 	}
 	if banks <= 0 || dbcs%banks != 0 {
 		return nil, fmt.Errorf("racetrack: %d banks must evenly divide %d DBCs", banks, dbcs)
 	}
-	g.Banks = banks
-	g.DBCsPerSubarray = dbcs / banks
-	p, err := energy.ForDBCs(dbcs)
-	if err != nil {
-		return nil, err
-	}
-	return rtmsim.New(g, p, clockGHz, rtmsim.InterleaveDomain)
+	cfg.Geometry.Banks = banks
+	cfg.Geometry.DBCsPerSubarray = dbcs / banks
+	return sim.NewCycleSimulator(cfg, clockGHz)
 }
 
-// SimulateCycles replays the sequence with the placement on the
-// cycle-accurate model. serialized selects the closed-loop CPU model
-// (program-order dependencies); open-loop exposes bank parallelism.
+// SimulateCycles replays the sequence with the placement on the cycle
+// view. serialized issues each access when the previous one completes
+// (the closed-loop CPU model: Cycles is the sum of the per-access
+// times); otherwise every access is issued at cycle 0 and the banks
+// serve their queues in parallel. Like Lab.Simulate it accepts DBCs
+// fuller than the track and grows the track to fit.
 func SimulateCycles(cs *CycleSimulator, s *Sequence, p *Placement, serialized bool) (CycleStats, error) {
-	return rtmsim.RunPlacement(cs, s, p, serialized)
+	return sim.RunCycles(cs, s, p, serialized)
 }
 
 // RTMCache is a set-associative cache with an RTM data array (TapeCache
