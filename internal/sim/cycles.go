@@ -115,10 +115,11 @@ type schedule struct {
 // dbc that needed the given shifts.
 func (sc *schedule) serve(dbc int, shifts int64, write bool) {
 	b := dbc / sc.dbcsPerBank
-	service := shifts*sc.cs.shiftCycles + sc.cs.readCycles
+	access := sc.cs.readCycles
 	if write {
-		service = shifts*sc.cs.shiftCycles + sc.cs.writeCycles
+		access = sc.cs.writeCycles
 	}
+	service := shifts*sc.cs.shiftCycles + access
 	start := sc.bankFree[b]
 	if sc.serialized {
 		// The previous access completes last of all so far.

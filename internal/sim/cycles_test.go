@@ -160,7 +160,8 @@ func TestCycleQueueWaitAccounting(t *testing.T) {
 }
 
 // Property: total busy cycles never exceed banks x makespan, and every
-// access is served exactly once.
+// access is served exactly once, by the bank that holds its DBC (DBCs
+// 2b and 2b+1 sit in bank b).
 func TestCycleStatsInvariants(t *testing.T) {
 	cfg, err := TableIConfig(8)
 	if err != nil {
@@ -177,20 +178,23 @@ func TestCycleStatsInvariants(t *testing.T) {
 	}
 	f := func(raw []uint8) bool {
 		seq := &trace.Sequence{Names: make([]string, 256)}
+		perBank := make([]int64, 4)
 		for _, r := range raw {
 			seq.Append(int(r), r%3 == 0)
+			perBank[int(r)%8/2]++
 		}
 		stats, err := RunCycles(cs, seq, p, false)
 		if err != nil {
 			return false
 		}
-		var served, busy int64
+		var busy int64
 		for b := range stats.BusyCycles {
-			served += stats.PerBankRequests[b]
+			if stats.PerBankRequests[b] != perBank[b] {
+				return false
+			}
 			busy += stats.BusyCycles[b]
 		}
-		return served == int64(len(raw)) &&
-			busy <= stats.Cycles*int64(len(stats.BusyCycles)) &&
+		return busy <= stats.Cycles*int64(len(stats.BusyCycles)) &&
 			stats.Counts.Shifts >= 0 &&
 			stats.Counts.Accesses() == int64(len(raw))
 	}
@@ -199,8 +203,9 @@ func TestCycleStatsInvariants(t *testing.T) {
 	}
 }
 
-// The cycle view rejects what RunSequence rejects, and grows the track
-// for a DBC fuller than it, as RunSequence does.
+// The cycle view rejects what RunSequence rejects, grows the track for a
+// DBC fuller than it, as RunSequence does, and times an empty sequence
+// at zero cycles.
 func TestCycleErrors(t *testing.T) {
 	cfg := cfg4(t)
 	cs, err := NewCycleSimulator(cfg, 1.0)
@@ -230,5 +235,9 @@ func TestCycleErrors(t *testing.T) {
 	}
 	if got.Counts != want.Counts {
 		t.Errorf("overfull DBC: cycle counts %+v, RunSequence %+v", got.Counts, want.Counts)
+	}
+	empty, err := RunCycles(cs, &trace.Sequence{}, placement.NewEmpty(4), true)
+	if err != nil || empty.Cycles != 0 || empty.Counts != (energy.Counts{}) {
+		t.Errorf("empty sequence: %+v, %v", empty, err)
 	}
 }
