@@ -337,8 +337,8 @@ func runStream(ctx context.Context, cfg runConfig) error {
 	if window <= 0 {
 		window = racetrack.StreamWindow
 	}
-	fmt.Printf("%s: %d sequence(s), strategy %s, %d DBCs, streaming (window %d)\n",
-		name, br.SeqCount(), opts.Strategy, cfg.dbcs, window)
+	fmt.Printf("%s: %d sequence(s), strategy %s, %d DBCs, %d port(s)/track, streaming (window %d)\n",
+		name, br.SeqCount(), opts.Strategy, cfg.dbcs, cfg.ports, window)
 
 	var total int64
 	for i := 0; ; i++ {

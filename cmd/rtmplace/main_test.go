@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
+
+	racetrack "repro"
 )
 
 func writeTemp(t *testing.T, name, content string) string {
@@ -85,5 +88,26 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run(cfg(bad, "DMA-SR", "bogus", 2)); err == nil {
 		t.Error("unknown format accepted")
+	}
+}
+
+// TestRunStream drives -format bin -stream at one and two ports: the
+// streamed path stitches windows under the multi-port model too.
+func TestRunStream(t *testing.T) {
+	b, err := racetrack.ParseBenchmark("s", "seq f\na b a c b a d c a b e d a c e b a\nseq g\nx y x z y x\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := racetrack.WriteBinaryBenchmark(&buf, b); err != nil {
+		t.Fatal(err)
+	}
+	path := writeTemp(t, "t.rtb", buf.String())
+	for _, ports := range []int{1, 2} {
+		c := cfg(path, "DMA-SR", "bin", 4)
+		c.stream, c.window, c.ports = true, 5, ports
+		if err := run(c); err != nil {
+			t.Errorf("ports=%d: %v", ports, err)
+		}
 	}
 }

@@ -1,10 +1,12 @@
 package placement
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"io"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/trace"
 )
@@ -16,7 +18,9 @@ import (
 // into one continuous execution by replaying every access — plus the
 // inter-window migrations — against per-DBC port state that persists
 // across window boundaries. Working memory is O(window) regardless of
-// stream length.
+// stream length and of the declared universe, and the per-access loops
+// allocate nothing: the window buffer, the compaction table and the
+// bookkeeping slices are reused from window to window.
 //
 // The stitching model: the physical device has q DBCs whose port
 // positions never reset. Entering window w, every variable that was
@@ -27,10 +31,13 @@ import (
 // schedule). Variables not resident in the immediately-previous window
 // are (re)loaded from backing store, which the shift model does not
 // charge (a write-through backing hierarchy is assumed; only the
-// *shift* cost is modeled, as everywhere in this repository). With a
-// window at least as long as the stream there are no boundaries, no
-// migrations, and the total equals the whole-trace placement cost
-// exactly (TestPlaceStreamedWindowInfinity).
+// *shift* cost is modeled, as everywhere in this repository). The shift
+// model is the paper's single-port |x−y| one, or with Options.Ports > 1
+// PortModel's nearest-port one, whose per-DBC track offsets carry across
+// windows the same way. With a window at least as long as the stream
+// there are no boundaries, no migrations, and the total equals the
+// whole-trace placement cost exactly (TestPlaceStreamedWindowInfinity,
+// TestPlaceStreamedMultiPortWholeTrace).
 
 // DefaultStreamWindow is the window length PlaceStreamed uses when the
 // config leaves Window unset: large enough to amortize per-window
@@ -49,13 +56,16 @@ type StreamConfig struct {
 	// Window is the number of accesses placed per window; <= 0 selects
 	// DefaultStreamWindow.
 	Window int
-	// Strategy names the per-window placement strategy. Required.
+	// Strategy names the per-window placement strategy. Required. The
+	// window sequence it receives is valid only for the duration of the
+	// call: PlaceStreamed reuses its storage for the next window.
 	Strategy StrategyID
 	// Registry resolves Strategy. Required.
 	Registry *Registry
-	// Options is passed to the per-window strategy calls. Ports > 1 is
-	// rejected: the window-stitching shift model is single-port.
-	// Options.Kernel is ignored (window sequences are ephemeral).
+	// Options is passed to the per-window strategy calls. With Ports > 1
+	// the windows are placed, and the stitched stream priced, under the
+	// multi-port model (PortModelFor). Options.Kernel is ignored (window
+	// sequences are ephemeral).
 	Options Options
 	// Progress, when non-nil, is called after each placed window.
 	Progress func(StreamWindowEvent)
@@ -116,15 +126,12 @@ func (res *StreamResult) finish(m *CostModel) {
 	}
 }
 
-// varLoc is a variable's physical location in one window's layout.
-type varLoc struct{ dbc, off int }
-
 // PlaceStreamed consumes an access stream window by window, placing each
 // window with the configured strategy and stitching the window layouts
 // into one continuous, deterministically-priced execution. The reader is
 // drained to io.EOF. See the package comment above for the cost model;
-// memory is O(Window + NumVars-independent bookkeeping) — the stream is
-// never materialized.
+// memory is O(Window), whatever NumVars and the stream length — the
+// stream is never materialized.
 //
 // The context is checked between windows. On cancellation the stitched
 // result through the last completed window is returned together with
@@ -144,10 +151,11 @@ func PlaceStreamed(ctx context.Context, r trace.AccessReader, cfg StreamConfig) 
 	if cfg.Strategy == "" {
 		return nil, fmt.Errorf("placement: stream: no strategy selected")
 	}
-	if cfg.Options.Ports > 1 {
-		return nil, fmt.Errorf("placement: stream: %d ports unsupported (the window-stitching shift model is single-port)", cfg.Options.Ports)
-	}
 	q := cfg.DBCs
+	pm, err := cfg.Options.PortModelFor(q)
+	if err != nil {
+		return nil, fmt.Errorf("placement: stream: %w", err)
+	}
 	window := cfg.Window
 	if window <= 0 {
 		window = DefaultStreamWindow
@@ -164,34 +172,8 @@ func PlaceStreamed(ctx context.Context, r trace.AccessReader, cfg StreamConfig) 
 	stOpts.Kernel = nil // window sequences are ephemeral; a caller kernel can never match
 
 	res := &StreamResult{}
-
-	// last[d] is DBC d's port offset after the previous access — the
-	// state that persists across window boundaries and makes the stitched
-	// total a genuine single-device replay. -1 while the DBC is cold.
-	last := make([]int, q)
-	for i := range last {
-		last[i] = -1
-	}
-	charge := func(d, off int) int64 {
-		var c int64
-		if p := last[d]; p >= 0 {
-			if off > p {
-				c = int64(off - p)
-			} else {
-				c = int64(p - off)
-			}
-		}
-		last[d] = off
-		return c
-	}
-
-	// resident maps global variable -> location in the previous window's
-	// layout; globals lists its keys (the previous window's variables in
-	// ascending global order).
-	var resident map[int]varLoc
-
-	eof := false
-	for !eof {
+	w := newStreamWindow(q, window, pm)
+	for eof := false; !eof; {
 		if err := ctx.Err(); err != nil {
 			// Same contract as the GA's cancellation (GAContext): the
 			// best-so-far state — here the stitched result through the
@@ -201,33 +183,10 @@ func PlaceStreamed(ctx context.Context, r trace.AccessReader, cfg StreamConfig) 
 			res.finish(cfg.Options.Cost)
 			return res, err
 		}
-		// Read one window, compacting global variable ids to dense local
-		// ids in order of first appearance.
-		g2l := make(map[int]int)
-		var order []int // local id -> global id
-		ws := &trace.Sequence{}
-		for ws.Len() < window {
-			a, err := r.Next()
-			if err == io.EOF {
-				eof = true
-				break
-			}
-			if err != nil {
-				return nil, fmt.Errorf("placement: stream: reading access %d: %w", res.Accesses+int64(ws.Len()), err)
-			}
-			if a.Var < 0 || a.Var >= cfg.NumVars {
-				return nil, fmt.Errorf("placement: stream: access %d to variable %d outside universe [0,%d)",
-					res.Accesses+int64(ws.Len()), a.Var, cfg.NumVars)
-			}
-			lid, ok := g2l[a.Var]
-			if !ok {
-				lid = len(order)
-				g2l[a.Var] = lid
-				order = append(order, a.Var)
-			}
-			ws.Append(lid, a.Write)
+		if eof, err = w.fill(r, window, cfg.NumVars, res.Accesses); err != nil {
+			return nil, err
 		}
-		if ws.Len() == 0 {
+		if len(w.buf) == 0 {
 			break
 		}
 
@@ -235,12 +194,12 @@ func PlaceStreamed(ctx context.Context, r trace.AccessReader, cfg StreamConfig) 
 		// it, so a strategy that can build its placement without pricing
 		// it (the constructive heuristics) skips the cost Place would
 		// compute and discard.
+		w.seq = trace.Sequence{Accesses: w.buf}
 		var p *Placement
-		var err error
 		if h, ok := st.(constructive); ok {
-			p, err = h.construct(ws, q, stOpts)
+			p, err = h.construct(&w.seq, q, stOpts)
 		} else {
-			p, _, err = st.Place(ws, q, stOpts)
+			p, _, err = st.Place(&w.seq, q, stOpts)
 		}
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
@@ -251,73 +210,263 @@ func PlaceStreamed(ctx context.Context, r trace.AccessReader, cfg StreamConfig) 
 				return res, cerr
 			}
 			return nil, fmt.Errorf("placement: stream: window %d (%d accesses, %d vars): %w",
-				res.Windows, ws.Len(), len(order), err)
+				res.Windows, len(w.buf), len(w.order), err)
 		}
-		l, err := p.BuildLookup(ws.NumVars())
+		if len(p.DBC) > q {
+			return nil, fmt.Errorf("placement: stream: window %d: strategy %s used %d DBCs of %d",
+				res.Windows, cfg.Strategy, len(p.DBC), q)
+		}
+		l, err := p.BuildLookup(len(w.order))
 		if err != nil {
 			return nil, fmt.Errorf("placement: stream: window %d: %w", res.Windows, err)
 		}
-		for lid := range order {
+		for lid := range w.order {
 			if l.DBCOf[lid] < 0 {
 				return nil, fmt.Errorf("placement: stream: window %d: strategy %s left variable %d unplaced",
-					res.Windows, cfg.Strategy, order[lid])
+					res.Windows, cfg.Strategy, w.order[lid])
 			}
 		}
 
-		// Charge the boundary migrations: variables live in this window
-		// that the previous window placed elsewhere move first, in
-		// ascending global variable order.
-		if resident != nil {
-			moved := make([]int, 0, len(order))
-			for lid, g := range order {
-				if old, ok := resident[g]; ok {
-					if nw := (varLoc{l.DBCOf[lid], l.Offset[lid]}); nw != old {
-						moved = append(moved, lid)
-					}
-				}
-			}
-			sort.Slice(moved, func(i, j int) bool { return order[moved[i]] < order[moved[j]] })
-			for _, lid := range moved {
-				old := resident[order[lid]]
-				res.MigrationShifts += charge(old.dbc, old.off)            // read out of the old location
-				res.MigrationShifts += charge(l.DBCOf[lid], l.Offset[lid]) // write into the new one
-				res.MigratedVars++
-				res.Reads++
-				res.Writes++
-			}
-		}
+		w.migrate(l, res)
+		w.replay(l, res)
+		w.advance(l)
 
-		// Replay the window's accesses against the persistent port state.
-		for _, a := range ws.Accesses {
-			res.WindowShifts += charge(l.DBCOf[a.Var], l.Offset[a.Var])
-			if a.Write {
-				res.Writes++
-			} else {
-				res.Reads++
-			}
-		}
-
-		// This window's layout is the next boundary's residency.
-		resident = make(map[int]varLoc, len(order))
-		for lid, g := range order {
-			resident[g] = varLoc{l.DBCOf[lid], l.Offset[lid]}
-		}
-
-		res.Accesses += int64(ws.Len())
+		res.Accesses += int64(len(w.buf))
 		res.Windows++
-		if len(order) > res.MaxWindowVars {
-			res.MaxWindowVars = len(order)
+		if len(w.order) > res.MaxWindowVars {
+			res.MaxWindowVars = len(w.order)
 		}
 		res.Shifts = res.WindowShifts + res.MigrationShifts
 		if cfg.Progress != nil {
 			cfg.Progress(StreamWindowEvent{
 				Window:     res.Windows - 1,
 				Accesses:   res.Accesses,
-				WindowVars: len(order),
+				WindowVars: len(w.order),
 				Shifts:     res.Shifts,
 			})
 		}
 	}
 	res.finish(cfg.Options.Cost)
 	return res, nil
+}
+
+// streamWindow is PlaceStreamed's working state, allocated once and
+// reused for every window, so the per-access loops allocate nothing.
+type streamWindow struct {
+	vars  varTable       // global id -> local id, previous location
+	buf   []trace.Access // the window, compacted to local ids
+	seq   trace.Sequence // the strategy's view of buf
+	order []int          // local id -> global id
+	moved []migration
+	off   []int      // per-DBC port offset, portCold until first access
+	pm    *PortModel // nil: the single-port |x−y| model
+}
+
+// migration is one variable moving at a window boundary.
+type migration struct{ g, lid, dbc, off int }
+
+func newStreamWindow(q, window int, pm *PortModel) *streamWindow {
+	w := &streamWindow{
+		buf: make([]trace.Access, 0, min(window, DefaultStreamWindow)),
+		off: make([]int, q),
+		pm:  pm,
+	}
+	for d := range w.off {
+		w.off[d] = portCold
+	}
+	w.vars.init(64)
+	return w
+}
+
+// fill reads the next window of up to window accesses into buf,
+// compacting global ids to dense local ids in order of first
+// appearance; base is the index of the window's first access in the
+// stream. It reports io.EOF as eof, not as an error.
+//
+//rtm:hotpath
+func (w *streamWindow) fill(r trace.AccessReader, window, numVars int, base int64) (eof bool, err error) {
+	w.buf, w.order = w.buf[:0], w.order[:0]
+	for len(w.buf) < window {
+		a, err := r.Next()
+		if err == io.EOF {
+			return true, nil
+		}
+		if err != nil {
+			return false, readError(base+int64(len(w.buf)), err)
+		}
+		if a.Var < 0 || a.Var >= numVars {
+			return false, universeError(base+int64(len(w.buf)), a.Var, numVars)
+		}
+		e := w.vars.slot(a.Var)
+		if e.lid < 0 {
+			e.lid = len(w.order)
+			w.order = append(w.order, a.Var)
+		}
+		w.buf = append(w.buf, trace.Access{Var: e.lid, Write: a.Write})
+	}
+	return false, nil
+}
+
+// readError and universeError build fill's errors off the hot path.
+func readError(at int64, err error) error {
+	return fmt.Errorf("placement: stream: reading access %d: %w", at, err)
+}
+
+func universeError(at int64, v, numVars int) error {
+	return fmt.Errorf("placement: stream: access %d to variable %d outside universe [0,%d)", at, v, numVars)
+}
+
+// migrate charges the boundary migrations: every variable of this
+// window that the previous window placed elsewhere moves first — a read
+// at its old location, a write at its new one — in ascending global
+// variable order.
+func (w *streamWindow) migrate(l *Lookup, res *StreamResult) {
+	w.moved = w.moved[:0]
+	for lid, g := range w.order {
+		e := w.vars.slot(g)
+		if e.dbc >= 0 && (e.dbc != l.DBCOf[lid] || e.off != l.Offset[lid]) {
+			w.moved = append(w.moved, migration{g: g, lid: lid, dbc: e.dbc, off: e.off})
+		}
+	}
+	slices.SortFunc(w.moved, func(a, b migration) int { return cmp.Compare(a.g, b.g) })
+	for _, m := range w.moved {
+		res.MigrationShifts += w.charge(m.dbc, m.off)                    // read out of the old location
+		res.MigrationShifts += w.charge(l.DBCOf[m.lid], l.Offset[m.lid]) // write into the new one
+	}
+	n := int64(len(w.moved))
+	res.MigratedVars += n
+	res.Reads += n
+	res.Writes += n
+}
+
+// replay charges the window's accesses against the persistent port
+// state.
+//
+//rtm:hotpath
+func (w *streamWindow) replay(l *Lookup, res *StreamResult) {
+	var shifts, writes int64
+	if w.pm == nil {
+		// charge's single-port step, written out: this loop runs once
+		// per access and charge does not inline.
+		off := w.off
+		for _, a := range w.buf {
+			d, x := l.DBCOf[a.Var], l.Offset[a.Var]
+			if o := off[d]; o != portCold {
+				shifts += absDist(o, x)
+			}
+			off[d] = x
+		}
+	} else {
+		for _, a := range w.buf {
+			shifts += w.charge(l.DBCOf[a.Var], l.Offset[a.Var])
+		}
+	}
+	for _, a := range w.buf {
+		if a.Write {
+			writes++
+		}
+	}
+	res.WindowShifts += shifts
+	res.Writes += writes
+	res.Reads += int64(len(w.buf)) - writes
+}
+
+// charge serves one access to offset x of DBC d and returns its shift
+// cost. The first access to a DBC is free, as in portCostLookup; with
+// more than one port it leaves the track aligned to the cheapest port.
+func (w *streamWindow) charge(d, x int) int64 {
+	o := w.off[d]
+	if w.pm == nil {
+		w.off[d] = x
+		if o == portCold {
+			return 0
+		}
+		return absDist(o, x)
+	}
+	if o == portCold {
+		_, w.off[d] = w.pm.step(0, x)
+		return 0
+	}
+	c, no := w.pm.step(o, x)
+	w.off[d] = no
+	return int64(c)
+}
+
+// advance makes this window's layout the residency the next boundary
+// reads: the table is emptied and refilled with this window's variables
+// at their new locations, so it never holds more than two windows'
+// variables.
+func (w *streamWindow) advance(l *Lookup) {
+	w.vars.clear()
+	for lid, g := range w.order {
+		e := w.vars.slot(g)
+		e.dbc, e.off = l.DBCOf[lid], l.Offset[lid]
+	}
+}
+
+// varTable is an open-addressing hash table (linear probing) from
+// global variable id to that variable's window state. A slot is live
+// while its generation equals the table's, so clear is one increment.
+// The table grows to keep its load at most one half and never shrinks;
+// since PlaceStreamed clears it at every boundary, its capacity follows
+// the largest distinct-variable count of two consecutive windows, never
+// the declared universe.
+type varTable struct {
+	slots []varSlot
+	shift uint   // 64 − log2(len(slots)), for Fibonacci hashing
+	gen   uint64 // generation of the live slots
+	n     int    // live slots
+}
+
+type varSlot struct {
+	key      int // global variable id
+	gen      uint64
+	lid      int // local id in the current window; -1 before its first access
+	dbc, off int // location in the previous window; dbc -1 if it was not there
+}
+
+func (t *varTable) init(size int) {
+	t.slots = make([]varSlot, size)
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	t.gen = 1
+	t.n = 0
+}
+
+func (t *varTable) clear() {
+	t.gen++
+	t.n = 0
+}
+
+// slot returns g's live slot, inserting a fresh one (no local id, no
+// previous location) if g has none.
+//
+//rtm:hotpath
+func (t *varTable) slot(g int) *varSlot {
+	mask := len(t.slots) - 1
+	for i := int(uint64(g) * 0x9e3779b97f4a7c15 >> t.shift); ; i = (i + 1) & mask {
+		e := &t.slots[i]
+		if e.gen != t.gen {
+			if 2*(t.n+1) > len(t.slots) {
+				t.grow()
+				return t.slot(g)
+			}
+			*e = varSlot{key: g, gen: t.gen, lid: -1, dbc: -1}
+			t.n++
+			return e
+		}
+		if e.key == g {
+			return e
+		}
+	}
+}
+
+// grow doubles the table and re-inserts the live slots.
+func (t *varTable) grow() {
+	old, gen := t.slots, t.gen
+	t.init(2 * len(old))
+	for i := range old {
+		if e := &old[i]; e.gen == gen {
+			*t.slot(e.key) = varSlot{key: e.key, gen: t.gen, lid: e.lid, dbc: e.dbc, off: e.off}
+		}
+	}
 }

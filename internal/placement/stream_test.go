@@ -1,12 +1,19 @@
 package placement
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/energy"
+	"repro/internal/rtm"
 	"repro/internal/trace"
 )
 
@@ -198,9 +205,9 @@ func TestPlaceStreamedErrors(t *testing.T) {
 		t.Fatal("unknown strategy accepted")
 	}
 	bad = base
-	bad.Options.Ports = 2
+	bad.Options.Ports, bad.Options.PortDomains = 5, 3 // more ports than domains
 	if _, err := PlaceStreamed(ctx, trace.NewSliceReader(s), bad); err == nil {
-		t.Fatal("multi-port stream accepted")
+		t.Fatal("impossible port layout accepted")
 	}
 	bad = base
 	bad.NumVars = 1 // stream accesses variable 1
@@ -257,5 +264,254 @@ func TestPlaceStreamedMigrationVsWhole(t *testing.T) {
 	}
 	if windowed.MigrationShifts < 0 || windowed.MigratedVars < 0 {
 		t.Fatalf("negative migration accounting: %+v", windowed)
+	}
+}
+
+// TestPlaceStreamedMultiPortWholeTrace pins the multi-port window=∞
+// invariant: with Ports > 1 and one window covering the stream, the
+// stitched total is exactly the whole-trace PortCost of the placement
+// the strategy returns for the whole trace, and equals the cost the
+// strategy itself reports.
+func TestPlaceStreamedMultiPortWholeTrace(t *testing.T) {
+	s := streamSeq(t, "a b a c b a d c a b e d a c e b a d e c a b a f! e f c")
+	for _, strat := range []StrategyID{StrategyAFDOFU, StrategyDMAOFU, StrategyDMASR, StrategyDMATwoOpt} {
+		for _, q := range []int{1, 2, 4} {
+			for _, ports := range []int{2, 4} {
+				opts := Options{Ports: ports}
+				p, cost, err := testRegistry.Place(strat, s, q, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pm, err := opts.PortModelFor(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := PortCost(s, p, pm)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := PlaceStreamed(context.Background(), trace.NewSliceReader(s), StreamConfig{
+					NumVars: s.NumVars(), DBCs: q, Window: s.Len(), Strategy: strat,
+					Registry: testRegistry, Options: opts,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Shifts != want || cost != want || res.Windows != 1 || res.MigrationShifts != 0 {
+					t.Fatalf("%s q=%d ports=%d: stitched %+v, PortCost %d, strategy cost %d",
+						strat, q, ports, res, want, cost)
+				}
+			}
+		}
+	}
+}
+
+// stitchReference is PlaceStreamed written plainly, as a differential
+// oracle: maps for the compaction and the residency, Registry.Place for
+// every window, and one rtm.ShiftEngine per DBC — the simulator's
+// controller — carried across windows for the accesses and migrations.
+func stitchReference(t *testing.T, s *trace.Sequence, q, window int, strat StrategyID, opts Options) *StreamResult {
+	t.Helper()
+	positions := []int{0}
+	pm, err := opts.PortModelFor(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pm != nil {
+		positions = pm.Positions()
+	}
+	domains := positions[len(positions)-1] + s.NumVars() + 1
+	engines := make([]*rtm.ShiftEngine, q)
+	for d := range engines {
+		if engines[d], err = rtm.NewShiftEngineAt(domains, positions); err != nil {
+			t.Fatal(err)
+		}
+	}
+	access := func(d, x int) int64 {
+		c, err := engines[d].Access(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int64(c)
+	}
+	type loc struct{ dbc, off int }
+	res := &StreamResult{}
+	var resident map[int]loc
+	for start := 0; start < s.Len(); start += window {
+		g2l := map[int]int{}
+		var order []int
+		ws := &trace.Sequence{}
+		for _, a := range s.Accesses[start:min(start+window, s.Len())] {
+			lid, ok := g2l[a.Var]
+			if !ok {
+				lid = len(order)
+				g2l[a.Var] = lid
+				order = append(order, a.Var)
+			}
+			ws.Append(lid, a.Write)
+		}
+		p, _, err := testRegistry.Place(strat, ws, q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := p.BuildLookup(ws.NumVars())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var moved []int
+		for lid, g := range order {
+			if old, ok := resident[g]; ok && old != (loc{l.DBCOf[lid], l.Offset[lid]}) {
+				moved = append(moved, g)
+			}
+		}
+		slices.Sort(moved)
+		for _, g := range moved {
+			old, lid := resident[g], g2l[g]
+			res.MigrationShifts += access(old.dbc, old.off) + access(l.DBCOf[lid], l.Offset[lid])
+			res.MigratedVars++
+		}
+		for _, a := range ws.Accesses {
+			res.WindowShifts += access(l.DBCOf[a.Var], l.Offset[a.Var])
+		}
+		resident = map[int]loc{}
+		for lid, g := range order {
+			resident[g] = loc{l.DBCOf[lid], l.Offset[lid]}
+		}
+	}
+	res.Shifts = res.WindowShifts + res.MigrationShifts
+	return res
+}
+
+// TestPlaceStreamedMatchesEngineReference holds the stitched shift
+// accounting to stitchReference at one, two and three ports, so the
+// per-DBC port state PlaceStreamed carries across windows is checked
+// against the shift engines, not against itself.
+func TestPlaceStreamedMatchesEngineReference(t *testing.T) {
+	s, err := trace.SynthConfig{Vars: 40, Accesses: 900, Seed: 23, LoopMax: 12, RepMax: 20}.Sequence()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, strat := range []StrategyID{StrategyDMAOFU, StrategyDMASR, StrategyDMATwoOpt} {
+		for _, q := range []int{1, 2, 4} {
+			for _, ports := range []int{1, 2, 3} {
+				for _, window := range []int{1, 3, 64, 250} {
+					opts := Options{Ports: ports}
+					want := stitchReference(t, s, q, window, strat, opts)
+					got, err := PlaceStreamed(context.Background(), trace.NewSliceReader(s), StreamConfig{
+						NumVars: s.NumVars(), DBCs: q, Window: window, Strategy: strat,
+						Registry: testRegistry, Options: opts,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Shifts != want.Shifts || got.WindowShifts != want.WindowShifts ||
+						got.MigrationShifts != want.MigrationShifts || got.MigratedVars != want.MigratedVars {
+						t.Fatalf("%s q=%d ports=%d window=%d: stitched %+v, engine reference %+v",
+							strat, q, ports, window, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// ciStreamFile writes perfbench's first stream trace to a binary file:
+// the CI big-trace shape (512 variables, 32–256 loop repetitions, one
+// scattered access between loops) at 2^20 accesses.
+func ciStreamFile(tb testing.TB) string {
+	tb.Helper()
+	cfg := trace.SynthConfig{Vars: 512, Accesses: 1 << 20, Seed: 1001, RepMin: 32, RepMax: 256, ScatterLen: 1}
+	gen, err := trace.NewSynthReader(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	bw, err := trace.NewBinWriter(&buf, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := bw.BeginSequence(cfg.Vars, cfg.Accesses, nil); err != nil {
+		tb.Fatal(err)
+	}
+	for {
+		a, err := gen.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := bw.Append(a); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := bw.EndSequence(); err != nil {
+		tb.Fatal(err)
+	}
+	if err := bw.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	path := filepath.Join(tb.TempDir(), "ci.rtb")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		tb.Fatal(err)
+	}
+	return path
+}
+
+// placeCIStream opens a binary trace file (mapped where the platform
+// allows) and streams it into PlaceStreamed with DMA-OFU at 8 DBCs in
+// windows of 2^18 accesses, as `rtmplace -format bin -stream` and the
+// stream workload do.
+func placeCIStream(tb testing.TB, path string) *StreamResult {
+	tb.Helper()
+	bf, err := trace.OpenBin(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	defer bf.Close()
+	sc, err := bf.Reader().ScanSequence()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := PlaceStreamed(context.Background(), sc, StreamConfig{
+		NumVars: sc.NumVars(), DBCs: 8, Window: 1 << 18, Strategy: StrategyDMAOFU, Registry: testRegistry,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if res.Accesses != sc.Len() || res.Windows != 4 {
+		tb.Fatalf("placed %d of %d accesses in %d windows", res.Accesses, sc.Len(), res.Windows)
+	}
+	return res
+}
+
+// TestPlaceStreamedAllocBound holds the window loop to its working set:
+// a 2^20-access streamed run allocates the 2^18-access window buffer,
+// the strategy's per-window state and nothing per access. The bound is
+// on bytes (TotalAlloc), which the CI bench gate does not compare.
+func TestPlaceStreamedAllocBound(t *testing.T) {
+	const bound = 8 << 20
+	path := ciStreamFile(t)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	placeCIStream(t, path)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+		t.Fatalf("streamed run allocated %d bytes, bound %d", got, bound)
+	}
+}
+
+// BenchmarkPlaceStreamed measures the out-of-core placement path the
+// stream workload runs: a scan of a 2^20-access binary trace file into
+// PlaceStreamed (DMA-OFU, 8 DBCs, windows of 2^18). SetBytes is the
+// stream length, so MB/s reads as accesses/µs.
+func BenchmarkPlaceStreamed(b *testing.B) {
+	path := ciStreamFile(b)
+	b.SetBytes(1 << 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		placeCIStream(b, path)
 	}
 }

@@ -61,20 +61,33 @@ func zigzag(d int64) uint64 { return uint64((d << 1) ^ (d >> 63)) }
 // unzigzag inverts zigzag.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// binHash accumulates the trailer fingerprint incrementally, mirroring
-// Sequence.Fingerprint exactly (same FNV-1a constants, same mixing
-// order: universe size, name count, names, accesses).
+// binHash accumulates a sequence fingerprint incrementally: FNV-1a over
+// the universe size, the name count, the names and the accesses, in that
+// order. Sequence.Fingerprint, the writer's trailer and the scanner's
+// verification all run through it.
 type binHash struct{ h uint64 }
 
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
+	// fnvPrime64Pow6 is fnvPrime64^6 mod 2^64: the product of six FNV-1a
+	// steps over zero bytes, since XOR with a zero byte is the identity.
+	fnvPrime64Pow6 = fnvPrime64 * fnvPrime64 * fnvPrime64 * fnvPrime64 * fnvPrime64 * fnvPrime64 % (1 << 64)
 )
 
 func newBinHash() binHash { return binHash{h: fnvOffset64} }
 
+// mix folds the eight little-endian bytes of v into the hash, one FNV-1a
+// step per byte. When the six high bytes are zero (every access token of
+// a variable below 2^15) their steps collapse into one multiply.
 func (b *binHash) mix(v uint64) {
 	h := b.h
+	if v < 1<<16 {
+		h = (h ^ v&0xff) * fnvPrime64
+		h = (h ^ v>>8) * fnvPrime64
+		b.h = h * fnvPrime64Pow6
+		return
+	}
 	for i := 0; i < 8; i++ {
 		h ^= v & 0xff
 		h *= fnvPrime64
@@ -357,6 +370,7 @@ func (br *BinReader) ScanSequence() (*SeqScanner, error) {
 // reached io.EOF is guaranteed uncorrupted and untruncated.
 type SeqScanner struct {
 	r         byteScanner
+	mapped    *byteSliceScanner // r, when it reads mapped bytes
 	numVars   int
 	accesses  int64
 	names     []string
@@ -415,6 +429,7 @@ func newSeqScanner(r byteScanner) (*SeqScanner, error) {
 		r: r, numVars: int(nv), accesses: int64(ac), names: names,
 		remaining: int64(ac), hash: newBinHash(),
 	}
+	sc.mapped, _ = r.(*byteSliceScanner)
 	sc.hash.header(sc.numVars, names)
 	return sc, nil
 }
@@ -466,10 +481,19 @@ func (sc *SeqScanner) Next() (Access, error) {
 	if sc.remaining <= 0 {
 		return Access{}, sc.finish()
 	}
-	tok, err := binary.ReadUvarint(sc.r)
-	if err != nil {
-		sc.err = fmt.Errorf("trace: binary payload: %w", noEOF(err))
-		return Access{}, sc.err
+	var tok uint64
+	if m := sc.mapped; m != nil {
+		// Decode straight from the mapped bytes. A token that is
+		// truncated or overflows (n <= 0) is re-read below, so its
+		// error is exactly the buffered path's.
+		var n int
+		if tok, n = binary.Uvarint(m.data[m.pos:]); n > 0 {
+			m.pos += n
+		} else if err := sc.readToken(&tok); err != nil {
+			return Access{}, err
+		}
+	} else if err := sc.readToken(&tok); err != nil {
+		return Access{}, err
 	}
 	v := sc.prevVar + unzigzag(tok>>1)
 	if v < 0 || v >= int64(sc.numVars) {
@@ -481,6 +505,18 @@ func (sc *SeqScanner) Next() (Access, error) {
 	sc.hash.mixAccess(a)
 	sc.remaining--
 	return a, nil
+}
+
+// readToken decodes the next token through the byte reader, recording a
+// failure as the scanner's sticky error.
+func (sc *SeqScanner) readToken(tok *uint64) error {
+	t, err := binary.ReadUvarint(sc.r)
+	if err != nil {
+		sc.err = fmt.Errorf("trace: binary payload: %w", noEOF(err))
+		return sc.err
+	}
+	*tok = t
+	return nil
 }
 
 // badVariable builds the out-of-universe decode error — kept out of

@@ -2,9 +2,13 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -159,10 +163,39 @@ func TestBinaryAutoDrain(t *testing.T) {
 	}
 }
 
+// readBothSources decodes enc through the buffered decode path (a
+// bytes.Reader) and the mapped one (a byteSliceScanner over the same
+// bytes, as OpenBin builds for a mapped file) and requires the two to
+// agree: both fail with the same error, or both decode the same
+// benchmark.
+func readBothSources(t *testing.T, label string, enc []byte) (*Benchmark, error) {
+	t.Helper()
+	buffered, berr := ReadBinary(label, bytes.NewReader(enc))
+	mapped, merr := ReadBinary(label, newByteSliceScanner(enc))
+	switch {
+	case (berr == nil) != (merr == nil):
+		t.Fatalf("%s: buffered error %v, mapped error %v", label, berr, merr)
+	case berr != nil:
+		if berr.Error() != merr.Error() {
+			t.Fatalf("%s: buffered error %q, mapped error %q", label, berr, merr)
+		}
+		return nil, berr
+	case len(buffered.Sequences) != len(mapped.Sequences):
+		t.Fatalf("%s: %d sequences buffered, %d mapped", label, len(buffered.Sequences), len(mapped.Sequences))
+	}
+	for i, s := range buffered.Sequences {
+		if !s.ContentEqual(mapped.Sequences[i]) {
+			t.Fatalf("%s: sequence %d differs between the byte sources", label, i)
+		}
+	}
+	return buffered, nil
+}
+
 // TestBinaryTruncationRejected feeds every proper prefix of an encoded
 // file to the reader: each must fail cleanly (no panic, no silent
 // success) unless it happens to end exactly at a sequence boundary of a
 // shorter declared file — impossible here since the count is fixed.
+// Both byte sources must report the same error.
 func TestBinaryTruncationRejected(t *testing.T) {
 	b := testBenchmark(t)
 	var buf bytes.Buffer
@@ -171,7 +204,7 @@ func TestBinaryTruncationRejected(t *testing.T) {
 	}
 	enc := buf.Bytes()
 	for cut := 0; cut < len(enc); cut++ {
-		if _, err := ReadBinary("trunc", bytes.NewReader(enc[:cut])); err == nil {
+		if _, err := readBothSources(t, fmt.Sprintf("cut %d", cut), enc[:cut]); err == nil {
 			t.Fatalf("truncation at %d of %d bytes accepted", cut, len(enc))
 		}
 	}
@@ -180,7 +213,7 @@ func TestBinaryTruncationRejected(t *testing.T) {
 // TestBinaryCorruptionDetected flips every byte of the encoding in
 // turn: each mutation must either error out or decode to internally
 // consistent sequences — never panic, and a pure payload/trailer flip
-// must be caught by the fingerprint.
+// must be caught by the fingerprint. Both byte sources must agree.
 func TestBinaryCorruptionDetected(t *testing.T) {
 	b := testBenchmark(t)
 	var buf bytes.Buffer
@@ -191,7 +224,7 @@ func TestBinaryCorruptionDetected(t *testing.T) {
 	for i := range enc {
 		mut := append([]byte(nil), enc...)
 		mut[i] ^= 0x5a
-		got, err := ReadBinary("corrupt", bytes.NewReader(mut))
+		got, err := readBothSources(t, fmt.Sprintf("flip %d", i), mut)
 		if err != nil {
 			continue
 		}
@@ -199,6 +232,97 @@ func TestBinaryCorruptionDetected(t *testing.T) {
 			if verr := s.Validate(); verr != nil {
 				t.Fatalf("flip at byte %d: accepted inconsistent sequence %d: %v", i, j, verr)
 			}
+		}
+	}
+}
+
+// TestBinaryMalformedTokenRejected ends a payload in a varint that
+// binary.Uvarint cannot decode: one cut short (n == 0) and one of eleven
+// bytes (n < 0, overflow). Both byte sources must fail with the error
+// binary.ReadUvarint gives.
+func TestBinaryMalformedTokenRejected(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, &Benchmark{Name: "m", Sequences: []*Sequence{NewSequence(0)}}); err != nil {
+		t.Fatal(err)
+	}
+	enc := buf.Bytes()
+	payload := enc[:len(enc)-9] // drop the one-byte token and the 8-byte trailer
+	for _, tc := range []struct {
+		tail []byte
+		want string
+	}{
+		{[]byte{0x80, 0x80}, "unexpected EOF"},
+		{bytes.Repeat([]byte{0xff}, 11), "overflow"},
+	} {
+		mut := append(append([]byte(nil), payload...), tc.tail...)
+		if _, err := readBothSources(t, fmt.Sprintf("token %x", tc.tail), mut); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("token %x: %v, want an error containing %q", tc.tail, err, tc.want)
+		}
+	}
+}
+
+// refMix is FNV-1a over the eight little-endian bytes of v, one byte at
+// a time: the definition binHash.mix must reproduce. It is kept apart
+// from binHash so that a fault in the shared helper cannot hide behind
+// the scanner-versus-Fingerprint checks, which both run through it.
+func refMix(h, v uint64) uint64 {
+	for i := 0; i < 8; i++ {
+		h ^= v & 0xff
+		h *= fnvPrime64
+		v >>= 8
+	}
+	return h
+}
+
+// refFingerprint is Sequence.Fingerprint written with refMix.
+func refFingerprint(s *Sequence) uint64 {
+	h := refMix(fnvOffset64, uint64(s.NumVars()))
+	h = refMix(h, uint64(len(s.Names)))
+	for _, n := range s.Names {
+		for i := 0; i < len(n); i++ {
+			h ^= uint64(n[i])
+			h *= fnvPrime64
+		}
+		h ^= 0xff
+		h *= fnvPrime64
+	}
+	for _, a := range s.Accesses {
+		v := uint64(a.Var) << 1
+		if a.Write {
+			v |= 1
+		}
+		h = refMix(h, v)
+	}
+	return h
+}
+
+// TestBinHashMatchesBytewiseFNV pins binHash.mix, whose values below
+// 2^16 take the folded step, to the byte-wise FNV-1a definition at the
+// edges of the fold and over random values of every magnitude, and
+// Sequence.Fingerprint to the byte-wise reference.
+func TestBinHashMatchesBytewiseFNV(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	vals := []uint64{0, 1, 0xff, 0x100, 0xfffe, 0xffff, 0x10000, 0x10001, 1 << 63, math.MaxUint64}
+	for i := 0; i < 2000; i++ {
+		vals = append(vals, rng.Uint64()>>rng.Intn(64))
+	}
+	for _, start := range []uint64{fnvOffset64, 0, rng.Uint64()} {
+		for _, v := range vals {
+			b := binHash{h: start}
+			b.mix(v)
+			if want := refMix(start, v); b.h != want {
+				t.Fatalf("mix(%#x) from %#x = %#x, byte-wise %#x", v, start, b.h, want)
+			}
+		}
+	}
+	for _, s := range []*Sequence{
+		{},
+		NewSequence(0, 1, 0, 2, 0x7fff, 0x8000, 1<<20, 0),
+		testBenchmark(t).Sequences[0],
+	} {
+		s.Accesses = append(s.Accesses, Access{Var: 3, Write: true})
+		if got, want := s.Fingerprint(), refFingerprint(s); got != want {
+			t.Fatalf("Fingerprint %#x, byte-wise reference %#x, for %v", got, want, s)
 		}
 	}
 }

@@ -194,36 +194,12 @@ func (s *Sequence) Clone() *Sequence {
 // (the public API's kernel cache) key on. Collisions must be resolved by
 // ContentEqual.
 func (s *Sequence) Fingerprint() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
-	}
-	mix(uint64(s.NumVars()))
-	mix(uint64(len(s.Names)))
-	for _, n := range s.Names {
-		for i := 0; i < len(n); i++ {
-			h ^= uint64(n[i])
-			h *= prime64
-		}
-		h ^= 0xff // name separator
-		h *= prime64
-	}
+	h := newBinHash()
+	h.header(s.NumVars(), s.Names)
 	for _, a := range s.Accesses {
-		v := uint64(a.Var) << 1
-		if a.Write {
-			v |= 1
-		}
-		mix(v)
+		h.mixAccess(a)
 	}
-	return h
+	return h.h
 }
 
 // ContentEqual reports whether two sequences describe the identical

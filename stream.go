@@ -113,10 +113,13 @@ func NewStreamCostKernel(numVars int, r AccessReader) (*CostKernel, error) {
 // O(stream).
 //
 // numVars declares the stream's variable universe; every access must lie
-// in [0, numVars). With a window no smaller than the stream the result
-// equals placing the whole trace at once. The cost model is single-port;
-// a Lab whose device has more ports must pin PlaceOptions.Ports to 1 to
-// stream. Each placed window is reported to the progress callback as a
+// in [0, numVars), and memory does not grow with it. With a window no
+// smaller than the stream the result equals placing the whole trace at
+// once. The shift model follows the device's port count (or
+// PlaceOptions.Ports), as in Lab.Place: with more than one port the
+// track offsets carry across windows under the nearest-port model. A
+// strategy sees each window's sequence only for the duration of its
+// call. Each placed window is reported to the progress callback as a
 // finished cell carrying the cumulative stitched shift count.
 func (l *Lab) PlaceStream(ctx context.Context, numVars int, r AccessReader, opts PlaceOptions) (*StreamResult, error) {
 	if ctx == nil {

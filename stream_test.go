@@ -147,16 +147,43 @@ func TestStreamCostKernelPublic(t *testing.T) {
 	}
 }
 
-// TestPlaceStreamMultiPortRejected pins the documented single-port
-// restriction at the public layer.
-func TestPlaceStreamMultiPortRejected(t *testing.T) {
-	s, err := ParseSequence("a b a b")
+// TestPlaceStreamMultiPort pins streamed placement under the
+// multi-port model at the public layer: on a two-port Lab a window
+// covering the stream costs exactly what Lab.Place reports (the
+// whole-trace PortCost, which the device simulation replays), and a
+// windowed run still splits its total into window and migration shifts.
+func TestPlaceStreamMultiPort(t *testing.T) {
+	lab, err := New(WithDevice(4), WithPorts(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := newLab(t).PlaceStream(context.Background(), s.NumVars(), NewSequenceReader(s), PlaceOptions{
-		Ports: 2,
-	}); err == nil {
-		t.Fatal("multi-port streamed placement accepted")
+	s, err := ParseSequence("a b a c b a d c a b e d a c e b a d e c a b a f! e f c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, strat := range []Strategy{AFDOFU, DMAOFU, DMASR, DMA2Opt} {
+		want, err := lab.Place(ctx, s, PlaceOptions{Strategy: strat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := lab.Simulate(ctx, s, want.Placement)
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole, err := lab.PlaceStream(ctx, s.NumVars(), NewSequenceReader(s), PlaceOptions{Strategy: strat, Window: s.Len()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if whole.Shifts != want.Shifts || whole.Shifts != sim.Counts.Shifts || whole.Windows != 1 || whole.MigrationShifts != 0 {
+			t.Fatalf("%s: streamed %+v, Lab.Place %d shifts, device %d", strat, whole, want.Shifts, sim.Counts.Shifts)
+		}
+		windowed, err := lab.PlaceStream(ctx, s.NumVars(), NewSequenceReader(s), PlaceOptions{Strategy: strat, Window: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if windowed.Windows != 6 || windowed.Shifts != windowed.WindowShifts+windowed.MigrationShifts {
+			t.Fatalf("%s: windowed run %+v", strat, windowed)
+		}
 	}
 }
