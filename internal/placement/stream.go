@@ -346,15 +346,8 @@ func (w *streamWindow) migrate(l *Lookup, res *StreamResult) {
 func (w *streamWindow) replay(l *Lookup, res *StreamResult) {
 	var shifts, writes int64
 	if w.pm == nil {
-		// charge's single-port step, written out: this loop runs once
-		// per access and charge does not inline.
-		off := w.off
 		for _, a := range w.buf {
-			d, x := l.DBCOf[a.Var], l.Offset[a.Var]
-			if o := off[d]; o != portCold {
-				shifts += absDist(o, x)
-			}
-			off[d] = x
+			shifts += w.chargeOnePort(l.DBCOf[a.Var], l.Offset[a.Var])
 		}
 	} else {
 		for _, a := range w.buf {
@@ -375,14 +368,10 @@ func (w *streamWindow) replay(l *Lookup, res *StreamResult) {
 // cost. The first access to a DBC is free, as in portCostLookup; with
 // more than one port it leaves the track aligned to the cheapest port.
 func (w *streamWindow) charge(d, x int) int64 {
-	o := w.off[d]
 	if w.pm == nil {
-		w.off[d] = x
-		if o == portCold {
-			return 0
-		}
-		return absDist(o, x)
+		return w.chargeOnePort(d, x)
 	}
+	o := w.off[d]
 	if o == portCold {
 		_, w.off[d] = w.pm.step(0, x)
 		return 0
@@ -390,6 +379,17 @@ func (w *streamWindow) charge(d, x int) int64 {
 	c, no := w.pm.step(o, x)
 	w.off[d] = no
 	return int64(c)
+}
+
+// chargeOnePort is charge under the single-port |x−y| model, small
+// enough to inline into replay's per-access loop.
+func (w *streamWindow) chargeOnePort(d, x int) int64 {
+	o := w.off[d]
+	w.off[d] = x
+	if o == portCold {
+		return 0
+	}
+	return absDist(o, x)
 }
 
 // advance makes this window's layout the residency the next boundary

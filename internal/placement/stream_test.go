@@ -209,6 +209,18 @@ func TestPlaceStreamedErrors(t *testing.T) {
 	if _, err := PlaceStreamed(ctx, trace.NewSliceReader(s), bad); err == nil {
 		t.Fatal("impossible port layout accepted")
 	}
+	overfull, err := NewRegistry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := overfull.Register(extraDBCStrategy{}); err != nil {
+		t.Fatal(err)
+	}
+	bad = base
+	bad.Registry, bad.Strategy = overfull, StrategyID(extraDBCStrategy{}.Name())
+	if _, err := PlaceStreamed(ctx, trace.NewSliceReader(s), bad); err == nil {
+		t.Fatal("placement into more DBCs than configured accepted")
+	}
 	bad = base
 	bad.NumVars = 1 // stream accesses variable 1
 	if _, err := PlaceStreamed(ctx, trace.NewSliceReader(s), bad); err == nil {
@@ -237,6 +249,20 @@ func TestPlaceStreamedErrors(t *testing.T) {
 	if res.Accesses != 0 || res.Windows != 0 || res.Shifts != 0 {
 		t.Fatalf("empty stream result %+v", res)
 	}
+}
+
+// extraDBCStrategy places every variable into DBC q, one past the last
+// DBC it was given.
+type extraDBCStrategy struct{}
+
+func (extraDBCStrategy) Name() string { return "extra-DBC" }
+
+func (extraDBCStrategy) Place(s *trace.Sequence, q int, _ Options) (*Placement, int64, error) {
+	p := &Placement{DBC: make([][]int, q+1)}
+	for v := 0; v < s.NumVars(); v++ {
+		p.DBC[q] = append(p.DBC[q], v)
+	}
+	return p, 0, nil
 }
 
 // TestPlaceStreamedMigrationVsWhole sanity-checks the economics on a
