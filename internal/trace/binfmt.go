@@ -482,18 +482,21 @@ func (sc *SeqScanner) Next() (Access, error) {
 		return Access{}, sc.finish()
 	}
 	var tok uint64
+	var n int
 	if m := sc.mapped; m != nil {
-		// Decode straight from the mapped bytes. A token that is
-		// truncated or overflows (n <= 0) is re-read below, so its
-		// error is exactly the buffered path's.
-		var n int
+		// Decode straight from the mapped bytes. A token binary.Uvarint
+		// cannot decode whole (n <= 0: cut short or overflowing) is
+		// re-read through the byte reader, so its error is the buffered
+		// path's.
 		if tok, n = binary.Uvarint(m.data[m.pos:]); n > 0 {
 			m.pos += n
-		} else if err := sc.readToken(&tok); err != nil {
+		}
+	}
+	if n <= 0 {
+		var err error
+		if tok, err = sc.readToken(); err != nil {
 			return Access{}, err
 		}
-	} else if err := sc.readToken(&tok); err != nil {
-		return Access{}, err
 	}
 	v := sc.prevVar + unzigzag(tok>>1)
 	if v < 0 || v >= int64(sc.numVars) {
@@ -509,14 +512,13 @@ func (sc *SeqScanner) Next() (Access, error) {
 
 // readToken decodes the next token through the byte reader, recording a
 // failure as the scanner's sticky error.
-func (sc *SeqScanner) readToken(tok *uint64) error {
-	t, err := binary.ReadUvarint(sc.r)
+func (sc *SeqScanner) readToken() (uint64, error) {
+	tok, err := binary.ReadUvarint(sc.r)
 	if err != nil {
 		sc.err = fmt.Errorf("trace: binary payload: %w", noEOF(err))
-		return sc.err
+		return 0, sc.err
 	}
-	*tok = t
-	return nil
+	return tok, nil
 }
 
 // badVariable builds the out-of-universe decode error — kept out of
