@@ -265,6 +265,9 @@ type streamWindow struct {
 // migration is one variable moving at a window boundary.
 type migration struct{ g, lid, dbc, off int }
 
+// newStreamWindow sizes the access buffer for a whole window up to
+// DefaultStreamWindow, since growing it by append would allocate several
+// times its final size; a longer window grows it on demand.
 func newStreamWindow(q, window int, pm *PortModel) *streamWindow {
 	w := &streamWindow{
 		buf: make([]trace.Access, 0, min(window, DefaultStreamWindow)),

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -441,40 +440,18 @@ func TestPlaceStreamedMatchesEngineReference(t *testing.T) {
 	}
 }
 
-// ciStreamFile writes perfbench's first stream trace to a binary file:
-// the CI big-trace shape (512 variables, 32–256 loop repetitions, one
-// scattered access between loops) at 2^20 accesses.
+// ciStreamFile writes the access stream of perfbench's first stream
+// trace to a binary file: the CI big-trace shape (512 variables, 32–256
+// loop repetitions, one scattered access between loops) at 2^20
+// accesses.
 func ciStreamFile(tb testing.TB) string {
 	tb.Helper()
-	cfg := trace.SynthConfig{Vars: 512, Accesses: 1 << 20, Seed: 1001, RepMin: 32, RepMax: 256, ScatterLen: 1}
-	gen, err := trace.NewSynthReader(cfg)
+	s, err := trace.SynthConfig{Vars: 512, Accesses: 1 << 20, Seed: 1001, RepMin: 32, RepMax: 256, ScatterLen: 1}.Sequence()
 	if err != nil {
 		tb.Fatal(err)
 	}
 	var buf bytes.Buffer
-	bw, err := trace.NewBinWriter(&buf, 1)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if err := bw.BeginSequence(cfg.Vars, cfg.Accesses, nil); err != nil {
-		tb.Fatal(err)
-	}
-	for {
-		a, err := gen.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			tb.Fatal(err)
-		}
-		if err := bw.Append(a); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	if err := bw.EndSequence(); err != nil {
-		tb.Fatal(err)
-	}
-	if err := bw.Close(); err != nil {
+	if err := trace.WriteBinary(&buf, &trace.Benchmark{Name: "ci", Sequences: []*trace.Sequence{s}}); err != nil {
 		tb.Fatal(err)
 	}
 	path := filepath.Join(tb.TempDir(), "ci.rtb")
