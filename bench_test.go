@@ -251,70 +251,6 @@ func BenchmarkAblationDisjointIntra(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationAdmissionRule compares the paper's strict Av > sum
-// admission against admitting ties (Av >= sum).
-func BenchmarkAblationAdmissionRule(b *testing.B) {
-	seq := ablationWorkload(b)
-	a := trace.Analyze(seq)
-	for _, mode := range []struct {
-		name string
-		ties bool
-	}{{"strict", false}, {"admit-ties", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var cost int64
-			for i := 0; i < b.N; i++ {
-				r, err := placement.DMAWithRule(a, 4, 0, mode.ties)
-				if err != nil {
-					b.Fatal(err)
-				}
-				c, err := placement.ShiftCost(seq, r.Placement)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cost = c
-			}
-			b.ReportMetric(float64(cost), "shifts")
-		})
-	}
-}
-
-// BenchmarkAblationMultiSet compares plain DMA against the future-work
-// multi-set extraction (paper section VI) on the synthetic suite.
-func BenchmarkAblationMultiSet(b *testing.B) {
-	seq := ablationWorkload(b)
-	a := trace.Analyze(seq)
-	for _, mode := range []struct {
-		name  string
-		multi bool
-	}{{"single-set", false}, {"multi-set", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			var cost int64
-			for i := 0; i < b.N; i++ {
-				var p *placement.Placement
-				if mode.multi {
-					r, err := placement.DMAMulti(a, 4, 0, 0)
-					if err != nil {
-						b.Fatal(err)
-					}
-					p = r.Placement
-				} else {
-					r, err := placement.DMA(a, 4, 0)
-					if err != nil {
-						b.Fatal(err)
-					}
-					p = r.Placement
-				}
-				c, err := placement.ShiftCost(seq, p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cost = c
-			}
-			b.ReportMetric(float64(cost), "shifts")
-		})
-	}
-}
-
 // BenchmarkAblationTwoOpt measures what a 2-opt polish pass (the TSP view
 // of offset assignment, the paper's ref [4]) adds on top of each intra
 // heuristic.

@@ -1,3 +1,10 @@
+// Package engine is the shared concurrent experiment engine (see
+// DESIGN.md §4). Every batch computation in the repository — the eval
+// drivers behind the paper's figures, the public PlaceBenchmark API and
+// the CLI tools — fans work out through the same deterministic worker
+// pool (internal/pool) instead of hand-rolling goroutine plumbing. The
+// determinism contract is the pool's: results are position-stable and
+// independent of worker count and scheduling.
 package engine
 
 import (
@@ -6,6 +13,7 @@ import (
 	"fmt"
 
 	"repro/internal/placement"
+	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -101,7 +109,7 @@ func BatchPlace(ctx context.Context, jobs []PlaceJob, workers int, hooks Hooks) 
 	if err != nil {
 		return nil, err
 	}
-	return Map(ctx, len(jobs), workers, func(ctx context.Context, i int) (PlaceOutcome, error) {
+	return pool.Map(ctx, len(jobs), workers, func(ctx context.Context, i int) (PlaceOutcome, error) {
 		j := jobs[i]
 		if hooks.Progress != nil {
 			hooks.Progress(Event{Index: i, Total: len(jobs), Sequence: j.Sequence, Strategy: j.Strategy, DBCs: j.DBCs})
@@ -156,7 +164,7 @@ func cellKernels(ctx context.Context, n, workers int, hooks Hooks, cell func(i i
 	if source == nil {
 		source = placement.NewCostKernel
 	}
-	built, err := Map(ctx, len(distinct), workers, func(_ context.Context, i int) (*placement.CostKernel, error) {
+	built, err := pool.Map(ctx, len(distinct), workers, func(_ context.Context, i int) (*placement.CostKernel, error) {
 		return source(distinct[i]), nil
 	})
 	if err != nil {
@@ -193,7 +201,7 @@ func BatchSimulate(ctx context.Context, jobs []SimJob, workers int, hooks Hooks)
 	if err != nil {
 		return nil, err
 	}
-	return Map(ctx, len(jobs), workers, func(ctx context.Context, i int) (sim.Result, error) {
+	return pool.Map(ctx, len(jobs), workers, func(ctx context.Context, i int) (sim.Result, error) {
 		j := jobs[i]
 		q := j.Config.Geometry.DBCs()
 		if hooks.Progress != nil {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/placement"
+	"repro/internal/pool"
 	"repro/internal/rtm"
 	"repro/internal/trace"
 )
@@ -121,7 +122,7 @@ func PortsSweep(ctx context.Context, cfg Config, maxPorts int) (*PortsResult, er
 		if err != nil {
 			return nil, fmt.Errorf("eval: ports: %w", err)
 		}
-		replay, err := engine.Map(ctx, len(seqs), cfg.workers(),
+		replay, err := pool.Map(ctx, len(seqs), cfg.workers(),
 			func(_ context.Context, i int) ([]int64, error) {
 				costs := make([]int64, ns)
 				for si := range strategies {

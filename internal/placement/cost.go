@@ -2,16 +2,17 @@ package placement
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
-	"repro/internal/rtm"
 	"repro/internal/trace"
 )
 
 // ShiftCost replays the access sequence against the placement and returns
 // the total number of shift operations under the paper's cost model: per
 // DBC, each access costs the absolute offset distance from the previously
-// accessed variable in that DBC; the first access of each DBC is free.
+// accessed variable in that DBC; the first access of each DBC is free. An
+// access to a variable the placement leaves out is an error.
 //
 // The replay is the repository's cost *oracle*: every other evaluator —
 // the O(nnz) CostKernel full evaluation and the O(freq) DeltaEvaluator
@@ -26,9 +27,18 @@ func ShiftCost(s *trace.Sequence, p *Placement) (int64, error) {
 		return 0, err
 	}
 	sc := replayPool.Get().(*replayScratch)
-	c := shiftCostLookup(s, l, sc.grow(numDBCsIn(l)))
+	c, unplaced := shiftCostLookupBounded(s, l, sc.grow(numDBCsIn(l)), math.MaxInt64)
 	replayPool.Put(sc)
+	if unplaced >= 0 {
+		return 0, unplacedAccess(s, unplaced)
+	}
 	return c, nil
+}
+
+// unplacedAccess reports access i of s, whose variable the placement
+// leaves out.
+func unplacedAccess(s *trace.Sequence, i int) error {
+	return fmt.Errorf("placement: access %d to unplaced variable %s", i, s.Name(s.Accesses[i].Var))
 }
 
 // replayScratch is the reusable last-offset buffer of the replay loop,
@@ -38,7 +48,8 @@ type replayScratch struct{ last []int }
 var replayPool = sync.Pool{New: func() any { return new(replayScratch) }}
 
 // grow returns the scratch resized to q entries, reusing the backing
-// array when it is large enough. shiftCostLookup resets the contents.
+// array when it is large enough. shiftCostLookupBounded resets the
+// contents.
 func (sc *replayScratch) grow(q int) []int {
 	if cap(sc.last) < q {
 		sc.last = make([]int, q)
@@ -47,43 +58,28 @@ func (sc *replayScratch) grow(q int) []int {
 	return sc.last
 }
 
-// shiftCostLookup is the allocation-free inner loop of the replay path.
-// The lookup must cover every accessed variable; last must have one entry
-// per DBC of the lookup (callers thread a reusable buffer through).
-func shiftCostLookup(s *trace.Sequence, l *Lookup, last []int) int64 {
+// shiftCostLookupBounded is the allocation-free inner loop of the replay
+// path, with an abort threshold: the running total only grows, so once
+// it reaches bound the final cost provably does too and the replay
+// stops. Exact below bound; at or above bound the value is only a
+// certificate that cost >= bound. Best-of-N searches use it to discard
+// losing placements early; math.MaxInt64 prices the whole stream. last
+// must have one entry per DBC of the lookup (callers thread a reusable
+// buffer through). unplaced is -1, or the index of the first access to
+// a variable the lookup leaves out, where the replay stops.
+//
+//rtm:hotpath
+func shiftCostLookupBounded(s *trace.Sequence, l *Lookup, last []int, bound int64) (total int64, unplaced int) {
 	// last[d] is the offset of the previously accessed variable in DBC d,
 	// or -1 when the DBC is still cold.
 	for i := range last {
 		last[i] = -1
 	}
-	var total int64
-	for _, a := range s.Accesses {
+	for i, a := range s.Accesses {
 		d := l.DBCOf[a.Var]
-		off := l.Offset[a.Var]
-		if prev := last[d]; prev >= 0 {
-			if off > prev {
-				total += int64(off - prev)
-			} else {
-				total += int64(prev - off)
-			}
+		if uint(d) >= uint(len(last)) {
+			return total, i
 		}
-		last[d] = off
-	}
-	return total
-}
-
-// shiftCostLookupBounded is shiftCostLookup with an abort threshold: the
-// running total only grows, so once it reaches bound the final cost
-// provably does too and the replay stops. Exact below bound; at or
-// above bound the value is only a certificate that cost >= bound.
-// Best-of-N searches use it to discard losing placements early.
-func shiftCostLookupBounded(s *trace.Sequence, l *Lookup, last []int, bound int64) int64 {
-	for i := range last {
-		last[i] = -1
-	}
-	var total int64
-	for _, a := range s.Accesses {
-		d := l.DBCOf[a.Var]
 		off := l.Offset[a.Var]
 		if prev := last[d]; prev >= 0 {
 			if off > prev {
@@ -92,12 +88,12 @@ func shiftCostLookupBounded(s *trace.Sequence, l *Lookup, last []int, bound int6
 				total += int64(prev - off)
 			}
 			if total >= bound {
-				return total
+				return total, -1
 			}
 		}
 		last[d] = off
 	}
-	return total
+	return total, -1
 }
 
 // shiftCostPerDBC is the replay loop with per-DBC attribution: one
@@ -105,6 +101,8 @@ func shiftCostLookupBounded(s *trace.Sequence, l *Lookup, last []int, bound int6
 // DBC cost cache uses it to fill all missing entries together when a
 // placement shares little with previously priced ones). per must hold
 // one entry per DBC; it is zeroed here.
+//
+//rtm:hotpath
 func shiftCostPerDBC(s *trace.Sequence, l *Lookup, last []int, per []int64) {
 	for i := range last {
 		last[i] = -1
@@ -157,7 +155,7 @@ func ShiftCostBreakdown(s *trace.Sequence, p *Placement) (*CostBreakdown, error)
 	for i, a := range s.Accesses {
 		d := l.DBCOf[a.Var]
 		if d < 0 || d >= q {
-			return nil, fmt.Errorf("placement: access %d to unplaced variable %s", i, s.Name(a.Var))
+			return nil, unplacedAccess(s, i)
 		}
 		off := l.Offset[a.Var]
 		if prev := last[d]; prev >= 0 {
@@ -172,72 +170,4 @@ func ShiftCostBreakdown(s *trace.Sequence, p *Placement) (*CostBreakdown, error)
 		b.Accesses[d]++
 	}
 	return b, nil
-}
-
-// EngineCost replays the sequence through rtm shift engines, one per DBC,
-// supporting multi-port geometries. domainsPerDBC must be at least the
-// fullest DBC of the placement; ports is the number of access ports per
-// track, spread by the canonical rtm.PortPositions rule over
-// domainsPerDBC domains. With ports == 1 this matches ShiftCost exactly.
-//
-// EngineCost (and EngineCostAt, its explicit-layout form) is the
-// repository's multi-port cost *oracle*: the allocation-free PortModel
-// evaluators in portcost.go are pinned bit-identical to it
-// (FuzzPortCostParity). Hot paths use those; this replay exists to be
-// trivially correct by construction.
-func EngineCost(s *trace.Sequence, p *Placement, domainsPerDBC, ports int) (int64, error) {
-	pos, err := rtm.PortPositions(domainsPerDBC, ports)
-	if err != nil {
-		return 0, err
-	}
-	return EngineCostAt(s, p, domainsPerDBC, pos)
-}
-
-// EngineCostAt is EngineCost with an explicit port layout, for devices
-// whose track length grew past the geometry the ports were fabricated
-// for (the layout then derives from the geometry's length, not the
-// grown one — see rtm.NewShiftEngineAt and sim.RunSequence).
-func EngineCostAt(s *trace.Sequence, p *Placement, domainsPerDBC int, portPos []int) (int64, error) {
-	if n := p.MaxDBCLen(); domainsPerDBC < n {
-		return 0, fmt.Errorf("placement: DBC holds %d variables but device has %d domains", n, domainsPerDBC)
-	}
-	l, err := p.BuildLookup(s.NumVars())
-	if err != nil {
-		return 0, err
-	}
-	engines := make([]*rtm.ShiftEngine, len(p.DBC))
-	for i := range engines {
-		e, err := rtm.NewShiftEngineAt(domainsPerDBC, portPos)
-		if err != nil {
-			return 0, err
-		}
-		engines[i] = e
-	}
-	var total int64
-	for i, a := range s.Accesses {
-		d := l.DBCOf[a.Var]
-		if d < 0 {
-			return 0, fmt.Errorf("placement: access %d to unplaced variable %s", i, s.Name(a.Var))
-		}
-		c, err := engines[d].Access(l.Offset[a.Var])
-		if err != nil {
-			return 0, err
-		}
-		total += int64(c)
-	}
-	return total, nil
-}
-
-// LowerBound returns a simple lower bound on the shift cost of any
-// placement into q DBCs. For q == 1 every transition between distinct
-// variables costs at least one shift (distinct variables occupy distinct
-// offsets), so the non-self transition count bounds the cost from below.
-// For q > 1 a transition pair can be split across DBCs at zero cost, so
-// the only safe generic bound is zero.
-func LowerBound(s *trace.Sequence, q int) int64 {
-	if q > 1 {
-		return 0
-	}
-	g := trace.BuildGraph(s)
-	return int64(g.TotalWeight())
 }

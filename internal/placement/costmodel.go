@@ -50,9 +50,12 @@ const (
 	ObjectiveEnergy Objective = "energy"
 	// ObjectiveRuntime is the serialized-access runtime in nanoseconds.
 	ObjectiveRuntime Objective = "runtime"
-	// ObjectiveFaulty is expected runtime under the FaultyEngine error
-	// model: every shift slips with probability p and the 1/(1-p)
-	// geometric correction overhead inflates the shift term.
+	// ObjectiveFaulty is expected runtime under a shift-fault model:
+	// every shift slips by one domain with probability p, and a
+	// detect-and-correct controller re-aligns the track with corrective
+	// shifts that may slip again. The 1/(1-p) bound on that overhead
+	// (rtm.ExpectedShiftOverhead, checked against the Monte-Carlo
+	// FaultyEngine in rtm's tests) inflates the shift term.
 	ObjectiveFaulty Objective = "faulty"
 )
 
@@ -157,7 +160,8 @@ type CostModel struct {
 // NewCostModel builds a pricing model. params supplies the Table I
 // latencies/energies (a zero Params is accepted only for the shifts
 // objective, which needs no device constants); faultRate is the
-// per-shift slip probability of the FaultyEngine error model, in [0,1).
+// per-shift slip probability p of ObjectiveFaulty's fault model, in
+// [0,1).
 // Construction fails if the objective's scalar would not be strictly
 // increasing in the shift count — negative parameters, or a runtime/
 // energy objective whose shift coefficient is zero — because the search

@@ -497,7 +497,8 @@ func (f *fitness) price(g *genome) {
 		return
 	}
 	if f.port != nil {
-		g.total = portCostLookup(f.s, &g.lookup, f.port, f.off)
+		// A genome places every variable, so no access is unplaced.
+		g.total, _ = portCostLookupBounded(f.s, &g.lookup, f.port, f.off, math.MaxInt64)
 		clear(g.dirty)
 		return
 	}
@@ -784,13 +785,15 @@ func RandomWalk(s *trace.Sequence, q int, cfg RWConfig) (*Placement, int64, erro
 	for it := 0; it < cfg.Iterations; it++ {
 		randomPlacementLookup(p, lookup, rng, vars, cfg.Capacity)
 		var c int64
+		// A random placement places every variable, so no access is
+		// unplaced.
 		switch {
 		case cfg.Port != nil:
-			c = portCostLookupBounded(s, lookup, cfg.Port, last, bestCost)
+			c, _ = portCostLookupBounded(s, lookup, cfg.Port, last, bestCost)
 		case useKernel:
 			c = kern.CostBounded(lookup, bestCost)
 		default:
-			c = shiftCostLookupBounded(s, lookup, last, bestCost)
+			c, _ = shiftCostLookupBounded(s, lookup, last, bestCost)
 		}
 		// c is exact whenever it is below bestCost (bounded evaluation),
 		// so comparing raw shift counts here is comparing scalarized

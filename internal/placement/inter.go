@@ -63,17 +63,10 @@ func DMA(a *trace.Analysis, q, capacity int) (*DMAResult, error) {
 	if capacity < 0 {
 		return nil, fmt.Errorf("placement: capacity must be non-negative, got %d", capacity)
 	}
-	// Greedy disjoint-set extraction over the variables in ascending order
-	// of first occurrence (Algorithm 1 lines 5-12; see dmamulti.go for the
-	// shared scan).
-	vdj, remaining := extractDisjoint(a, a.ByFirstUse(), false)
-	return assembleDMA(a, q, capacity, vdj, remaining)
-}
+	// Step 1: greedy disjoint-set extraction over the variables in
+	// ascending order of first occurrence.
+	vdj, remaining := extractDisjoint(a, a.ByFirstUse())
 
-// assembleDMA performs Algorithm 1 lines 13-21: size the disjoint region,
-// distribute the disjoint variables round-robin in first-use order and the
-// rest round-robin in descending frequency.
-func assembleDMA(a *trace.Analysis, q, capacity int, vdj, remaining []int) (*DMAResult, error) {
 	// A single DBC cannot separate disjoint from non-disjoint variables;
 	// Algorithm 1 needs at least one DBC for each non-empty class.
 	k := 0
@@ -130,6 +123,27 @@ func assembleDMA(a *trace.Analysis, q, capacity int, vdj, remaining []int) (*DMA
 	}
 
 	return &DMAResult{Placement: p, DisjointDBCs: k, Disjoint: vdj}, nil
+}
+
+// extractDisjoint runs one greedy pass of Algorithm 1 lines 5-12 over the
+// candidate variables (which must be in ascending first-use order) and
+// returns (selected, remaining), both in ascending first-use order.
+func extractDisjoint(a *trace.Analysis, candidates []int) (selected, remaining []int) {
+	tmin := 0
+	for idx, v := range candidates {
+		if a.First[v] > tmin {
+			others := make([]int, 0, len(remaining)+len(candidates)-idx-1)
+			others = append(others, remaining...)
+			others = append(others, candidates[idx+1:]...)
+			if a.Freq[v] > a.InnerFreqSum(v, others) {
+				selected = append(selected, v)
+				tmin = a.Last[v]
+				continue
+			}
+		}
+		remaining = append(remaining, v)
+	}
+	return selected, remaining
 }
 
 // mergeByFirstUse merges two first-use-ordered variable lists, preserving

@@ -45,7 +45,7 @@ import (
 // afterwards, hence safe for concurrent use from any number of
 // evaluation goroutines. Cost is allocation-free; callers own the Lookup
 // scratch. The single-port cost model only: multi-port geometries go
-// through EngineCost.
+// through PortCost.
 type CostKernel struct {
 	seq      *trace.Sequence
 	numVars  int

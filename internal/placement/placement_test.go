@@ -2,6 +2,7 @@ package placement
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -236,6 +237,21 @@ func TestDMAErrors(t *testing.T) {
 	}
 	if _, err := DMA(a, 2, -1); err == nil {
 		t.Error("negative capacity accepted")
+	}
+}
+
+// TestDMAStrictAdmissionRule pins the paper's strict rule Av > sum: a
+// variable whose frequency only equals the summed frequencies nested in
+// its lifespan stays out of the disjoint set.
+func TestDMAStrictAdmissionRule(t *testing.T) {
+	// 0 .. 1 1 .. 0: Av(0) = 2 equals the inner sum Av(1) = 2.
+	s := trace.NewSequence(0, 1, 1, 0, 2, 2)
+	r, err := DMA(trace.Analyze(s), 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{1, 2}; !slices.Equal(r.Disjoint, want) {
+		t.Errorf("disjoint set %v, want %v", r.Disjoint, want)
 	}
 }
 

@@ -1,7 +1,7 @@
 package placement
 
 import (
-	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/rtm"
@@ -17,9 +17,9 @@ import (
 // nearest port by shift distance, lowest-index port on ties, first
 // access per DBC free with the track pre-aligned to its cheapest port —
 // so evaluating a placement through a PortModel is bit-identical to
-// replaying it through one shift engine per DBC (EngineCost stays the
-// test oracle; see TestPortCostMatchesEngine and FuzzPortCostParity),
-// without allocating engines or lookups per call.
+// replaying it through one shift engine per DBC (TestPortCostMatchesEngine
+// and FuzzPortCostParity hold it to such a replay), without allocating
+// engines or lookups per call.
 //
 // Unlike the single-port model, multi-port cost is *stateful*: the cost
 // of a transition depends on which port served the previous access,
@@ -64,10 +64,6 @@ func (m *PortModel) Ports() int { return m.ports }
 // Positions returns a copy of the port positions.
 func (m *PortModel) Positions() []int { return append([]int(nil), m.pos...) }
 
-// SinglePort reports whether the model degenerates to the paper's
-// single-port |x−y| arithmetic.
-func (m *PortModel) SinglePort() bool { return m.ports == 1 }
-
 // step serves one warm access to location x from shift offset off: it
 // returns the shift cost to the nearest port and the new offset. The
 // selection loop is rtm.ShiftEngine.Access's, including the
@@ -103,7 +99,8 @@ var portPool = sync.Pool{New: func() any { return new(portScratch) }}
 const portCold = int(^uint(0) >> 1) // MaxInt: never a reachable offset
 
 // grow returns the scratch resized to q entries, reusing the backing
-// array when it is large enough. portCostLookup resets the contents.
+// array when it is large enough. portCostLookupBounded resets the
+// contents.
 func (sc *portScratch) grow(q int) []int {
 	if cap(sc.off) < q {
 		sc.off = make([]int, q)
@@ -113,75 +110,60 @@ func (sc *portScratch) grow(q int) []int {
 }
 
 // PortCost replays the access sequence against the placement under the
-// multi-port model and returns the exact total shift count — what
-// EngineCost computes by allocating one rtm.ShiftEngine per DBC, here
-// with pooled scratch only. The hot inner loop (portCostLookup) is
-// allocation-free; callers pricing many placements of one sequence
-// should build the Lookup once and call it directly.
+// multi-port model and returns the exact total shift count — what one
+// rtm.ShiftEngine per DBC would count, here with pooled scratch only. As
+// in ShiftCost, an access to a variable the placement leaves out is an
+// error. The hot inner loop (portCostLookupBounded) is allocation-free;
+// callers pricing many placements of one sequence should build the
+// Lookup once and call it directly.
 func PortCost(s *trace.Sequence, p *Placement, m *PortModel) (int64, error) {
 	l, err := p.BuildLookup(s.NumVars())
 	if err != nil {
 		return 0, err
 	}
 	sc := portPool.Get().(*portScratch)
-	c := portCostLookup(s, l, m, sc.grow(numDBCsIn(l)))
+	c, unplaced := portCostLookupBounded(s, l, m, sc.grow(numDBCsIn(l)), math.MaxInt64)
 	portPool.Put(sc)
+	if unplaced >= 0 {
+		return 0, unplacedAccess(s, unplaced)
+	}
 	return c, nil
 }
 
-// portCostLookup is the allocation-free inner loop of the multi-port
-// replay path. The lookup must cover every accessed variable; off must
-// have one entry per DBC of the lookup (callers thread a reusable
-// buffer through).
+// portCostLookupBounded is the allocation-free inner loop of the
+// multi-port replay path, with an abort threshold: the running total
+// only grows, so once it reaches bound the final cost provably does too
+// and the replay stops. Exact below bound; at or above bound the value
+// is only a certificate that cost >= bound. Best-of-N searches (the
+// multi-port random walk) use it to discard losing placements early;
+// math.MaxInt64 prices the whole stream. off must have one entry per DBC
+// of the lookup (callers thread a reusable buffer through). unplaced is
+// -1, or the index of the first access to a variable the lookup leaves
+// out, where the replay stops.
 //
 //rtm:hotpath
-func portCostLookup(s *trace.Sequence, l *Lookup, m *PortModel, off []int) int64 {
+func portCostLookupBounded(s *trace.Sequence, l *Lookup, m *PortModel, off []int, bound int64) (total int64, unplaced int) {
 	for i := range off {
 		off[i] = portCold
 	}
-	var total int64
-	for _, a := range s.Accesses {
+	for i, a := range s.Accesses {
 		d := l.DBCOf[a.Var]
-		x := l.Offset[a.Var]
-		if o := off[d]; o != portCold {
-			c, no := m.step(o, x)
-			total += int64(c)
-			off[d] = no
-		} else {
-			_, off[d] = m.step(0, x)
+		if uint(d) >= uint(len(off)) {
+			return total, i
 		}
-	}
-	return total
-}
-
-// portCostLookupBounded is portCostLookup with an abort threshold: the
-// running total only grows, so once it reaches bound the final cost
-// provably does too and the replay stops. Exact below bound; at or
-// above bound the value is only a certificate that cost >= bound.
-// Best-of-N searches (the multi-port random walk) use it to discard
-// losing placements early.
-//
-//rtm:hotpath
-func portCostLookupBounded(s *trace.Sequence, l *Lookup, m *PortModel, off []int, bound int64) int64 {
-	for i := range off {
-		off[i] = portCold
-	}
-	var total int64
-	for _, a := range s.Accesses {
-		d := l.DBCOf[a.Var]
 		x := l.Offset[a.Var]
 		if o := off[d]; o != portCold {
 			c, no := m.step(o, x)
 			total += int64(c)
 			off[d] = no
 			if total >= bound {
-				return total
+				return total, -1
 			}
 		} else {
 			_, off[d] = m.step(0, x)
 		}
 	}
-	return total
+	return total, -1
 }
 
 // PortCostBreakdown is PortCost with per-DBC attribution and coverage
@@ -202,7 +184,7 @@ func PortCostBreakdown(s *trace.Sequence, p *Placement, m *PortModel) (*CostBrea
 	for i, a := range s.Accesses {
 		d := l.DBCOf[a.Var]
 		if d < 0 || d >= q {
-			return nil, fmt.Errorf("placement: access %d to unplaced variable %s", i, s.Name(a.Var))
+			return nil, unplacedAccess(s, i)
 		}
 		x := l.Offset[a.Var]
 		if o := off[d]; o != portCold {
@@ -290,7 +272,7 @@ func NewPortDeltaEvaluator(s *trace.Sequence, order []int, m *PortModel) *PortDe
 
 // replay prices the current pos assignment by driving the model through
 // the compressed restricted stream — exactly one DBC's share of
-// portCostLookup. Allocation-free.
+// portCostLookupBounded. Allocation-free.
 //
 //rtm:hotpath
 func (e *PortDeltaEvaluator) replay() int64 {
@@ -315,9 +297,6 @@ func (e *PortDeltaEvaluator) Cost() int64 { return e.cost }
 
 // Accesses returns the number of accesses to member variables.
 func (e *PortDeltaEvaluator) Accesses() int { return e.accesses }
-
-// Len returns the number of variables in the order.
-func (e *PortDeltaEvaluator) Len() int { return len(e.order) }
 
 // CurrentOrder returns a copy of the current offset order.
 func (e *PortDeltaEvaluator) CurrentOrder() []int {

@@ -1,6 +1,7 @@
 package placement
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -396,7 +397,8 @@ func BenchmarkPortCost(b *testing.B) {
 	b.ResetTimer()
 	var sink int64
 	for i := 0; i < b.N; i++ {
-		sink += portCostLookup(s, l, m, off)
+		c, _ := portCostLookupBounded(s, l, m, off, math.MaxInt64)
+		sink += c
 	}
 	_ = sink
 }

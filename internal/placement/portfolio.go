@@ -219,9 +219,11 @@ func boundedCost(s *trace.Sequence, p *Placement, q int, opts Options, pm *PortM
 	if err != nil {
 		return 0, err
 	}
+	// The builtins' construct places every variable, so no access is
+	// unplaced.
 	if pm != nil {
 		sc := portPool.Get().(*portScratch)
-		c := portCostLookupBounded(s, l, pm, sc.grow(numDBCsIn(l)), bound)
+		c, _ := portCostLookupBounded(s, l, pm, sc.grow(numDBCsIn(l)), bound)
 		portPool.Put(sc)
 		return c, nil
 	}
@@ -230,5 +232,6 @@ func boundedCost(s *trace.Sequence, p *Placement, q int, opts Options, pm *PortM
 	}
 	sc := replayPool.Get().(*replayScratch)
 	defer replayPool.Put(sc)
-	return shiftCostLookupBounded(s, l, sc.grow(q), bound), nil
+	c, _ := shiftCostLookupBounded(s, l, sc.grow(q), bound)
+	return c, nil
 }

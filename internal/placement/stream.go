@@ -368,8 +368,9 @@ func (w *streamWindow) replay(l *Lookup, res *StreamResult) {
 }
 
 // charge serves one access to offset x of DBC d and returns its shift
-// cost. The first access to a DBC is free, as in portCostLookup; with
-// more than one port it leaves the track aligned to the cheapest port.
+// cost. The first access to a DBC is free, as in portCostLookupBounded;
+// with more than one port it leaves the track aligned to the cheapest
+// port.
 func (w *streamWindow) charge(d, x int) int64 {
 	if w.pm == nil {
 		return w.chargeOnePort(d, x)

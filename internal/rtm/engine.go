@@ -83,9 +83,6 @@ func NewShiftEngineAt(domains int, positions []int) (*ShiftEngine, error) {
 	return &ShiftEngine{domains: domains, ports: append([]int(nil), positions...)}, nil
 }
 
-// Domains returns the number of word locations the engine serves.
-func (e *ShiftEngine) Domains() int { return e.domains }
-
 // Ports returns a copy of the port positions.
 func (e *ShiftEngine) Ports() []int { return append([]int(nil), e.ports...) }
 

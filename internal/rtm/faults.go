@@ -1,129 +1,22 @@
 package rtm
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
-// Shift-fault modeling: real racetrack shifts occasionally overshoot or
-// undershoot by one domain (position errors — the reliability concern a
-// production RTM controller must handle). FaultyEngine wraps a
-// ShiftEngine with a per-shift error probability and a detect-and-correct
-// controller: after every burst of shifts the position sensor is read
-// and any residual misalignment is fixed with corrective shifts, which
-// cost extra operations but preserve correctness. Fault injection is
-// deterministic in the seed, so experiments are reproducible.
-type FaultyEngine struct {
-	engine *ShiftEngine
-	// ErrorRate is the per-shift probability of a one-domain position
-	// error.
-	errorRate float64
-	rng       *rand.Rand
-
-	faults     int64
-	corrective int64
-}
-
-// NewFaultyEngine wraps a fresh engine with the fault model.
-func NewFaultyEngine(domains, ports int, errorRate float64, seed int64) (*FaultyEngine, error) {
-	if errorRate < 0 || errorRate >= 1 {
-		return nil, fmt.Errorf("rtm: error rate must be in [0,1), got %v", errorRate)
-	}
-	e, err := NewShiftEngine(domains, ports)
-	if err != nil {
-		return nil, err
-	}
-	return &FaultyEngine{
-		engine:    e,
-		errorRate: errorRate,
-		rng:       rand.New(rand.NewSource(seed)),
-	}, nil
-}
-
-// Access aligns location x, injecting position errors and issuing
-// corrective shifts as needed. It returns the total number of physical
-// shift operations performed (nominal + slip replays + corrections).
-func (f *FaultyEngine) Access(x int) (int, error) {
-	nominal, err := f.engine.Access(x)
-	if err != nil {
-		return 0, err
-	}
-	if f.errorRate == 0 || nominal == 0 {
-		return nominal, nil
-	}
-	// Each nominal shift may slip by one domain, overshooting (+1) or
-	// undershooting (-1) with equal probability. The controller's
-	// position sensor reads the offset after the burst; the residual
-	// misalignment is the *signed net* slip — opposite-direction slips
-	// physically cancel and need no correction — and each residual
-	// domain takes one corrective shift (which may itself slip again).
-	// Summing slip magnitudes instead would charge corrective shifts
-	// for misalignment that no longer exists.
-	total := nominal
-	pending := nominal
-	for pending > 0 {
-		net := 0
-		slips := 0
-		for i := 0; i < pending; i++ {
-			if f.rng.Float64() < f.errorRate {
-				slips++
-				if f.rng.Intn(2) == 0 {
-					net++
-				} else {
-					net--
-				}
-			}
-		}
-		f.faults += int64(slips)
-		if net < 0 {
-			net = -net
-		}
-		if net == 0 {
-			break
-		}
-		// Corrective burst: one shift per residual domain of net slip.
-		f.corrective += int64(net)
-		total += net
-		pending = net
-	}
-	return total, nil
-}
-
-// ErrorRate returns the per-shift position-error probability the engine
-// was built with. The fault-aware cost model reads it to price expected
-// correction overhead without replaying the engine.
-func (f *FaultyEngine) ErrorRate() float64 { return f.errorRate }
-
-// ExpectedShiftOverhead returns the analytic upper bound on a
-// FaultyEngine's physical-to-nominal shift ratio at the given per-shift
-// error rate. Every shift slips with probability p; each residual slip
-// costs one corrective shift, which may itself slip, giving the
-// geometric series 1 + p + p² + ... = 1/(1-p). It is an upper bound,
-// not the exact expectation: within a burst, opposite-direction slips
-// physically cancel before the controller corrects anything (see
-// Access), so measured overhead is at or below this factor — asserted
-// by TestExpectedShiftOverheadBoundsEngine.
+// ExpectedShiftOverhead returns the analytic upper bound on the
+// physical-to-nominal shift ratio of a track whose shifts fail at the
+// given rate. The fault model: every shift slips by one domain, over or
+// under, with probability p, and a detect-and-correct controller reads
+// the position after each burst of shifts and re-aligns the track with
+// one corrective shift per residual domain, which may itself slip. That
+// gives the geometric series 1 + p + p² + ... = 1/(1-p). It is an upper
+// bound, not the exact expectation: within a burst, opposite-direction
+// slips physically cancel before the controller corrects anything, so
+// measured overhead is at or below this factor. The Monte-Carlo
+// FaultyEngine of the package tests replays the model, and
+// TestExpectedShiftOverheadBoundsEngine holds this bound to it.
 func ExpectedShiftOverhead(errorRate float64) (float64, error) {
 	if errorRate < 0 || errorRate >= 1 {
 		return 0, fmt.Errorf("rtm: error rate must be in [0,1), got %v", errorRate)
 	}
 	return 1 / (1 - errorRate), nil
-}
-
-// Faults returns the number of injected position errors so far.
-func (f *FaultyEngine) Faults() int64 { return f.faults }
-
-// CorrectiveShifts returns the extra shifts spent on re-alignment.
-func (f *FaultyEngine) CorrectiveShifts() int64 { return f.corrective }
-
-// NominalShifts returns the fault-free shift count (the cost model's
-// number).
-func (f *FaultyEngine) NominalShifts() int64 { return f.engine.Shifts() }
-
-// Reset cold-starts the engine and clears fault counters (the fault RNG
-// stream continues, so distinct phases see distinct errors).
-func (f *FaultyEngine) Reset() {
-	f.engine.Reset()
-	f.faults = 0
-	f.corrective = 0
 }

@@ -6,6 +6,113 @@ import (
 	"testing"
 )
 
+// Shift-fault modeling: real racetrack shifts occasionally overshoot or
+// undershoot by one domain (position errors — the reliability concern a
+// production RTM controller must handle). FaultyEngine wraps a
+// ShiftEngine with a per-shift error probability and a detect-and-correct
+// controller: after every burst of shifts the position sensor is read
+// and any residual misalignment is fixed with corrective shifts, which
+// cost extra operations but preserve correctness. Fault injection is
+// deterministic in the seed, so runs are reproducible. It is the
+// Monte-Carlo oracle of ExpectedShiftOverhead.
+type FaultyEngine struct {
+	engine *ShiftEngine
+	// ErrorRate is the per-shift probability of a one-domain position
+	// error.
+	errorRate float64
+	rng       *rand.Rand
+
+	faults     int64
+	corrective int64
+}
+
+// NewFaultyEngine wraps a fresh engine with the fault model.
+func NewFaultyEngine(domains, ports int, errorRate float64, seed int64) (*FaultyEngine, error) {
+	if errorRate < 0 || errorRate >= 1 {
+		return nil, fmt.Errorf("rtm: error rate must be in [0,1), got %v", errorRate)
+	}
+	e, err := NewShiftEngine(domains, ports)
+	if err != nil {
+		return nil, err
+	}
+	return &FaultyEngine{
+		engine:    e,
+		errorRate: errorRate,
+		rng:       rand.New(rand.NewSource(seed)),
+	}, nil
+}
+
+// Access aligns location x, injecting position errors and issuing
+// corrective shifts as needed. It returns the total number of physical
+// shift operations performed (nominal + slip replays + corrections).
+func (f *FaultyEngine) Access(x int) (int, error) {
+	nominal, err := f.engine.Access(x)
+	if err != nil {
+		return 0, err
+	}
+	if f.errorRate == 0 || nominal == 0 {
+		return nominal, nil
+	}
+	// Each nominal shift may slip by one domain, overshooting (+1) or
+	// undershooting (-1) with equal probability. The controller's
+	// position sensor reads the offset after the burst; the residual
+	// misalignment is the *signed net* slip — opposite-direction slips
+	// physically cancel and need no correction — and each residual
+	// domain takes one corrective shift (which may itself slip again).
+	// Summing slip magnitudes instead would charge corrective shifts
+	// for misalignment that no longer exists.
+	total := nominal
+	pending := nominal
+	for pending > 0 {
+		net := 0
+		slips := 0
+		for i := 0; i < pending; i++ {
+			if f.rng.Float64() < f.errorRate {
+				slips++
+				if f.rng.Intn(2) == 0 {
+					net++
+				} else {
+					net--
+				}
+			}
+		}
+		f.faults += int64(slips)
+		if net < 0 {
+			net = -net
+		}
+		if net == 0 {
+			break
+		}
+		// Corrective burst: one shift per residual domain of net slip.
+		f.corrective += int64(net)
+		total += net
+		pending = net
+	}
+	return total, nil
+}
+
+// ErrorRate returns the per-shift position-error probability the engine
+// was built with.
+func (f *FaultyEngine) ErrorRate() float64 { return f.errorRate }
+
+// Faults returns the number of injected position errors so far.
+func (f *FaultyEngine) Faults() int64 { return f.faults }
+
+// CorrectiveShifts returns the extra shifts spent on re-alignment.
+func (f *FaultyEngine) CorrectiveShifts() int64 { return f.corrective }
+
+// NominalShifts returns the fault-free shift count (the cost model's
+// number).
+func (f *FaultyEngine) NominalShifts() int64 { return f.engine.Shifts() }
+
+// Reset cold-starts the engine and clears fault counters (the fault RNG
+// stream continues, so distinct phases see distinct errors).
+func (f *FaultyEngine) Reset() {
+	f.engine.Reset()
+	f.faults = 0
+	f.corrective = 0
+}
+
 func TestFaultyEngineZeroRateMatchesIdeal(t *testing.T) {
 	ideal, _ := NewShiftEngine(64, 1)
 	faulty, err := NewFaultyEngine(64, 1, 0, 1)

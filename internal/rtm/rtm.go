@@ -33,12 +33,6 @@ type Geometry struct {
 	// PortsPerTrack is the number of read/write access ports per track.
 	// The paper's evaluation uses 1; the generalized model accepts more.
 	PortsPerTrack int
-	// OverheadDomainsPerSide is the number of extra (data-free) domains on
-	// each end of a track that allow shifting the full data region past a
-	// port without losing bits. Physical racetracks need K-1 of them in
-	// the worst case for a single-port track; the value only affects
-	// reported area, not shift counts.
-	OverheadDomainsPerSide int
 }
 
 // Validate checks that the geometry is physically meaningful.
@@ -59,8 +53,6 @@ func (g Geometry) Validate() error {
 	case g.PortsPerTrack > g.DomainsPerTrack:
 		return fmt.Errorf("rtm: %d ports exceed %d domains per track",
 			g.PortsPerTrack, g.DomainsPerTrack)
-	case g.OverheadDomainsPerSide < 0:
-		return errors.New("rtm: OverheadDomainsPerSide must be non-negative")
 	}
 	return nil
 }
@@ -82,13 +74,6 @@ func (g Geometry) WordsPerDBC() int { return g.DomainsPerTrack }
 // the package-level PortPositions rule). The geometry must be valid.
 func (g Geometry) PortPositions() ([]int, error) {
 	return PortPositions(g.DomainsPerTrack, g.PortsPerTrack)
-}
-
-// PhysicalDomainsPerTrack returns the fabricated track length including
-// the overhead domains on both ends that let the data region shift past
-// the ports without losing bits.
-func (g Geometry) PhysicalDomainsPerTrack() int {
-	return g.DomainsPerTrack + 2*g.OverheadDomainsPerSide
 }
 
 // String summarizes the geometry.

@@ -105,9 +105,6 @@ func Open(dir string) (*Cache, error) {
 	return c, nil
 }
 
-// Dir returns the cache directory.
-func (c *Cache) Dir() string { return c.dir }
-
 // Stats returns a snapshot of the activity counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()

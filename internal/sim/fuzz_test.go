@@ -14,13 +14,13 @@ import (
 // port count, clock, variable universe, access sequence, DBC assignment,
 // offset shuffle) and checks the simulator against every cost layer on
 // the iso-capacity device, including placements that overfill the
-// track: the replayed shift count equals the multi-port evaluators'
-// (and, at one port, the single-port replay's and the kernel's); the
-// read/write counts equal TallyOf's; CostModel prices the counts to
-// Result's energy and runtime; and on every bank split the cycle view
-// counts the same events, with a serialized run taking exactly the sum
-// of the per-access times and never less than the open-loop run. Run in
-// CI's fuzz-smoke job.
+// track: the replayed shift count equals PortCost's (and, at one port,
+// the single-port replay's and the kernel's); the read/write counts
+// equal TallyOf's; CostModel prices the counts to Result's energy and
+// runtime; and on every bank split the cycle view counts the same
+// events, with a serialized run taking exactly the sum of the
+// per-access times and never less than the open-loop run. Run in CI's
+// fuzz-smoke job.
 func FuzzSimParity(f *testing.F) {
 	f.Add([]byte{1, 0, 5, 0, 1, 2, 1, 0, 3, 2, 0, 1, 2})
 	f.Add([]byte{7, 2, 12, 0, 129, 5, 9, 140, 2, 6, 10, 3, 7, 11, 0, 4, 8, 250, 1, 7})
@@ -84,12 +84,8 @@ func FuzzSimParity(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ec, err := placement.EngineCostAt(s, p, max(g.DomainsPerTrack, p.MaxDBCLen()), m.Positions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pc != shifts || ec != shifts {
-			t.Fatalf("q=%d ports=%d: RunSequence %d shifts, PortCost %d, EngineCostAt %d", q, ports, shifts, pc, ec)
+		if pc != shifts {
+			t.Fatalf("q=%d ports=%d: RunSequence %d shifts, PortCost %d", q, ports, shifts, pc)
 		}
 		if ports == 1 {
 			sc, err := placement.ShiftCost(s, p)

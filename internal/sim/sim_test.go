@@ -208,14 +208,7 @@ func TestRunSequenceGrownTrackKeepsPorts(t *testing.T) {
 	if res.Counts.Shifts != 4 {
 		t.Fatalf("grown-track shifts = %d, want 4 (geometry port layout)", res.Counts.Shifts)
 	}
-	want, err := placement.EngineCostAt(s, p, 12, []int{0, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Counts.Shifts != want {
-		t.Fatalf("sim %d != evaluator %d on the same layout", res.Counts.Shifts, want)
-	}
-	// And the exact multi-port evaluator agrees on the same model.
+	// The exact multi-port evaluator agrees on the same layout.
 	m, err := placement.NewPortModel(8, 2)
 	if err != nil {
 		t.Fatal(err)

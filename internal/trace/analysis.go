@@ -1,7 +1,5 @@
 package trace
 
-import "fmt"
-
 // Analysis holds per-variable liveness statistics of an access sequence:
 // access frequency Av, first occurrence Fv and last occurrence Lv, using
 // 1-based positions as in the paper (position 0 means "never accessed").
@@ -56,15 +54,6 @@ func (a *Analysis) Disjoint(u, v int) bool {
 		return true
 	}
 	return a.Last[u] < a.First[v] || a.Last[v] < a.First[u]
-}
-
-// Contains reports whether the lifespan of u strictly contains the lifespan
-// of v: Fu < Fv and Lv < Lu.
-func (a *Analysis) Contains(u, v int) bool {
-	if !a.Accessed(u) || !a.Accessed(v) {
-		return false
-	}
-	return a.First[u] < a.First[v] && a.Last[v] < a.Last[u]
 }
 
 // InnerFreqSum returns the sum of access frequencies of all variables whose
@@ -146,16 +135,4 @@ func SelfAccesses(s *Sequence) int {
 		}
 	}
 	return n
-}
-
-// Summary describes a sequence in one line, for logs and reports.
-func (a *Analysis) Summary() string {
-	vars := 0
-	for _, f := range a.Freq {
-		if f > 0 {
-			vars++
-		}
-	}
-	return fmt.Sprintf("%d accesses over %d variables (%d self-accesses)",
-		a.Seq.Len(), vars, SelfAccesses(a.Seq))
 }

@@ -74,9 +74,6 @@ func (g *Graph) buildAdj() {
 	}
 }
 
-// NumVertices returns the size of the variable universe the graph spans.
-func (g *Graph) NumVertices() int { return g.n }
-
 // Weight returns the weight of edge {u,v}, or 0 when absent.
 func (g *Graph) Weight(u, v int) int {
 	if u == v {
@@ -121,9 +118,6 @@ func (g *Graph) Edges() []Edge {
 	})
 	return es
 }
-
-// NumEdges returns the number of distinct edges.
-func (g *Graph) NumEdges() int { return len(g.w) }
 
 // TotalWeight returns the sum of all edge weights. For a graph built with
 // BuildGraph this equals the number of non-self consecutive pairs in the

@@ -40,6 +40,3 @@ func (r *SliceReader) Next() (Access, error) {
 	r.pos++
 	return a, nil
 }
-
-// Reset rewinds the reader to the first access.
-func (r *SliceReader) Reset() { r.pos = 0 }

@@ -15,7 +15,6 @@
 package trace
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -275,9 +274,6 @@ func (s *Sequence) String() string {
 	}
 	return b.String()
 }
-
-// ErrEmptySequence is returned by analyses that require at least one access.
-var ErrEmptySequence = errors.New("trace: empty access sequence")
 
 // Distinct returns the sorted list of variable indices actually accessed.
 func (s *Sequence) Distinct() []int {

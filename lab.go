@@ -10,6 +10,7 @@ import (
 	"repro/internal/energy"
 	"repro/internal/engine"
 	"repro/internal/placement"
+	"repro/internal/pool"
 	"repro/internal/sim"
 )
 
@@ -476,7 +477,7 @@ func (l *Lab) PlaceBenchmark(ctx context.Context, b *Benchmark, opts PlaceOption
 	}
 	// Attribute each placement's cost per DBC on the same worker budget:
 	// one replay pass per sequence, as the pre-session API also paid.
-	results, err := engine.Map(ctx, len(out), opts.Workers, func(_ context.Context, i int) (*PlaceResult, error) {
+	results, err := pool.Map(ctx, len(out), opts.Workers, func(_ context.Context, i int) (*PlaceResult, error) {
 		o := out[i]
 		bd, err := breakdownFor(b.Sequences[i], o.Placement, stOpts, opts.DBCs)
 		if err != nil {

@@ -270,11 +270,14 @@ func EnergyParams(dbcs int) (energy.Params, error) { return energy.ForDBCs(dbcs)
 
 // An Objective names the cost dimension placements are priced — and
 // searched — under: raw shifts (the paper's primitive and the default),
-// total energy, serialized runtime, or expected runtime under the
-// FaultyEngine error model. Every objective is strictly monotone in the
-// shift count for a fixed configuration, so the optimizers keep their
-// exact shift-minimizing trajectories regardless of the objective; only
-// the priced Cost reported alongside results changes (DESIGN.md §15).
+// total energy, serialized runtime, or expected runtime when every shift
+// slips by one domain with probability p and a detect-and-correct
+// controller pays for the corrective shifts, priced with the 1/(1-p)
+// bound that rtm's Monte-Carlo FaultyEngine test oracle checks. Every
+// objective is strictly monotone in the shift count for a fixed
+// configuration, so the optimizers keep their exact shift-minimizing
+// trajectories regardless of the objective; only the priced Cost
+// reported alongside results changes (DESIGN.md §15).
 type Objective = placement.Objective
 
 // The supported objectives.
@@ -323,7 +326,8 @@ type CostModel = placement.CostModel
 
 // NewCostModel builds a pricing model from an objective, a Table I
 // parameter set (see EnergyParams; a zero value is accepted only for
-// ObjectiveShifts) and a FaultyEngine per-shift slip rate in [0,1).
+// ObjectiveShifts) and the per-shift slip rate p of ObjectiveFaulty's
+// fault model, in [0,1).
 // Construction fails unless the objective's scalar is strictly
 // increasing in the shift count — the invariant that lets the search
 // layers optimize raw shifts on the model's behalf.

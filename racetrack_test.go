@@ -45,6 +45,36 @@ func TestParseSequence(t *testing.T) {
 	}
 }
 
+// TestCostRejectsUnplacedVariable pins the replays' coverage check:
+// pricing a placement that leaves out an accessed variable is an error
+// naming the first such access, the same from the single-port and the
+// multi-port replay, the public ShiftCost and the breakdown.
+func TestCostRejectsUnplacedVariable(t *testing.T) {
+	s, err := ParseSequence("a b c a b c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &Placement{DBC: [][]int{{0}, {1}}} // c is left out
+	m, err := placement.NewPortModel(8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "placement: access 2 to unplaced variable c"
+	for _, tc := range []struct {
+		name  string
+		price func() error
+	}{
+		{"placement.ShiftCost", func() error { _, err := placement.ShiftCost(s, p); return err }},
+		{"placement.PortCost", func() error { _, err := placement.PortCost(s, p, m); return err }},
+		{"racetrack.ShiftCost", func() error { _, err := ShiftCost(s, p); return err }},
+		{"placement.ShiftCostBreakdown", func() error { _, err := placement.ShiftCostBreakdown(s, p); return err }},
+	} {
+		if err := tc.price(); err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, want)
+		}
+	}
+}
+
 func TestParseBenchmark(t *testing.T) {
 	b, err := ParseBenchmark("demo", "seq f\na b a\nseq g\nx y\n")
 	if err != nil {
