@@ -17,9 +17,9 @@ import (
 // nearest port by shift distance, lowest-index port on ties, first
 // access per DBC free with the track pre-aligned to its cheapest port —
 // so evaluating a placement through a PortModel is bit-identical to
-// replaying it through one shift engine per DBC (TestPortCostMatchesEngine
-// and FuzzPortCostParity hold it to such a replay), without allocating
-// engines or lookups per call.
+// replaying it through one shift engine per DBC
+// (TestPortCostMatchesEngine and FuzzPortCostParity hold it to such a
+// replay), without allocating engines or lookups per call.
 //
 // Unlike the single-port model, multi-port cost is *stateful*: the cost
 // of a transition depends on which port served the previous access,
