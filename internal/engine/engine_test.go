@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -27,6 +28,76 @@ func testRegistry(t testing.TB) *placement.Registry {
 
 // testHooks resolves the batch cells in a fresh registry.
 func testHooks(t testing.TB) Hooks { return Hooks{Registry: testRegistry(t)} }
+
+// echoHooks registers, next to the builtins, a strategy "echo" that
+// prices each cell at its DBC count, so an outcome names the cell it
+// came from, and that fails a cell whose DBC count fail maps to an
+// error.
+func echoHooks(t testing.TB, fail map[int]error) Hooks {
+	t.Helper()
+	reg := testRegistry(t)
+	err := reg.Register(placement.NewStrategy("echo", func(_ *trace.Sequence, q int, _ placement.Options) (*placement.Placement, int64, error) {
+		if err := fail[q]; err != nil {
+			return nil, 0, err
+		}
+		return nil, int64(q), nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Hooks{Registry: reg}
+}
+
+// echoJobs returns n "echo" cells; cell i runs at i+1 DBCs.
+func echoJobs(t testing.TB, n int) []PlaceJob {
+	t.Helper()
+	s, err := trace.NewNamedSequence("a", "b", "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := make([]PlaceJob, n)
+	for i := range jobs {
+		jobs[i] = PlaceJob{Sequence: s, Strategy: "echo", DBCs: i + 1}
+	}
+	return jobs
+}
+
+// TestRunReturnsLowestIndexError: a batch with several failing cells
+// reports the failure of the lowest-index one, at any worker count.
+func TestRunReturnsLowestIndexError(t *testing.T) {
+	boom7 := errors.New("boom 7")
+	hooks := echoHooks(t, map[int]error{8: boom7, 24: errors.New("boom 23")})
+	for _, workers := range []int{1, 4} {
+		_, err := BatchPlace(context.Background(), echoJobs(t, 64), workers, hooks)
+		if !errors.Is(err, boom7) {
+			t.Fatalf("workers=%d: got %v, want boom 7", workers, err)
+		}
+	}
+}
+
+// TestMapCollectsInOrder: a batch returns each cell's outcome at the
+// cell's own index, at any worker count, and a failing cell fails the
+// batch without partial outcomes.
+func TestMapCollectsInOrder(t *testing.T) {
+	for _, workers := range []int{1, 5} {
+		out, err := BatchPlace(context.Background(), echoJobs(t, 20), workers, echoHooks(t, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, o := range out {
+			if o.Shifts != int64(i+1) {
+				t.Fatalf("workers=%d: out[%d].Shifts = %d", workers, i, o.Shifts)
+			}
+		}
+	}
+	fail := map[int]error{}
+	for q := 1; q <= 5; q++ {
+		fail[q] = fmt.Errorf("fail %d", q)
+	}
+	if out, err := BatchPlace(context.Background(), echoJobs(t, 5), 2, echoHooks(t, fail)); err == nil || out != nil {
+		t.Fatalf("error not propagated: out = %v, err = %v", out, err)
+	}
+}
 
 // testJobs builds a realistic mixed batch over a generated benchmark:
 // every (sequence × heuristic strategy × DBC count) cell.
