@@ -154,7 +154,7 @@ func TestLoopStructureExists(t *testing.T) {
 	}
 	heavy := false
 	for _, s := range b.Sequences {
-		g := trace.BuildGraph(s)
+		g := trace.BuildSubgraph(s, func(int) bool { return true })
 		for _, e := range g.Edges() {
 			if e.Weight >= 4 {
 				heavy = true

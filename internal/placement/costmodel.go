@@ -308,9 +308,12 @@ func PerDBCTallies(s *trace.Sequence, p *Placement, perDBCShifts []int64) ([]Tal
 	for i, sh := range perDBCShifts {
 		out[i].Shifts = sh
 	}
-	for _, a := range s.Accesses {
+	for i, a := range s.Accesses {
 		d := l.DBCOf[a.Var]
-		if d < 0 || d >= len(out) {
+		if d < 0 {
+			return nil, unplacedAccess(s, i)
+		}
+		if d >= len(out) {
 			return nil, fmt.Errorf("placement: per-DBC tallies: variable %d in DBC %d outside [0,%d)", a.Var, d, len(out))
 		}
 		if a.Write {

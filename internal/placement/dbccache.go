@@ -34,7 +34,7 @@ type dbcCostCache struct {
 	// Per-price scratch.
 	missing []int
 	hashes  []uint64
-	last    []int
+	track   []int
 	per     []int64
 }
 
@@ -63,7 +63,7 @@ func (c *dbcCostCache) price(g *genome) {
 	q := len(g.DBC)
 	if cap(c.hashes) < q {
 		c.hashes = make([]uint64, q)
-		c.last = make([]int, q)
+		c.track = make([]int, q)
 		c.per = make([]int64, q)
 	}
 	c.missing = c.missing[:0]
@@ -102,10 +102,14 @@ func (c *dbcCostCache) price(g *genome) {
 			c.insert(c.hashes[d], g.DBC[d], g.cost[d])
 		}
 	default:
-		// Bulk miss: one replay pass prices every DBC at once.
-		shiftCostPerDBC(c.kern.Sequence(), &g.lookup, c.last[:q], c.per[:q])
+		// Bulk miss: one replay pass prices every DBC at once. A genome
+		// places every variable, so no access is unplaced.
+		track, per := c.track[:q], c.per[:q]
+		setCold(track)
+		clear(per)
+		shiftPerDBC(c.kern.Sequence(), &g.lookup, track, per)
 		for _, d := range c.missing {
-			g.cost[d] = c.per[d]
+			g.cost[d] = per[d]
 			c.insert(c.hashes[d], g.DBC[d], g.cost[d])
 		}
 	}

@@ -319,10 +319,3 @@ func (e *DeltaEvaluator) ImprovePass() bool {
 	}
 	return improved
 }
-
-func absDist(a, b int) int64 {
-	if a > b {
-		return int64(a - b)
-	}
-	return int64(b - a)
-}

@@ -23,10 +23,6 @@ func PlaceDMATwoOpt(s *trace.Sequence, q int, opts Options) (*Placement, int64, 
 	if err != nil {
 		return nil, 0, err
 	}
-	kern := opts.Kernel
-	if kern == nil || kern.Sequence() != s {
-		kern = nil
-	}
 	pm, err := opts.PortModelFor(q)
 	if err != nil {
 		return nil, 0, err
@@ -39,11 +35,7 @@ func PlaceDMATwoOpt(s *trace.Sequence, q int, opts Options) (*Placement, int64, 
 	// scores worse on the device than the single-port one replayed on
 	// it — the monotonicity the ports-sweep experiment asserts.
 	refined := func(vars []int, s *trace.Sequence, a *trace.Analysis) []int {
-		out := twoOptWithKernel(ShiftsReduce(vars, s, a), s, kern)
-		if pm != nil {
-			out = twoOptPort(out, s, pm)
-		}
-		return out
+		return twoOpt(ShiftsReduce(vars, s, a), s, opts.Kernel, pm)
 	}
 	p := ApplyIntra(r.Placement, r.DisjointDBCs, q, refined, s, a)
 	c, err := costOf(s, p, q, opts)

@@ -259,7 +259,7 @@ func FuzzPortCostParity(f *testing.F) {
 		if n := p.MaxDBCLen(); n > engineDomains {
 			engineDomains = n
 		}
-		want, err := EngineCostAt(s, p, engineDomains, m.Positions())
+		want, err := EngineCostAt(s, p, engineDomains, m.pos)
 		if err != nil {
 			t.Fatal(err)
 		}

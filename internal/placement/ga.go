@@ -61,7 +61,7 @@ type GAConfig struct {
 	// the replay path either way.
 	Kernel *CostKernel
 	// Port, when non-nil, switches the objective to the multi-port cost
-	// model: fitness is the exact nearest-port replay (portcost.go) and
+	// model: fitness is the exact nearest-port replay (replay.go) and
 	// the memetic improve operator polishes with the port-aware
 	// evaluator, so the GA searches the objective the device will
 	// realize instead of the single-port proxy. The kernel and its DBC
@@ -322,7 +322,7 @@ func newGARun(s *trace.Sequence, q int, cfg GAConfig) (*gaRun, error) {
 	}
 	r.fit = make([]*fitness, max(cfg.Workers, 1))
 	for w := range r.fit {
-		r.fit[w] = &fitness{s: s, port: cfg.Port, off: make([]int, q)}
+		r.fit[w] = &fitness{s: s, port: cfg.Port, track: make([]int, q)}
 		if cfg.Port == nil {
 			r.fit[w].cache = newDBCCostCache(r.kern)
 		}
@@ -483,7 +483,7 @@ type fitness struct {
 	s     *trace.Sequence
 	cache *dbcCostCache
 	port  *PortModel
-	off   []int
+	track []int
 }
 
 // price prices g's dirty DBCs and sets its fitness. A genome with no
@@ -498,7 +498,8 @@ func (f *fitness) price(g *genome) {
 	}
 	if f.port != nil {
 		// A genome places every variable, so no access is unplaced.
-		g.total, _ = portCostLookupBounded(f.s, &g.lookup, f.port, f.off, math.MaxInt64)
+		setCold(f.track)
+		g.total, _ = f.port.total(f.s, &g.lookup, f.track, math.MaxInt64)
 		clear(g.dirty)
 		return
 	}
@@ -689,22 +690,16 @@ func (r *gaRun) mutateImprove(g *genome) {
 	if !ok {
 		return
 	}
-	var e interface {
-		Accesses() int
-		ImprovePass() bool
-		CurrentOrder() []int
-	}
+	var e polisher
 	if pm := r.cfg.Port; pm != nil {
 		e = NewPortDeltaEvaluator(r.s, g.DBC[d], pm)
 	} else {
 		e = NewDeltaEvaluatorFromKernel(r.kern, g.DBC[d])
 	}
-	if e.Accesses() < 2 {
-		return
+	if order := polish(e, 1); order != nil {
+		copy(g.DBC[d], order)
+		g.renumber(d)
 	}
-	e.ImprovePass()
-	copy(g.DBC[d], e.CurrentOrder())
-	g.renumber(d)
 }
 
 // RWConfig configures the random-walk search baseline.
@@ -721,14 +716,6 @@ type RWConfig struct {
 	// cost model (bounded exact replay), exactly as GAConfig.Port does
 	// for the GA. nil is the paper's single-port model.
 	Port *PortModel
-	// Cost, when non-nil, names the objective the walk optimizes for.
-	// As with GAConfig.Cost, candidates are still compared by raw shift
-	// count — the bounded evaluators require the additive int64 shift
-	// structure, and the monotone reduction (costmodel.go) makes that
-	// comparison exactly the scalarized one — so the visited best-so-far
-	// sequence is identical across objectives. nil is the raw shift
-	// objective.
-	Cost *CostModel
 }
 
 // DefaultRWConfig returns the paper's random-walk parameters.
@@ -775,9 +762,8 @@ func RandomWalk(s *trace.Sequence, q int, cfg RWConfig) (*Placement, int64, erro
 		kern = nil // the kernel prices the single-port model only
 	}
 	useKernel := kern != nil && kern.Candidates() < s.Len()/2
-	sc := replayPool.Get().(*replayScratch)
-	defer replayPool.Put(sc)
-	last := sc.grow(q)
+	sc := trackPool.Get().(*trackScratch)
+	defer trackPool.Put(sc)
 
 	var best *Placement
 	bestCost := int64(math.MaxInt64)
@@ -787,17 +773,14 @@ func RandomWalk(s *trace.Sequence, q int, cfg RWConfig) (*Placement, int64, erro
 		var c int64
 		// A random placement places every variable, so no access is
 		// unplaced.
-		switch {
-		case cfg.Port != nil:
-			c, _ = portCostLookupBounded(s, lookup, cfg.Port, last, bestCost)
-		case useKernel:
+		if useKernel {
 			c = kern.CostBounded(lookup, bestCost)
-		default:
-			c, _ = shiftCostLookupBounded(s, lookup, last, bestCost)
+		} else {
+			c, _ = replayTotal(s, lookup, cfg.Port, sc.cold(q), bestCost)
 		}
 		// c is exact whenever it is below bestCost (bounded evaluation),
-		// so comparing raw shift counts here is comparing scalarized
-		// costs: every objective is strictly monotone in shifts.
+		// so the walk keeps the same best under every objective: each is
+		// strictly monotone in shifts (costmodel.go).
 		if best == nil || c < bestCost {
 			best, bestCost = p.Clone(), c
 		}

@@ -3,6 +3,7 @@ package placement
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 
@@ -72,9 +73,8 @@ type CostKernel struct {
 	varOrder     []int32
 	rowLo, rowHi []int32
 
-	// accCnt[v] counts v's accesses — the per-variable weight that lets
-	// Breakdown attribute access counts per DBC and detect accessed-but-
-	// unplaced variables without replaying the stream.
+	// accCnt[v] counts v's accesses, which lets Breakdown detect
+	// accessed-but-unplaced variables without replaying the stream.
 	accCnt []int64
 
 	// Shared per-sequence memo for the GA's heuristic seeding: the same
@@ -402,19 +402,8 @@ func (k *CostKernel) Candidates() int { return len(k.cand) }
 // free). The lookup must cover every accessed variable (same
 // precondition as the replay path); unplaced entries are (-1, -1).
 // Allocation-free and safe to call concurrently with distinct lookups.
-//
-//rtm:hotpath
 func (k *CostKernel) Cost(l *Lookup) int64 {
-	dbc, off := l.DBCOf, l.Offset
-	var total int64
-	for _, v := range k.varOrder {
-		dv := dbc[v]
-		if dv < 0 {
-			continue
-		}
-		total += k.varCost(dbc, off, int(v), dv)
-	}
-	return total
+	return k.CostBounded(l, math.MaxInt64)
 }
 
 // varCost sums the contributions of one charged variable's row group.
@@ -501,7 +490,7 @@ func (k *CostKernel) Evaluate(p *Placement) (int64, error) {
 	return k.Cost(l), nil
 }
 
-// Breakdown attributes the placement's cost and access counts per DBC —
+// Breakdown attributes the placement's cost per DBC —
 // the kernel equivalent of ShiftCostBreakdown, bit-identical per DBC
 // (each stencil group contributes to the charged variable's DBC, exactly
 // the DBC the replay attributes the transition to). Unlike Cost it
@@ -513,7 +502,7 @@ func (k *CostKernel) Breakdown(p *Placement) (*CostBreakdown, error) {
 		return nil, err
 	}
 	q := len(p.DBC)
-	b := &CostBreakdown{PerDBC: make([]int64, q), Accesses: make([]int64, q)}
+	b := &CostBreakdown{PerDBC: make([]int64, q)}
 	for v := 0; v < k.numVars; v++ {
 		if k.accCnt[v] == 0 {
 			continue
@@ -522,7 +511,6 @@ func (k *CostKernel) Breakdown(p *Placement) (*CostBreakdown, error) {
 		if d < 0 || d >= q {
 			return nil, fmt.Errorf("placement: accesses to unplaced variable %s", k.varName(v))
 		}
-		b.Accesses[d] += k.accCnt[v]
 		c := k.varCost(l.DBCOf, l.Offset, v, d)
 		b.PerDBC[d] += c
 		b.Total += c

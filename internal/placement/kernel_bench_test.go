@@ -1,6 +1,8 @@
 package placement
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/trace"
@@ -36,6 +38,52 @@ func BenchmarkShiftCost(b *testing.B) {
 	}
 	b.SetBytes(int64(s.Len()))
 	_ = sink
+}
+
+// BenchmarkReplayScattered runs both replay loops of both step rules —
+// the bounded total and the per-DBC attribution, single-port and at
+// four ports — on a random 8-DBC placement of a random 96-variable,
+// 12,000-access trace. Unlike BenchmarkShiftCost's DMA placement, whose
+// consecutive accesses mostly stay put, a scattered placement makes
+// every step's direction unpredictable: the shape the random walk and
+// the GA's initial population price.
+func BenchmarkReplayScattered(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	s := randSeq(rng, 96, 12000)
+	p := randPortPlacement(rng, s, 8)
+	l, err := p.BuildLookup(s.NumVars())
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := NewPortModel(256, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	track := make([]int, len(p.DBC))
+	per := make([]int64, len(p.DBC))
+	for _, rule := range []struct {
+		name string
+		pm   *PortModel
+	}{{"1port", nil}, {"4ports", m}} {
+		b.Run("total/"+rule.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var sink int64
+			for i := 0; i < b.N; i++ {
+				setCold(track)
+				c, _ := replayTotal(s, l, rule.pm, track, math.MaxInt64)
+				sink += c
+			}
+			_ = sink
+		})
+		b.Run("perDBC/"+rule.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				setCold(track)
+				clear(per)
+				replayPerDBC(s, l, rule.pm, track, per)
+			}
+		})
+	}
 }
 
 // BenchmarkKernelCost measures one full kernel evaluation — the O(nnz)

@@ -122,7 +122,7 @@ func (p *Placement) Validate(s *trace.Sequence, capacity int) error {
 	}
 	for i, a := range s.Accesses {
 		if l.DBCOf[a.Var] == -1 {
-			return fmt.Errorf("placement: access %d references unplaced variable %s", i, s.Name(a.Var))
+			return unplacedAccess(s, i)
 		}
 	}
 	if capacity > 0 {

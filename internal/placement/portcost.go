@@ -2,7 +2,6 @@ package placement
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/rtm"
 	"repro/internal/trace"
@@ -39,9 +38,7 @@ import (
 // data (the pre-fix ports-sweep drift). A PortModel is immutable and
 // safe for concurrent use.
 type PortModel struct {
-	domains int
-	ports   int
-	pos     []int
+	pos []int
 }
 
 // NewPortModel builds the cost model for a track of the given length
@@ -52,17 +49,8 @@ func NewPortModel(domains, ports int) (*PortModel, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PortModel{domains: domains, ports: ports, pos: pos}, nil
+	return &PortModel{pos: pos}, nil
 }
-
-// Domains returns the track length the port layout derives from.
-func (m *PortModel) Domains() int { return m.domains }
-
-// Ports returns the number of access ports per track.
-func (m *PortModel) Ports() int { return m.ports }
-
-// Positions returns a copy of the port positions.
-func (m *PortModel) Positions() []int { return append([]int(nil), m.pos...) }
 
 // step serves one warm access to location x from shift offset off: it
 // returns the shift cost to the nearest port and the new offset. The
@@ -87,115 +75,46 @@ func (m *PortModel) step(off, x int) (cost, newOff int) {
 	return bestCost, bestOff
 }
 
-// portScratch is the reusable per-DBC track-state buffer of the
-// multi-port replay loop, pooled so repeated PortCost calls stop
-// allocating per call (the multi-port analogue of replayScratch).
-type portScratch struct{ off []int }
-
-var portPool = sync.Pool{New: func() any { return new(portScratch) }}
-
-// portCold marks a DBC whose track has not been accessed yet (the first
-// access is free, with the track pre-aligned to the cheapest port).
-const portCold = int(^uint(0) >> 1) // MaxInt: never a reachable offset
-
-// grow returns the scratch resized to q entries, reusing the backing
-// array when it is large enough. portCostLookupBounded resets the
-// contents.
-func (sc *portScratch) grow(q int) []int {
-	if cap(sc.off) < q {
-		sc.off = make([]int, q)
-	}
-	sc.off = sc.off[:q]
-	return sc.off
-}
-
 // PortCost replays the access sequence against the placement under the
 // multi-port model and returns the exact total shift count — what one
-// rtm.ShiftEngine per DBC would count, here with pooled scratch only. As
-// in ShiftCost, an access to a variable the placement leaves out is an
-// error. The hot inner loop (portCostLookupBounded) is allocation-free;
-// callers pricing many placements of one sequence should build the
-// Lookup once and call it directly.
+// rtm.ShiftEngine per DBC would count, here with pooled scratch only. A
+// nil model is the paper's single-port model, under which PortCost is
+// ShiftCost. As in ShiftCost, an access to a variable the placement
+// leaves out is an error. Callers pricing many placements of one
+// sequence should build the Lookup once and run the replay loop
+// (replayTotal) directly.
 func PortCost(s *trace.Sequence, p *Placement, m *PortModel) (int64, error) {
 	l, err := p.BuildLookup(s.NumVars())
 	if err != nil {
 		return 0, err
 	}
-	sc := portPool.Get().(*portScratch)
-	c, unplaced := portCostLookupBounded(s, l, m, sc.grow(numDBCsIn(l)), math.MaxInt64)
-	portPool.Put(sc)
+	sc := trackPool.Get().(*trackScratch)
+	c, unplaced := replayTotal(s, l, m, sc.cold(len(p.DBC)), math.MaxInt64)
+	trackPool.Put(sc)
 	if unplaced >= 0 {
 		return 0, unplacedAccess(s, unplaced)
 	}
 	return c, nil
 }
 
-// portCostLookupBounded is the allocation-free inner loop of the
-// multi-port replay path, with an abort threshold: the running total
-// only grows, so once it reaches bound the final cost provably does too
-// and the replay stops. Exact below bound; at or above bound the value
-// is only a certificate that cost >= bound. Best-of-N searches (the
-// multi-port random walk) use it to discard losing placements early;
-// math.MaxInt64 prices the whole stream. off must have one entry per DBC
-// of the lookup (callers thread a reusable buffer through). unplaced is
-// -1, or the index of the first access to a variable the lookup leaves
-// out, where the replay stops.
-//
-//rtm:hotpath
-func portCostLookupBounded(s *trace.Sequence, l *Lookup, m *PortModel, off []int, bound int64) (total int64, unplaced int) {
-	for i := range off {
-		off[i] = portCold
-	}
-	for i, a := range s.Accesses {
-		d := l.DBCOf[a.Var]
-		if uint(d) >= uint(len(off)) {
-			return total, i
-		}
-		x := l.Offset[a.Var]
-		if o := off[d]; o != portCold {
-			c, no := m.step(o, x)
-			total += int64(c)
-			off[d] = no
-			if total >= bound {
-				return total, -1
-			}
-		} else {
-			_, off[d] = m.step(0, x)
-		}
-	}
-	return total, -1
-}
-
-// PortCostBreakdown is PortCost with per-DBC attribution and coverage
-// validation — the multi-port equivalent of ShiftCostBreakdown, used by
-// the session API to attribute strategy costs when the Lab's device has
-// more than one port.
+// PortCostBreakdown is PortCost with per-DBC attribution — the
+// multi-port equivalent of ShiftCostBreakdown, which it is with a nil
+// model. The session API attributes strategy costs with it.
 func PortCostBreakdown(s *trace.Sequence, p *Placement, m *PortModel) (*CostBreakdown, error) {
 	l, err := p.BuildLookup(s.NumVars())
 	if err != nil {
 		return nil, err
 	}
 	q := len(p.DBC)
-	b := &CostBreakdown{PerDBC: make([]int64, q), Accesses: make([]int64, q)}
-	off := make([]int, q)
-	for i := range off {
-		off[i] = portCold
+	b := &CostBreakdown{PerDBC: make([]int64, q)}
+	sc := trackPool.Get().(*trackScratch)
+	unplaced := replayPerDBC(s, l, m, sc.cold(q), b.PerDBC)
+	trackPool.Put(sc)
+	if unplaced >= 0 {
+		return nil, unplacedAccess(s, unplaced)
 	}
-	for i, a := range s.Accesses {
-		d := l.DBCOf[a.Var]
-		if d < 0 || d >= q {
-			return nil, unplacedAccess(s, i)
-		}
-		x := l.Offset[a.Var]
-		if o := off[d]; o != portCold {
-			c, no := m.step(o, x)
-			b.PerDBC[d] += int64(c)
-			b.Total += int64(c)
-			off[d] = no
-		} else {
-			_, off[d] = m.step(0, x)
-		}
-		b.Accesses[d]++
+	for _, c := range b.PerDBC {
+		b.Total += c
 	}
 	return b, nil
 }
@@ -271,16 +190,16 @@ func NewPortDeltaEvaluator(s *trace.Sequence, order []int, m *PortModel) *PortDe
 }
 
 // replay prices the current pos assignment by driving the model through
-// the compressed restricted stream — exactly one DBC's share of
-// portCostLookupBounded. Allocation-free.
+// the compressed restricted stream — exactly one DBC's share of the
+// multi-port replay (PortModel.total). Allocation-free.
 //
 //rtm:hotpath
 func (e *PortDeltaEvaluator) replay() int64 {
 	var total int64
-	off := portCold
+	off := cold
 	for _, v := range e.stream {
 		x := e.pos[v]
-		if off != portCold {
+		if off != cold {
 			c, no := e.model.step(off, x)
 			total += int64(c)
 			off = no

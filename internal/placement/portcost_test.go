@@ -3,6 +3,7 @@ package placement
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/trace"
@@ -65,7 +66,7 @@ func TestPortCostMatchesEngine(t *testing.T) {
 			if maxLen > grown {
 				grown = maxLen
 			}
-			want, err = EngineCostAt(s, p, grown, ms.Positions())
+			want, err = EngineCostAt(s, p, grown, ms.pos)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,7 +145,7 @@ func TestPortCostBreakdown(t *testing.T) {
 					t.Fatal(err)
 				}
 				for d := range ref.PerDBC {
-					if ref.PerDBC[d] != b.PerDBC[d] || ref.Accesses[d] != b.Accesses[d] {
+					if ref.PerDBC[d] != b.PerDBC[d] {
 						t.Fatalf("trial %d DBC %d: single-port breakdown diverges", trial, d)
 					}
 				}
@@ -243,7 +244,11 @@ func TestTwoOptPortNeverWorsens(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := portEvalOracle(t, s, order, m)
-		after := portEvalOracle(t, s, twoOptPort(order, s, m), m)
+		polished := order
+		if out := polish(NewPortDeltaEvaluator(s, order, m), maxTwoOptPasses); out != nil {
+			polished = out
+		}
+		after := portEvalOracle(t, s, polished, m)
 		if after > before {
 			t.Fatalf("trial %d: port polish worsened %d -> %d", trial, before, after)
 		}
@@ -356,18 +361,15 @@ func TestPortModelResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Domains() != 256 || m.Ports() != 2 { // Table I: 4 DBCs -> 256 domains
-		t.Fatalf("iso rule gave %d domains, %d ports", m.Domains(), m.Ports())
-	}
-	if got := m.Positions(); got[0] != 0 || got[1] != 128 {
-		t.Fatalf("positions = %v, want [0 128]", got)
+	if got := m.pos; !slices.Equal(got, []int{0, 128}) { // Table I: 4 DBCs -> 256 domains
+		t.Fatalf("iso rule gave positions %v, want [0 128]", got)
 	}
 	m, err = (Options{Ports: 3, PortDomains: 30}).PortModelFor(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Domains() != 30 {
-		t.Fatalf("explicit domains ignored: %d", m.Domains())
+	if got := m.pos; !slices.Equal(got, []int{0, 10, 20}) {
+		t.Fatalf("explicit domains ignored: positions %v, want [0 10 20]", got)
 	}
 	if _, err := (Options{Ports: 5, PortDomains: 3}).PortModelFor(4); err == nil {
 		t.Error("ports > domains accepted")
@@ -392,12 +394,13 @@ func BenchmarkPortCost(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	off := make([]int, len(p.DBC))
+	track := make([]int, len(p.DBC))
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink int64
 	for i := 0; i < b.N; i++ {
-		c, _ := portCostLookupBounded(s, l, m, off, math.MaxInt64)
+		setCold(track)
+		c, _ := m.total(s, l, track, math.MaxInt64)
 		sink += c
 	}
 	_ = sink

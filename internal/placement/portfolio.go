@@ -219,19 +219,13 @@ func boundedCost(s *trace.Sequence, p *Placement, q int, opts Options, pm *PortM
 	if err != nil {
 		return 0, err
 	}
-	// The builtins' construct places every variable, so no access is
-	// unplaced.
-	if pm != nil {
-		sc := portPool.Get().(*portScratch)
-		c, _ := portCostLookupBounded(s, l, pm, sc.grow(numDBCsIn(l)), bound)
-		portPool.Put(sc)
-		return c, nil
-	}
-	if k := opts.Kernel; k != nil && k.Sequence() == s {
+	if k := opts.Kernel; pm == nil && k != nil && k.Sequence() == s {
 		return k.CostBounded(l, bound), nil
 	}
-	sc := replayPool.Get().(*replayScratch)
-	defer replayPool.Put(sc)
-	c, _ := shiftCostLookupBounded(s, l, sc.grow(q), bound)
+	// The builtins' construct places every variable, so no access is
+	// unplaced.
+	sc := trackPool.Get().(*trackScratch)
+	c, _ := replayTotal(s, l, pm, sc.cold(q), bound)
+	trackPool.Put(sc)
 	return c, nil
 }

@@ -317,9 +317,6 @@ func (rw) Place(s *trace.Sequence, q int, opts Options) (*Placement, int64, erro
 		}
 		cfg.Port = pm
 	}
-	if cfg.Cost == nil {
-		cfg.Cost = opts.Cost
-	}
 	return RandomWalk(s, q, cfg)
 }
 

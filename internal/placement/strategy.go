@@ -139,13 +139,10 @@ func costOf(s *trace.Sequence, p *Placement, q int, opts Options) (int64, error)
 	if err != nil {
 		return 0, err
 	}
-	if pm != nil {
-		return PortCost(s, p, pm)
-	}
-	if k := opts.Kernel; k != nil && k.Sequence() == s {
+	if k := opts.Kernel; pm == nil && k != nil && k.Sequence() == s {
 		return k.Evaluate(p)
 	}
-	return ShiftCost(s, p)
+	return PortCost(s, p, pm)
 }
 
 // heuristicSeeds produces the heuristic placements used to seed the GA:

@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -258,7 +259,7 @@ type streamWindow struct {
 	seq   trace.Sequence // the strategy's view of buf
 	order []int          // local id -> global id
 	moved []migration
-	off   []int      // per-DBC port offset, portCold until first access
+	track []int      // per-DBC track state, cold until first access
 	pm    *PortModel // nil: the single-port |x−y| model
 }
 
@@ -270,13 +271,11 @@ type migration struct{ g, lid, dbc, off int }
 // times its final size; a longer window grows it on demand.
 func newStreamWindow(q, window int, pm *PortModel) *streamWindow {
 	w := &streamWindow{
-		buf: make([]trace.Access, 0, min(window, DefaultStreamWindow)),
-		off: make([]int, q),
-		pm:  pm,
+		buf:   make([]trace.Access, 0, min(window, DefaultStreamWindow)),
+		track: make([]int, q),
+		pm:    pm,
 	}
-	for d := range w.off {
-		w.off[d] = portCold
-	}
+	setCold(w.track)
 	w.vars.init(64)
 	return w
 }
@@ -342,21 +341,15 @@ func (w *streamWindow) migrate(l *Lookup, res *StreamResult) {
 	res.Writes += n
 }
 
-// replay charges the window's accesses against the persistent port
+// replay charges the window's accesses against the persistent track
 // state.
 //
 //rtm:hotpath
 func (w *streamWindow) replay(l *Lookup, res *StreamResult) {
-	var shifts, writes int64
-	if w.pm == nil {
-		for _, a := range w.buf {
-			shifts += w.chargeOnePort(l.DBCOf[a.Var], l.Offset[a.Var])
-		}
-	} else {
-		for _, a := range w.buf {
-			shifts += w.charge(l.DBCOf[a.Var], l.Offset[a.Var])
-		}
-	}
+	// The strategy placed every local variable (checked by the caller),
+	// so no access is unplaced.
+	shifts, _ := replayTotal(&w.seq, l, w.pm, w.track, math.MaxInt64)
+	var writes int64
 	for _, a := range w.buf {
 		if a.Write {
 			writes++
@@ -367,33 +360,25 @@ func (w *streamWindow) replay(l *Lookup, res *StreamResult) {
 	res.Reads += int64(len(w.buf)) - writes
 }
 
-// charge serves one access to offset x of DBC d and returns its shift
-// cost. The first access to a DBC is free, as in portCostLookupBounded;
-// with more than one port it leaves the track aligned to the cheapest
-// port.
+// charge serves one migration access to offset x of DBC d with the
+// replay loops' step and returns its shift cost: free on a cold DBC,
+// which it leaves at x (single port) or aligned to the cheapest port.
 func (w *streamWindow) charge(d, x int) int64 {
+	o := w.track[d]
 	if w.pm == nil {
-		return w.chargeOnePort(d, x)
+		w.track[d] = x
+		if o == cold {
+			return 0
+		}
+		return absDist(o, x)
 	}
-	o := w.off[d]
-	if o == portCold {
-		_, w.off[d] = w.pm.step(0, x)
+	if o == cold {
+		_, w.track[d] = w.pm.step(0, x)
 		return 0
 	}
 	c, no := w.pm.step(o, x)
-	w.off[d] = no
+	w.track[d] = no
 	return int64(c)
-}
-
-// chargeOnePort is charge under the single-port |x−y| model, small
-// enough to inline into replay's per-access loop.
-func (w *streamWindow) chargeOnePort(d, x int) int64 {
-	o := w.off[d]
-	w.off[d] = x
-	if o == portCold {
-		return 0
-	}
-	return absDist(o, x)
 }
 
 // advance makes this window's layout the residency the next boundary

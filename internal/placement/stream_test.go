@@ -343,7 +343,7 @@ func stitchReference(t *testing.T, s *trace.Sequence, q, window int, strat Strat
 		t.Fatal(err)
 	}
 	if pm != nil {
-		positions = pm.Positions()
+		positions = pm.pos
 	}
 	domains := positions[len(positions)-1] + s.NumVars() + 1
 	engines := make([]*rtm.ShiftEngine, q)

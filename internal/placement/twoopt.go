@@ -31,51 +31,57 @@ const maxTwoOptPasses = 24
 // twoopt_reference_test.go). Intended as a polish pass after Chen or
 // ShiftsReduce, and as the optional '+2opt' ablation in bench_test.go.
 func TwoOpt(vars []int, s *trace.Sequence, a *trace.Analysis) []int {
-	return twoOptWithKernel(vars, s, nil)
+	return twoOpt(vars, s, nil, nil)
 }
 
-// twoOptWithKernel is TwoOpt with an optional cost kernel: when kern
-// summarizes s, the per-DBC DeltaEvaluator setup derives from it in
-// O(nnz) instead of replaying the stream. Search behaviour is identical.
-func twoOptWithKernel(vars []int, s *trace.Sequence, kern *CostKernel) []int {
+// twoOpt is TwoOpt with an optional cost kernel and port model. When
+// kern summarizes s, the DeltaEvaluator setup derives from it in O(nnz)
+// instead of replaying the stream; search behaviour is identical. With
+// a port model, a second sweep follows under the multi-port objective:
+// the same move families, first-improvement rule and pass bound,
+// evaluated by PortDeltaEvaluator's exact restricted replay. Starting
+// from the single-port result and accepting only improvements, it never
+// scores worse on a multi-port device than the single-port order.
+func twoOpt(vars []int, s *trace.Sequence, kern *CostKernel, pm *PortModel) []int {
 	order := append([]int(nil), vars...)
 	if len(order) < 3 {
 		return order
 	}
-	var e *DeltaEvaluator
+	var e polisher
 	if kern != nil && kern.Sequence() == s {
 		e = NewDeltaEvaluatorFromKernel(kern, order)
 	} else {
 		e = NewDeltaEvaluator(s, order)
 	}
-	if e.Accesses() < 2 {
-		return order
+	if out := polish(e, maxTwoOptPasses); out != nil {
+		order = out
 	}
-	for pass := 0; pass < maxTwoOptPasses; pass++ {
-		if !e.ImprovePass() {
-			break
+	if pm != nil {
+		if out := polish(NewPortDeltaEvaluator(s, order, pm), maxTwoOptPasses); out != nil {
+			order = out
 		}
 	}
-	return e.CurrentOrder()
+	return order
 }
 
-// twoOptPort is the TwoOpt sweep under the multi-port cost model: the
-// same move families, first-improvement rule and pass bound, evaluated
-// by the PortDeltaEvaluator's exact restricted replay instead of the
-// single-port O(freq) deltas. Like TwoOpt it can only keep or improve
-// the order's cost — under the *port* objective — so a port polish pass
-// appended to any heuristic order never scores worse than that order on
-// a multi-port device.
-func twoOptPort(vars []int, s *trace.Sequence, m *PortModel) []int {
-	order := append([]int(nil), vars...)
-	if len(order) < 3 {
-		return order
-	}
-	e := NewPortDeltaEvaluator(s, order, m)
+// polisher is the move surface the 2-opt polish drives: DeltaEvaluator
+// under the single-port model, PortDeltaEvaluator under a multi-port
+// one.
+type polisher interface {
+	Accesses() int
+	ImprovePass() bool
+	CurrentOrder() []int
+}
+
+// polish runs first-improvement sweeps of e until one accepts no move or
+// passes sweeps ran, and returns the improved order. With fewer than two
+// accesses to its members an order has nothing to improve, and polish
+// returns nil.
+func polish(e polisher, passes int) []int {
 	if e.Accesses() < 2 {
-		return order
+		return nil
 	}
-	for pass := 0; pass < maxTwoOptPasses; pass++ {
+	for pass := 0; pass < passes; pass++ {
 		if !e.ImprovePass() {
 			break
 		}

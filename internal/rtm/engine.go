@@ -86,9 +86,6 @@ func NewShiftEngineAt(domains int, positions []int) (*ShiftEngine, error) {
 // Ports returns a copy of the port positions.
 func (e *ShiftEngine) Ports() []int { return append([]int(nil), e.ports...) }
 
-// Offset returns the current shift offset of the track.
-func (e *ShiftEngine) Offset() int { return e.offset }
-
 // CostOf returns the number of shifts that accessing location x would take
 // from the current state, without performing the access.
 func (e *ShiftEngine) CostOf(x int) (int, error) {
@@ -98,18 +95,8 @@ func (e *ShiftEngine) CostOf(x int) (int, error) {
 	if !e.warm {
 		return 0, nil
 	}
-	best := -1
-	for _, p := range e.ports {
-		need := x - p
-		d := need - e.offset
-		if d < 0 {
-			d = -d
-		}
-		if best < 0 || d < best {
-			best = d
-		}
-	}
-	return best, nil
+	cost, _ := e.nearest(e.offset, x)
+	return cost, nil
 }
 
 // Access aligns location x with the nearest port, returning the number of
@@ -118,42 +105,34 @@ func (e *ShiftEngine) Access(x int) (int, error) {
 	if x < 0 || x >= e.domains {
 		return 0, fmt.Errorf("rtm: location %d out of range [0,%d)", x, e.domains)
 	}
+	e.accesses++
 	if !e.warm {
-		// Pre-align the cheapest port to x for free.
+		// Pre-align the cheapest port to x for free: the port nearest
+		// to x is the one nearest from offset 0.
 		e.warm = true
-		e.offset = x - e.nearestPort(x)
-		e.accesses++
+		_, e.offset = e.nearest(0, x)
 		return 0, nil
 	}
-	bestCost := -1
-	bestOffset := 0
-	for _, p := range e.ports {
-		need := x - p
-		d := need - e.offset
-		if d < 0 {
-			d = -d
-		}
-		if bestCost < 0 || d < bestCost {
-			bestCost = d
-			bestOffset = need
-		}
-	}
-	e.offset = bestOffset
-	e.shifts += int64(bestCost)
-	e.accesses++
-	return bestCost, nil
+	cost, off := e.nearest(e.offset, x)
+	e.offset = off
+	e.shifts += int64(cost)
+	return cost, nil
 }
 
-func (e *ShiftEngine) nearestPort(x int) int {
-	best := e.ports[0]
-	bestD := abs(x - best)
-	for _, p := range e.ports[1:] {
-		if d := abs(x - p); d < bestD {
-			bestD = d
-			best = p
+// nearest is the controller's port choice: from shift offset off, the
+// port that aligns with location x in the fewest shifts, lowest index on
+// ties. It returns those shifts and the offset the alignment leaves.
+// placement.PortModel's step writes the same walk on its own: the
+// engine is the independent oracle TestPortCostMatchesEngine holds it to.
+func (e *ShiftEngine) nearest(off, x int) (cost, newOff int) {
+	cost = -1
+	for _, p := range e.ports {
+		need := x - p
+		if d := abs(need - off); cost < 0 || d < cost {
+			cost, newOff = d, need
 		}
 	}
-	return best
+	return cost, newOff
 }
 
 func abs(x int) int {

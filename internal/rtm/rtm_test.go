@@ -210,7 +210,7 @@ func TestEngineReset(t *testing.T) {
 	e.Access(3)
 	e.Access(7)
 	e.Reset()
-	if e.Shifts() != 0 || e.Accesses() != 0 || e.Offset() != 0 {
+	if e.Shifts() != 0 || e.Accesses() != 0 || e.offset != 0 {
 		t.Error("Reset left state behind")
 	}
 	// Cold again: free access.

@@ -122,17 +122,3 @@ func insertionSortBy(s []int, less func(x, y int) bool) {
 		}
 	}
 }
-
-// SelfAccesses returns the number of consecutive repeated accesses
-// (si == si+1) in the sequence. Placements cannot be charged shifts for
-// self accesses, so this is a lower-bound-improving statistic the DMA
-// heuristic tries to maximize inside the disjoint set.
-func SelfAccesses(s *Sequence) int {
-	n := 0
-	for i := 1; i < len(s.Accesses); i++ {
-		if s.Accesses[i].Var == s.Accesses[i-1].Var {
-			n++
-		}
-	}
-	return n
-}

@@ -28,20 +28,6 @@ type Edge struct {
 	Weight int
 }
 
-// BuildGraph constructs the access graph of s.
-func BuildGraph(s *Sequence) *Graph {
-	g := &Graph{n: s.NumVars(), w: make(map[edgeKey]int)}
-	for i := 1; i < len(s.Accesses); i++ {
-		u, v := s.Accesses[i-1].Var, s.Accesses[i].Var
-		if u == v {
-			continue
-		}
-		g.w[normKey(u, v)]++
-	}
-	g.buildAdj()
-	return g
-}
-
 // BuildSubgraph constructs the access graph of the subsequence of s
 // restricted to variables in the given set (consecutive-in-restriction
 // pairs). This matches how per-DBC costs arise: the access sequence is
@@ -117,28 +103,4 @@ func (g *Graph) Edges() []Edge {
 		return es[i].V < es[j].V
 	})
 	return es
-}
-
-// TotalWeight returns the sum of all edge weights. For a graph built with
-// BuildGraph this equals the number of non-self consecutive pairs in the
-// sequence, which is also an upper bound on any placement's per-transition
-// count of charged moves.
-func (g *Graph) TotalWeight() int {
-	t := 0
-	for _, w := range g.w {
-		t += w
-	}
-	return t
-}
-
-// CutWeight returns the total weight of edges with exactly one endpoint in
-// the set. Used by the exact minimum-linear-arrangement solver.
-func (g *Graph) CutWeight(inSet func(v int) bool) int {
-	c := 0
-	for k, w := range g.w {
-		if inSet(k.u) != inSet(k.v) {
-			c += w
-		}
-	}
-	return c
 }

@@ -171,7 +171,7 @@ func TestAccessGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := BuildGraph(s)
+	g := buildGraph(s)
 	id := func(name string) int {
 		for i, n := range s.Names {
 			if n == name {
@@ -192,8 +192,8 @@ func TestAccessGraph(t *testing.T) {
 	if w := g.Weight(id("c"), id("c")); w != 0 {
 		t.Errorf("self weight = %d, want 0", w)
 	}
-	if g.TotalWeight() != 5 {
-		t.Errorf("total weight = %d, want 5", g.TotalWeight())
+	if w := totalWeight(g); w != 5 {
+		t.Errorf("total weight = %d, want 5", w)
 	}
 	es := g.Edges()
 	if len(es) != 3 || es[0].Weight != 3 {
@@ -356,14 +356,14 @@ func TestGraphProperties(t *testing.T) {
 		}
 		s := NewSequence(vars...)
 		a := Analyze(s)
-		g := BuildGraph(s)
+		g := buildGraph(s)
 		trans := 0
 		for i := 1; i < len(vars); i++ {
 			if vars[i] != vars[i-1] {
 				trans++
 			}
 		}
-		if g.TotalWeight() != trans {
+		if totalWeight(g) != trans {
 			return false
 		}
 		sum := 0
@@ -377,7 +377,7 @@ func TestGraphProperties(t *testing.T) {
 	}
 }
 
-// Property: SelfAccesses + TotalWeight == Len-1 for non-empty sequences.
+// Property: self accesses + total weight == Len-1 for non-empty sequences.
 func TestSelfAccessesComplement(t *testing.T) {
 	f := func(raw []uint8) bool {
 		if len(raw) == 0 {
@@ -388,8 +388,7 @@ func TestSelfAccessesComplement(t *testing.T) {
 			vars[i] = int(r % 6)
 		}
 		s := NewSequence(vars...)
-		g := BuildGraph(s)
-		return SelfAccesses(s)+g.TotalWeight() == s.Len()-1
+		return selfAccesses(s)+totalWeight(buildGraph(s)) == s.Len()-1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -398,15 +397,54 @@ func TestSelfAccessesComplement(t *testing.T) {
 
 func TestCutWeight(t *testing.T) {
 	s := NewSequence(0, 1, 2, 0, 2)
-	g := BuildGraph(s)
+	g := buildGraph(s)
 	// Edges: 0-1 (1), 1-2 (1), 2-0 (2).
-	cut := g.CutWeight(func(v int) bool { return v == 0 })
+	cut := cutWeight(g, func(v int) bool { return v == 0 })
 	if cut != 3 {
 		t.Errorf("cut({0}) = %d, want 3", cut)
 	}
-	if c := g.CutWeight(func(v int) bool { return true }); c != 0 {
+	if c := cutWeight(g, func(v int) bool { return true }); c != 0 {
 		t.Errorf("cut(V) = %d, want 0", c)
 	}
+}
+
+// buildGraph is the access graph of the whole sequence.
+func buildGraph(s *Sequence) *Graph {
+	return BuildSubgraph(s, func(int) bool { return true })
+}
+
+// totalWeight is the sum of g's edge weights: for buildGraph, the
+// number of non-self consecutive pairs of the sequence.
+func totalWeight(g *Graph) int {
+	t := 0
+	for _, e := range g.Edges() {
+		t += e.Weight
+	}
+	return t
+}
+
+// cutWeight is the total weight of g's edges with exactly one endpoint
+// in the set.
+func cutWeight(g *Graph, inSet func(v int) bool) int {
+	c := 0
+	for _, e := range g.Edges() {
+		if inSet(e.U) != inSet(e.V) {
+			c += e.Weight
+		}
+	}
+	return c
+}
+
+// selfAccesses counts the consecutive repeated accesses of s, which no
+// placement charges.
+func selfAccesses(s *Sequence) int {
+	n := 0
+	for i := 1; i < len(s.Accesses); i++ {
+		if s.Accesses[i].Var == s.Accesses[i-1].Var {
+			n++
+		}
+	}
+	return n
 }
 
 func TestDistinctAndCounts(t *testing.T) {

@@ -511,21 +511,18 @@ func (l *Lab) PlaceBenchmark(ctx context.Context, b *Benchmark, opts PlaceOption
 }
 
 // breakdownFor attributes a placement's cost per DBC under the options'
-// effective cost model: the exact multi-port replay when the options
-// select more than one port, otherwise the options' kernel when it was
-// built for s, otherwise the replay oracle.
+// effective cost model: the options' kernel when the model is single-port
+// and the kernel was built for s, otherwise the replay under the
+// options' port model (nil: single port).
 func breakdownFor(s *Sequence, p *Placement, stOpts StrategyOptions, q int) (*placement.CostBreakdown, error) {
 	pm, err := stOpts.PortModelFor(q)
 	if err != nil {
 		return nil, err
 	}
-	if pm != nil {
-		return placement.PortCostBreakdown(s, p, pm)
-	}
-	if k := stOpts.Kernel; k != nil && k.Sequence() == s {
+	if k := stOpts.Kernel; pm == nil && k != nil && k.Sequence() == s {
 		return k.Breakdown(p)
 	}
-	return placement.ShiftCostBreakdown(s, p)
+	return placement.PortCostBreakdown(s, p, pm)
 }
 
 // Simulate replays the sequence with the placement on the Lab's device

@@ -45,10 +45,11 @@ func TestParseSequence(t *testing.T) {
 	}
 }
 
-// TestCostRejectsUnplacedVariable pins the replays' coverage check:
-// pricing a placement that leaves out an accessed variable is an error
-// naming the first such access, the same from the single-port and the
-// multi-port replay, the public ShiftCost and the breakdown.
+// TestCostRejectsUnplacedVariable pins the coverage check: pricing,
+// attributing, tallying or validating a placement that leaves out an
+// accessed variable is an error naming the first such access, the same
+// from the single-port and the multi-port replay, the public ShiftCost,
+// both breakdowns, PerDBCTallies and Validate.
 func TestCostRejectsUnplacedVariable(t *testing.T) {
 	s, err := ParseSequence("a b c a b c")
 	if err != nil {
@@ -68,6 +69,9 @@ func TestCostRejectsUnplacedVariable(t *testing.T) {
 		{"placement.PortCost", func() error { _, err := placement.PortCost(s, p, m); return err }},
 		{"racetrack.ShiftCost", func() error { _, err := ShiftCost(s, p); return err }},
 		{"placement.ShiftCostBreakdown", func() error { _, err := placement.ShiftCostBreakdown(s, p); return err }},
+		{"placement.PortCostBreakdown", func() error { _, err := placement.PortCostBreakdown(s, p, m); return err }},
+		{"placement.PerDBCTallies", func() error { _, err := placement.PerDBCTallies(s, p, make([]int64, 2)); return err }},
+		{"Placement.Validate", func() error { return p.Validate(s, 0) }},
 	} {
 		if err := tc.price(); err == nil || err.Error() != want {
 			t.Errorf("%s: err = %v, want %q", tc.name, err, want)
