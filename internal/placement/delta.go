@@ -22,10 +22,11 @@ import (
 //
 //   - a swap of the variables at two offsets touches only the transitions
 //     adjacent to the two swapped variables: O(freq(u) + freq(v));
-//   - a segment reversal touches only the transitions crossing the
+//   - a segment reversal changes only the transitions crossing the
 //     segment boundary (interior and exterior pairwise distances are
-//     preserved), enumerated from whichever side of the boundary is
-//     smaller.
+//     preserved), and ImprovePass prices every reversal of a row from
+//     four running sums over those crossings (rowSums): O(1) per
+//     candidate, O(freq) per step of the segment's right end.
 //
 // The seed implementation recomputed the full restricted cost, O(m) per
 // candidate move; see DESIGN.md §7 for the delta derivation and the
@@ -166,8 +167,8 @@ func (e *DeltaEvaluator) initCSR(pairs []wpair) {
 }
 
 // recompute sums the full objective from the CSR rows (each undirected
-// transition visited twice, hence the halving). Used once at setup and by
-// the parity tests; moves never call it.
+// transition visited twice, hence the halving). Used once at setup; moves
+// never call it.
 func (e *DeltaEvaluator) recompute() int64 {
 	var twice int64
 	for _, v := range e.order {
@@ -179,15 +180,9 @@ func (e *DeltaEvaluator) recompute() int64 {
 	return twice / 2
 }
 
-// Cost returns the current intra-DBC shift cost of the order.
-func (e *DeltaEvaluator) Cost() int64 { return e.cost }
-
 // Accesses returns the number of accesses to member variables — the
 // length of the restricted subsequence the cost is defined over.
 func (e *DeltaEvaluator) Accesses() int { return e.accesses }
-
-// Len returns the number of variables in the order.
-func (e *DeltaEvaluator) Len() int { return len(e.order) }
 
 // CurrentOrder returns a copy of the current offset order.
 func (e *DeltaEvaluator) CurrentOrder() []int {
@@ -234,57 +229,12 @@ func (e *DeltaEvaluator) Swap(i, j int) {
 	e.pos[u], e.pos[v] = j, i
 }
 
-// ReverseDelta returns the cost change of reversing the offset segment
-// [i, j], without applying it. Distances between two interior or two
-// exterior variables are preserved, so only transitions crossing the
-// segment boundary contribute; they are enumerated from the smaller side.
+// reverse applies the reversal of the offset segment [i, j], whose cost
+// change d the caller has priced.
 //
 //rtm:hotpath
-func (e *DeltaEvaluator) ReverseDelta(i, j int) int64 {
-	if i >= j {
-		return 0
-	}
-	m := i + j // reversal maps interior offset p to m - p
-	var d int64
-	if j-i+1 <= len(e.order)-(j-i+1) {
-		for p := i; p <= j; p++ {
-			v := e.order[p]
-			for k := e.start[v]; k < e.start[v+1]; k++ {
-				pn := e.pos[e.nbr[k]]
-				if pn >= i && pn <= j {
-					continue // interior transition: distance preserved
-				}
-				d += e.wgt[k] * (absDist(m-p, pn) - absDist(p, pn))
-			}
-		}
-		return d
-	}
-	//rtmlint:hotalloc-ok closure never escapes ReverseDelta, so it stays on the stack; BenchmarkTwoOptDelta pins 0 allocs/op
-	cross := func(p int) {
-		v := e.order[p]
-		for k := e.start[v]; k < e.start[v+1]; k++ {
-			pn := e.pos[e.nbr[k]]
-			if pn < i || pn > j {
-				continue // exterior transition: distance preserved
-			}
-			d += e.wgt[k] * (absDist(p, m-pn) - absDist(p, pn))
-		}
-	}
-	for p := 0; p < i; p++ {
-		cross(p)
-	}
-	for p := j + 1; p < len(e.order); p++ {
-		cross(p)
-	}
-	return d
-}
-
-// Reverse applies the reversal of segment [i, j], updating the cost
-// incrementally.
-//
-//rtm:hotpath
-func (e *DeltaEvaluator) Reverse(i, j int) {
-	e.cost += e.ReverseDelta(i, j)
+func (e *DeltaEvaluator) reverse(i, j int, d int64) {
+	e.cost += d
 	for l, r := i, j; l < r; l, r = l+1, r-1 {
 		e.order[l], e.order[r] = e.order[r], e.order[l]
 	}
@@ -293,26 +243,88 @@ func (e *DeltaEvaluator) Reverse(i, j int) {
 	}
 }
 
+// rowSums price every reversal [i, j] of one row (one fixed i) in O(1).
+// Reversing [i, j] maps an interior offset p to i+j−p and preserves every
+// distance except those of transitions crossing the segment boundary: one
+// of weight w from p to a partner left of i grows by w·(i+j−2p), one to a
+// partner right of j shrinks by as much. Summed over the crossings,
+//
+//	Δrev(i, j) = (i+j)·(a − b) − 2·ax + 2·bx
+//
+// where a and ax are the weight and weight·offset of the transitions from
+// interior variables to partners left of i, and b and bx the same for
+// partners right of j.
+type rowSums struct{ a, ax, b, bx int64 }
+
+// reverseDelta is the cost change of reversing [i, j], for the sums of
+// segment [i, j] and m = i+j.
+func (r *rowSums) reverseDelta(m int64) int64 {
+	return m*(r.a-r.b) - 2*r.ax + 2*r.bx
+}
+
+// mirror maps the sums of [i, j] through the reversal of that segment,
+// m = i+j: the crossing transitions stay the same, and each interior
+// offset p becomes m−p.
+func (r *rowSums) mirror(m int64) {
+	r.ax = m*r.a - r.ax
+	r.bx = m*r.b - r.bx
+}
+
+// extend grows the sums of segment [i, j−1] to those of [i, j] by walking
+// the row of the variable at offset j, in O(freq). A partner inside the
+// segment stops crossing its right boundary.
+//
+//rtm:hotpath
+func (e *DeltaEvaluator) extend(r *rowSums, i, j int) {
+	v, x := e.order[j], int64(j)
+	for k := e.start[v]; k < e.start[v+1]; k++ {
+		w, pn := e.wgt[k], e.pos[e.nbr[k]]
+		switch {
+		case pn < i:
+			r.a += w
+			r.ax += w * x
+		case pn > j:
+			r.b += w
+			r.bx += w * x
+		default:
+			r.b -= w
+			r.bx -= w * int64(pn)
+		}
+	}
+}
+
 // ImprovePass runs one first-improvement sweep over all offset pairs
 // (i, j), i < j, trying a swap first and, only if the swap does not
 // improve, the 2-opt segment reversal — the exact move order and
 // acceptance rule of the seed TwoOpt implementation, so search
 // trajectories match it move-for-move (TestTwoOptMatchesReference).
-// It reports whether any move was accepted.
+// Each row i carries the rowSums of [i, j] as j grows, so a candidate
+// reversal costs O(1) and each step of j O(freq(order[j])). An accepted
+// reversal mirrors the sums in O(1); an accepted swap rebuilds them over
+// [i, j]. It reports whether any move was accepted.
 //
 //rtm:hotpath
 func (e *DeltaEvaluator) ImprovePass() bool {
 	improved := false
 	n := len(e.order)
 	for i := 0; i < n; i++ {
+		var r rowSums
+		e.extend(&r, i, i)
 		for j := i + 1; j < n; j++ {
+			e.extend(&r, i, j)
 			if e.SwapDelta(i, j) < 0 {
 				e.Swap(i, j)
+				r = rowSums{}
+				for p := i; p <= j; p++ {
+					e.extend(&r, i, p)
+				}
 				improved = true
 				continue
 			}
-			if e.ReverseDelta(i, j) < 0 {
-				e.Reverse(i, j)
+			m := int64(i + j)
+			if d := r.reverseDelta(m); d < 0 {
+				e.reverse(i, j, d)
+				r.mirror(m)
 				improved = true
 			}
 		}

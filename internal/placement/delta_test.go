@@ -21,6 +21,104 @@ func fullRestrictedCost(t testing.TB, s *trace.Sequence, order []int) int64 {
 	return c
 }
 
+// reverseDeltaOracle is the reference the row sums of ImprovePass are
+// checked against: the cost change of reversing the offset segment
+// [i, j] of e's order, without applying it. Distances between two
+// interior or two exterior variables are preserved, so only transitions
+// crossing the segment boundary contribute; they are enumerated from the
+// smaller side.
+func reverseDeltaOracle(e *DeltaEvaluator, i, j int) int64 {
+	if i >= j {
+		return 0
+	}
+	m := i + j // reversal maps interior offset p to m - p
+	var d int64
+	if j-i+1 <= len(e.order)-(j-i+1) {
+		for p := i; p <= j; p++ {
+			v := e.order[p]
+			for k := e.start[v]; k < e.start[v+1]; k++ {
+				pn := e.pos[e.nbr[k]]
+				if pn >= i && pn <= j {
+					continue // interior transition: distance preserved
+				}
+				d += e.wgt[k] * (absDist(m-p, pn) - absDist(p, pn))
+			}
+		}
+		return d
+	}
+	cross := func(p int) {
+		v := e.order[p]
+		for k := e.start[v]; k < e.start[v+1]; k++ {
+			pn := e.pos[e.nbr[k]]
+			if pn < i || pn > j {
+				continue // exterior transition: distance preserved
+			}
+			d += e.wgt[k] * (absDist(p, m-pn) - absDist(p, pn))
+		}
+	}
+	for p := 0; p < i; p++ {
+		cross(p)
+	}
+	for p := j + 1; p < len(e.order); p++ {
+		cross(p)
+	}
+	return d
+}
+
+// reverseByOracle applies the reversal of [i, j] priced by the oracle and
+// returns that price.
+func reverseByOracle(e *DeltaEvaluator, i, j int) int64 {
+	d := reverseDeltaOracle(e, i, j)
+	e.reverse(i, j, d)
+	return d
+}
+
+// improvePassOracle is ImprovePass with every reversal priced by
+// reverseDeltaOracle: the same sweep, move order and acceptance rule.
+func improvePassOracle(e *DeltaEvaluator) bool {
+	improved := false
+	n := len(e.order)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if e.SwapDelta(i, j) < 0 {
+				e.Swap(i, j)
+				improved = true
+				continue
+			}
+			if reverseDeltaOracle(e, i, j) < 0 {
+				reverseByOracle(e, i, j)
+				improved = true
+			}
+		}
+	}
+	return improved
+}
+
+// checkRowSums prices every reversal [i, j] of e's current order from
+// the row sums, growing each row i one offset at a time as ImprovePass
+// does, and fails on the first price that differs from the oracle.
+func checkRowSums(t testing.TB, e *DeltaEvaluator) {
+	t.Helper()
+	for i := range e.order {
+		var r rowSums
+		for j := i; j < len(e.order); j++ {
+			e.extend(&r, i, j)
+			if got, want := r.reverseDelta(int64(i+j)), reverseDeltaOracle(e, i, j); got != want {
+				t.Fatalf("order %v: row sums price reversal [%d,%d] at %d, oracle %d", e.order, i, j, got, want)
+			}
+		}
+	}
+}
+
+// cloneDelta copies e's order, positions and cost; the two evaluators
+// share the read-only transition rows.
+func cloneDelta(e *DeltaEvaluator) *DeltaEvaluator {
+	c := *e
+	c.order = append([]int(nil), e.order...)
+	c.pos = append([]int(nil), e.pos...)
+	return &c
+}
+
 // Property: across random sequences, random member subsets and random
 // swap/reversal move chains, the incremental cost is bit-identical to the
 // full recompute, and each predicted delta matches the realized change.
@@ -38,8 +136,8 @@ func TestDeltaEvaluatorParityRandom(t *testing.T) {
 
 		e := NewDeltaEvaluator(s, order)
 		want := fullRestrictedCost(t, s, order)
-		if e.Cost() != want {
-			t.Fatalf("trial %d: setup cost %d, full recompute %d", trial, e.Cost(), want)
+		if e.cost != want {
+			t.Fatalf("trial %d: setup cost %d, full recompute %d", trial, e.cost, want)
 		}
 
 		for move := 0; move < 120; move++ {
@@ -47,23 +145,25 @@ func TestDeltaEvaluatorParityRandom(t *testing.T) {
 			if i > j {
 				i, j = j, i
 			}
-			before := e.Cost()
+			before := e.cost
 			var predicted int64
 			if rng.Intn(2) == 0 {
 				predicted = e.SwapDelta(i, j)
 				e.Swap(i, j)
 			} else {
-				predicted = e.ReverseDelta(i, j)
-				e.Reverse(i, j)
+				predicted = reverseByOracle(e, i, j)
 			}
-			if got := e.Cost() - before; got != predicted {
+			if got := e.cost - before; got != predicted {
 				t.Fatalf("trial %d move %d [%d,%d]: predicted delta %d, applied %d",
 					trial, move, i, j, predicted, got)
 			}
 			want := fullRestrictedCost(t, s, e.CurrentOrder())
-			if e.Cost() != want {
+			if e.cost != want {
 				t.Fatalf("trial %d move %d [%d,%d]: incremental cost %d, full recompute %d",
-					trial, move, i, j, e.Cost(), want)
+					trial, move, i, j, e.cost, want)
+			}
+			if move%20 == 0 {
+				checkRowSums(t, e)
 			}
 		}
 	}
@@ -131,12 +231,11 @@ func TestDeltaEvaluatorAllocFree(t *testing.T) {
 		t.Fatal("workload too small")
 	}
 	e := NewDeltaEvaluator(s, order)
-	n := e.Len()
+	n := len(e.order)
 	allocs := testing.AllocsPerRun(50, func() {
 		e.SwapDelta(0, n-1)
 		e.Swap(1, n-2)
-		e.ReverseDelta(1, n/2)
-		e.Reverse(2, n-3)
+		reverseByOracle(e, 2, n-3)
 		e.ImprovePass()
 	})
 	if allocs != 0 {
@@ -148,13 +247,13 @@ func TestDeltaEvaluatorEdgeCases(t *testing.T) {
 	s := trace.NewSequence(0, 1, 2, 0, 1)
 
 	e := NewDeltaEvaluator(s, nil)
-	if e.Cost() != 0 || e.Accesses() != 0 || e.Len() != 0 {
-		t.Errorf("empty order: cost %d accesses %d len %d", e.Cost(), e.Accesses(), e.Len())
+	if e.cost != 0 || e.Accesses() != 0 || len(e.order) != 0 {
+		t.Errorf("empty order: cost %d accesses %d len %d", e.cost, e.Accesses(), len(e.order))
 	}
 
 	e = NewDeltaEvaluator(s, []int{1})
-	if e.Cost() != 0 {
-		t.Errorf("single variable: cost %d, want 0", e.Cost())
+	if e.cost != 0 {
+		t.Errorf("single variable: cost %d, want 0", e.cost)
 	}
 	if e.Accesses() != 2 {
 		t.Errorf("single variable: accesses %d, want 2", e.Accesses())
@@ -163,15 +262,15 @@ func TestDeltaEvaluatorEdgeCases(t *testing.T) {
 	// Self-transitions cost nothing and must not create edges.
 	selfy := trace.NewSequence(0, 0, 0, 1, 1, 0)
 	e = NewDeltaEvaluator(selfy, []int{0, 1})
-	if e.Cost() != 2 { // 0->1 and 1->0, distance 1 each
-		t.Errorf("self-transition sequence: cost %d, want 2", e.Cost())
+	if e.cost != 2 { // 0->1 and 1->0, distance 1 each
+		t.Errorf("self-transition sequence: cost %d, want 2", e.cost)
 	}
 
 	// A variable in the order but never accessed is a zero-degree row.
 	e = NewDeltaEvaluator(s, []int{2, 1, 0})
 	want := fullRestrictedCost(t, s, []int{2, 1, 0})
-	if e.Cost() != want {
-		t.Errorf("full order: cost %d, want %d", e.Cost(), want)
+	if e.cost != want {
+		t.Errorf("full order: cost %d, want %d", e.cost, want)
 	}
 }
 
@@ -180,8 +279,8 @@ func TestDeltaEvaluatorEdgeCases(t *testing.T) {
 func TestDeltaEvaluatorHandComputed(t *testing.T) {
 	s := trace.NewSequence(0, 1, 2, 0, 1)
 	e := NewDeltaEvaluator(s, []int{0, 1, 2})
-	if e.Cost() != 5 {
-		t.Fatalf("cost %d, want 5", e.Cost())
+	if e.cost != 5 {
+		t.Fatalf("cost %d, want 5", e.cost)
 	}
 	// Swapping offsets of b and c: order [a c b], cost
 	// |0-2|+|2-1|+|1-0|+|0-2| = 6, delta +1.
@@ -190,7 +289,19 @@ func TestDeltaEvaluatorHandComputed(t *testing.T) {
 	}
 	// Reversing [0,2] mirrors every offset: pairwise distances are all
 	// preserved, delta 0.
-	if d := e.ReverseDelta(0, 2); d != 0 {
+	if d := reverseDeltaOracle(e, 0, 2); d != 0 {
 		t.Fatalf("full reversal delta %d, want 0", d)
+	}
+	// Row i = 1 at j = 2: b and c cross to a on the left with weights 2
+	// (a->b twice) and 1 (c->a), so a = 3, ax = 2·1 + 1·2 = 4, b = bx = 0
+	// and Δrev(1, 2) = 3·3 − 2·4 = 1: the same move as the swap above.
+	var r rowSums
+	e.extend(&r, 1, 1)
+	e.extend(&r, 1, 2)
+	if r != (rowSums{a: 3, ax: 4}) {
+		t.Fatalf("row sums of [1,2] = %+v, want {a:3 ax:4 b:0 bx:0}", r)
+	}
+	if d := r.reverseDelta(3); d != 1 {
+		t.Fatalf("row-sum reversal delta %d, want 1", d)
 	}
 }

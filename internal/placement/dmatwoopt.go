@@ -7,9 +7,10 @@ import (
 // PlaceDMATwoOpt is the two-opt-refined DMA strategy: the paper's DMA
 // inter-DBC heuristic with a ShiftsReduce intra ordering on the
 // non-disjoint DBCs, polished by the TwoOpt local search (see twoopt.go).
-// Since the delta-evaluator rewrite the polish pass prices each candidate
-// move in O(freq) instead of replaying the DBC's restricted subsequence,
-// so the strategy stays affordable on long traces (BenchmarkTwoOptDelta);
+// The polish pass prices a candidate swap in O(freq) and a candidate
+// reversal in O(1) from running row sums, never replaying the DBC's
+// restricted subsequence, so the strategy stays affordable on long traces
+// (BenchmarkTwoOptDelta);
 // when the caller passes a cost kernel the per-DBC evaluator setup is
 // derived from it in O(nnz) instead of a replay. The engine and the Lab
 // pass none: one replay-built evaluator per DBC is cheaper than a kernel

@@ -83,9 +83,9 @@ func FuzzKernelParity(f *testing.F) {
 			}
 			ref := NewDeltaEvaluator(s, d)
 			der := NewDeltaEvaluatorFromKernel(k, d)
-			if ref.Cost() != der.Cost() || ref.Accesses() != der.Accesses() {
+			if ref.cost != der.cost || ref.Accesses() != der.Accesses() {
 				t.Fatalf("DBC %v: replay-built (cost %d, acc %d) vs kernel-derived (cost %d, acc %d)",
-					d, ref.Cost(), ref.Accesses(), der.Cost(), der.Accesses())
+					d, ref.cost, ref.Accesses(), der.cost, der.Accesses())
 			}
 		}
 	})
@@ -287,7 +287,11 @@ func FuzzPortCostParity(f *testing.F) {
 // universe, access sequence, move chain) and checks the incremental
 // DeltaEvaluator cost stays bit-identical to a full ShiftCost recompute
 // after every applied move, and that every predicted delta matches the
-// realized change. Run in CI's fuzz-smoke job.
+// realized change. From the state the moves leave, the row sums must
+// price every reversal as the boundary-enumerating oracle does, and
+// ImprovePass must follow the oracle-priced pass move for move: the same
+// order and cost after every sweep, that cost equal to the full
+// recompute. Run in CI's fuzz-smoke job.
 func FuzzDeltaParity(f *testing.F) {
 	f.Add([]byte{7, 2, 0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 1, 2, 1, 0, 3})
 	f.Add([]byte{3, 0, 0, 1, 2, 0, 1, 2, 9, 9, 9, 2, 0, 1})
@@ -336,7 +340,7 @@ func FuzzDeltaParity(f *testing.F) {
 			}
 			return c
 		}
-		if got, want := e.Cost(), full(); got != want {
+		if got, want := e.cost, full(); got != want {
 			t.Fatalf("setup: incremental %d, full %d", got, want)
 		}
 
@@ -346,20 +350,42 @@ func FuzzDeltaParity(f *testing.F) {
 			if i > j {
 				i, j = j, i
 			}
-			before := e.Cost()
+			before := e.cost
 			var predicted int64
 			if moveBytes[m]%2 == 0 {
 				predicted = e.SwapDelta(i, j)
 				e.Swap(i, j)
 			} else {
-				predicted = e.ReverseDelta(i, j)
-				e.Reverse(i, j)
+				predicted = reverseByOracle(e, i, j)
 			}
-			if got := e.Cost() - before; got != predicted {
+			if got := e.cost - before; got != predicted {
 				t.Fatalf("move %d [%d,%d]: predicted delta %d, applied %d", m, i, j, predicted, got)
 			}
-			if got, want := e.Cost(), full(); got != want {
+			if got, want := e.cost, full(); got != want {
 				t.Fatalf("move %d [%d,%d]: incremental %d, full %d", m, i, j, got, want)
+			}
+		}
+
+		checkRowSums(t, e)
+		o := cloneDelta(e)
+		for pass := 0; pass < maxTwoOptPasses; pass++ {
+			improved, oracleImproved := e.ImprovePass(), improvePassOracle(o)
+			if improved != oracleImproved {
+				t.Fatalf("pass %d: ImprovePass improved=%v, oracle pass %v", pass, improved, oracleImproved)
+			}
+			for p := range e.order {
+				if e.order[p] != o.order[p] {
+					t.Fatalf("pass %d: orders diverge at offset %d:\n got %v\nwant %v", pass, p, e.order, o.order)
+				}
+			}
+			if e.cost != o.cost {
+				t.Fatalf("pass %d: ImprovePass cost %d, oracle pass %d", pass, e.cost, o.cost)
+			}
+			if want := full(); e.cost != want {
+				t.Fatalf("pass %d: incremental %d, full %d", pass, e.cost, want)
+			}
+			if !improved {
+				break
 			}
 		}
 	})

@@ -168,7 +168,7 @@ func BenchmarkDeltaSetupFromKernel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e := NewDeltaEvaluatorFromKernel(k, p.DBC[i%len(p.DBC)])
-		if e.Len() == 0 {
+		if len(e.order) == 0 {
 			b.Fatal("empty evaluator")
 		}
 	}

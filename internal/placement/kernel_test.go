@@ -145,9 +145,9 @@ func TestDeltaFromKernelParity(t *testing.T) {
 
 		ref := NewDeltaEvaluator(s, order)
 		der := NewDeltaEvaluatorFromKernel(k, order)
-		if ref.Cost() != der.Cost() || ref.Accesses() != der.Accesses() {
+		if ref.cost != der.cost || ref.Accesses() != der.Accesses() {
 			t.Fatalf("trial %d: replay-built (cost %d, %d accesses) vs kernel-derived (cost %d, %d accesses)",
-				trial, ref.Cost(), ref.Accesses(), der.Cost(), der.Accesses())
+				trial, ref.cost, ref.Accesses(), der.cost, der.Accesses())
 		}
 		for m := 0; m < 30; m++ {
 			i, j := rng.Intn(len(order)), rng.Intn(len(order))
@@ -157,18 +157,18 @@ func TestDeltaFromKernelParity(t *testing.T) {
 			if sr, sd := ref.SwapDelta(i, j), der.SwapDelta(i, j); sr != sd {
 				t.Fatalf("trial %d move %d: SwapDelta(%d,%d) %d vs %d", trial, m, i, j, sr, sd)
 			}
-			if rr, rd := ref.ReverseDelta(i, j), der.ReverseDelta(i, j); rr != rd {
-				t.Fatalf("trial %d move %d: ReverseDelta(%d,%d) %d vs %d", trial, m, i, j, rr, rd)
+			if rr, rd := reverseDeltaOracle(ref, i, j), reverseDeltaOracle(der, i, j); rr != rd {
+				t.Fatalf("trial %d move %d: reversal delta (%d,%d) %d vs %d", trial, m, i, j, rr, rd)
 			}
 			if m%2 == 0 {
 				ref.Swap(i, j)
 				der.Swap(i, j)
 			} else {
-				ref.Reverse(i, j)
-				der.Reverse(i, j)
+				reverseByOracle(ref, i, j)
+				reverseByOracle(der, i, j)
 			}
-			if ref.Cost() != der.Cost() {
-				t.Fatalf("trial %d move %d: costs diverged %d vs %d", trial, m, ref.Cost(), der.Cost())
+			if ref.cost != der.cost {
+				t.Fatalf("trial %d move %d: costs diverged %d vs %d", trial, m, ref.cost, der.cost)
 			}
 		}
 		ref.ImprovePass()

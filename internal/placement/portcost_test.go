@@ -203,9 +203,9 @@ func TestPortDeltaEvaluatorParity(t *testing.T) {
 		}
 		if ports == 1 {
 			ref := NewDeltaEvaluator(s, order)
-			if ref.Cost() != e.Cost() || ref.Accesses() != e.Accesses() {
+			if ref.cost != e.Cost() || ref.Accesses() != e.Accesses() {
 				t.Fatalf("trial %d: single-port (cost %d, acc %d) vs port evaluator (cost %d, acc %d)",
-					trial, ref.Cost(), ref.Accesses(), e.Cost(), e.Accesses())
+					trial, ref.cost, ref.Accesses(), e.Cost(), e.Accesses())
 			}
 		}
 		for mv := 0; mv < 12; mv++ {

@@ -166,9 +166,9 @@ func TestStreamKernelDeltaEvaluator(t *testing.T) {
 	order := []int{3, 1, 7, 12, 5}
 	re := NewDeltaEvaluatorFromKernel(eager, order)
 	se := NewDeltaEvaluatorFromKernel(stream, order)
-	if re.Cost() != se.Cost() || re.Accesses() != se.Accesses() {
+	if re.cost != se.cost || re.Accesses() != se.Accesses() {
 		t.Fatalf("derived evaluators differ: (cost %d, acc %d) vs (cost %d, acc %d)",
-			re.Cost(), re.Accesses(), se.Cost(), se.Accesses())
+			re.cost, re.Accesses(), se.cost, se.Accesses())
 	}
 	for m := 0; m < 20; m++ {
 		i, j := rng.Intn(len(order)), rng.Intn(len(order))

@@ -24,12 +24,13 @@ const maxTwoOptPasses = 24
 //
 // Moves are evaluated incrementally through DeltaEvaluator (delta.go):
 // after an O(m) setup per DBC, a candidate swap costs O(freq(u)+freq(v))
-// and a candidate reversal touches only boundary-crossing transitions,
-// instead of the seed's O(m) full recompute per candidate. The search
-// trajectory is identical to the seed implementation move-for-move
-// (TestTwoOptMatchesReference pins this against the reference kept in
-// twoopt_reference_test.go). Intended as a polish pass after Chen or
-// ShiftsReduce, and as the optional '+2opt' ablation in bench_test.go.
+// and a candidate reversal O(1) from running sums over the row's
+// boundary-crossing transitions, instead of the seed's O(m) full
+// recompute per candidate. The search trajectory is identical to the
+// seed implementation move-for-move (TestTwoOptMatchesReference pins
+// this against the reference kept in twoopt_reference_test.go).
+// Intended as a polish pass after Chen or ShiftsReduce, and as the
+// optional '+2opt' ablation in bench_test.go.
 func TwoOpt(vars []int, s *trace.Sequence, a *trace.Analysis) []int {
 	return twoOpt(vars, s, nil, nil)
 }
