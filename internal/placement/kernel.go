@@ -509,13 +509,28 @@ func (k *CostKernel) Breakdown(p *Placement) (*CostBreakdown, error) {
 		}
 		d := l.DBCOf[v]
 		if d < 0 || d >= q {
-			return nil, fmt.Errorf("placement: accesses to unplaced variable %s", k.varName(v))
+			return nil, k.unplaced(l, v)
 		}
 		c := k.varCost(l.DBCOf, l.Offset, v, d)
 		b.PerDBC[d] += c
 		b.Total += c
 	}
 	return b, nil
+}
+
+// unplaced reports that the lookup leaves out v, an accessed variable.
+// A kernel that holds its sequence names the first access to any
+// unplaced variable, in the replay's words; a streamed kernel has no
+// accesses left to index and names v.
+func (k *CostKernel) unplaced(l *Lookup, v int) error {
+	if k.seq != nil {
+		for i, a := range k.seq.Accesses {
+			if l.DBCOf[a.Var] < 0 {
+				return unplacedAccess(k.seq, i)
+			}
+		}
+	}
+	return fmt.Errorf("placement: accesses to unplaced variable %s", k.varName(v))
 }
 
 // Rebind returns a kernel bound to s, sharing this kernel's immutable

@@ -49,7 +49,8 @@ func TestParseSequence(t *testing.T) {
 // attributing, tallying or validating a placement that leaves out an
 // accessed variable is an error naming the first such access, the same
 // from the single-port and the multi-port replay, the public ShiftCost,
-// both breakdowns, PerDBCTallies and Validate.
+// all three breakdowns (the Lab's with a kernel among them),
+// PerDBCTallies and Validate.
 func TestCostRejectsUnplacedVariable(t *testing.T) {
 	s, err := ParseSequence("a b c a b c")
 	if err != nil {
@@ -70,6 +71,11 @@ func TestCostRejectsUnplacedVariable(t *testing.T) {
 		{"racetrack.ShiftCost", func() error { _, err := ShiftCost(s, p); return err }},
 		{"placement.ShiftCostBreakdown", func() error { _, err := placement.ShiftCostBreakdown(s, p); return err }},
 		{"placement.PortCostBreakdown", func() error { _, err := placement.PortCostBreakdown(s, p, m); return err }},
+		{"placement.CostKernel.Breakdown", func() error { _, err := placement.NewCostKernel(s).Breakdown(p); return err }},
+		{"breakdownFor with a kernel", func() error {
+			_, err := breakdownFor(s, p, StrategyOptions{Kernel: placement.NewCostKernel(s)}, 2)
+			return err
+		}},
 		{"placement.PerDBCTallies", func() error { _, err := placement.PerDBCTallies(s, p, make([]int64, 2)); return err }},
 		{"Placement.Validate", func() error { return p.Validate(s, 0) }},
 	} {
