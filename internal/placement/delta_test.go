@@ -85,8 +85,8 @@ func improvePassOracle(e *DeltaEvaluator) bool {
 				improved = true
 				continue
 			}
-			if reverseDeltaOracle(e, i, j) < 0 {
-				reverseByOracle(e, i, j)
+			if d := reverseDeltaOracle(e, i, j); d < 0 {
+				e.reverse(i, j, d)
 				improved = true
 			}
 		}
@@ -121,7 +121,8 @@ func cloneDelta(e *DeltaEvaluator) *DeltaEvaluator {
 
 // Property: across random sequences, random member subsets and random
 // swap/reversal move chains, the incremental cost is bit-identical to the
-// full recompute, and each predicted delta matches the realized change.
+// full recompute, each predicted delta matches the realized change, and
+// the row sums price every reversal as the oracle does.
 func TestDeltaEvaluatorParityRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 60; trial++ {

@@ -136,10 +136,10 @@ func PortCostBreakdown(s *trace.Sequence, p *Placement, m *PortModel) (*CostBrea
 // cheapest exact evaluation the model admits; with one port, use
 // DeltaEvaluator's O(freq) deltas instead.
 //
-// The move surface (SwapDelta/Swap, ReverseDelta/Reverse, ImprovePass
-// with the same swap-first first-improvement sweep) mirrors
-// DeltaEvaluator, so TwoOpt-style searches run unchanged on either.
-// Not safe for concurrent use; search loops own one instance each.
+// ImprovePass runs the same swap-first first-improvement sweep as
+// DeltaEvaluator's, and both evaluators satisfy the polisher interface
+// (twoopt.go), so TwoOpt-style searches run unchanged on either. Not
+// safe for concurrent use; search loops own one instance each.
 type PortDeltaEvaluator struct {
 	model  *PortModel
 	order  []int // current offset order; order[i] lives at offset i
