@@ -509,7 +509,7 @@ func (k *CostKernel) Breakdown(p *Placement) (*CostBreakdown, error) {
 		}
 		d := l.DBCOf[v]
 		if d < 0 || d >= q {
-			return nil, k.unplaced(l, v)
+			return nil, k.unplaced(p, v)
 		}
 		c := k.varCost(l.DBCOf, l.Offset, v, d)
 		b.PerDBC[d] += c
@@ -518,17 +518,13 @@ func (k *CostKernel) Breakdown(p *Placement) (*CostBreakdown, error) {
 	return b, nil
 }
 
-// unplaced reports that the lookup leaves out v, an accessed variable.
-// A kernel that holds its sequence names the first access to any
-// unplaced variable, in the replay's words; a streamed kernel has no
+// unplaced reports that p leaves out v, an accessed variable. A kernel
+// that holds its sequence reports it as Validate and the replays do, by
+// the first access to any unplaced variable; a streamed kernel has no
 // accesses left to index and names v.
-func (k *CostKernel) unplaced(l *Lookup, v int) error {
+func (k *CostKernel) unplaced(p *Placement, v int) error {
 	if k.seq != nil {
-		for i, a := range k.seq.Accesses {
-			if l.DBCOf[a.Var] < 0 {
-				return unplacedAccess(k.seq, i)
-			}
-		}
+		return p.Validate(k.seq, 0)
 	}
 	return fmt.Errorf("placement: accesses to unplaced variable %s", k.varName(v))
 }

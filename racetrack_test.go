@@ -49,8 +49,8 @@ func TestParseSequence(t *testing.T) {
 // attributing, tallying or validating a placement that leaves out an
 // accessed variable is an error naming the first such access, the same
 // from the single-port and the multi-port replay, the public ShiftCost,
-// all three breakdowns (the Lab's with a kernel among them),
-// PerDBCTallies and Validate.
+// every breakdown (the replay's, the kernel's and the Lab's with a
+// kernel), PerDBCTallies and Validate.
 func TestCostRejectsUnplacedVariable(t *testing.T) {
 	s, err := ParseSequence("a b c a b c")
 	if err != nil {
