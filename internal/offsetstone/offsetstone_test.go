@@ -154,11 +154,18 @@ func TestLoopStructureExists(t *testing.T) {
 	}
 	heavy := false
 	for _, s := range b.Sequences {
-		g := trace.BuildSubgraph(s, func(int) bool { return true })
-		for _, e := range g.Edges() {
-			if e.Weight >= 4 {
+		// Count each unordered pair of distinct consecutive accesses.
+		w := map[[2]int]int{}
+		for i := 1; i < len(s.Accesses); i++ {
+			u, v := s.Accesses[i-1].Var, s.Accesses[i].Var
+			if u == v {
+				continue
+			}
+			if u > v {
+				u, v = v, u
+			}
+			if w[[2]int{u, v}]++; w[[2]int{u, v}] >= 4 {
 				heavy = true
-				break
 			}
 		}
 	}

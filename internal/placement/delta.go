@@ -1,8 +1,6 @@
 package placement
 
 import (
-	"sort"
-
 	"repro/internal/trace"
 )
 
@@ -41,129 +39,30 @@ type DeltaEvaluator struct {
 	order []int // current offset order; order[i] lives at offset i
 	pos   []int // pos[v] = offset of v, -1 for non-members; inverse of order
 
-	// Transition multiset in CSR form over the dense variable universe.
-	// Row v holds v's transition partners; each undirected transition
-	// pair appears in both endpoint rows.
-	start []int32
-	nbr   []int32
-	wgt   []int64
+	// The transition multiset of the restricted subsequence (graph.go).
+	accessGraph
 
-	cost     int64
-	accesses int // number of accesses to member variables
+	cost int64
 }
 
 // NewDeltaEvaluator builds an evaluator for the accesses of s restricted
 // to the variables of order (the DBC's content, in offset order). Setup is
-// O(numVars + m + t·log t) for m accesses and t distinct transitions;
-// every subsequent move evaluation is independent of m. When a CostKernel
-// for the sequence is already at hand, NewDeltaEvaluatorFromKernel builds
-// the identical evaluator without touching the access stream.
+// O(numVars + m) for m accesses; every subsequent move evaluation is
+// independent of m. When a CostKernel for the sequence is already at
+// hand, NewDeltaEvaluatorFromKernel builds the identical evaluator
+// without touching the access stream.
 func NewDeltaEvaluator(s *trace.Sequence, order []int) *DeltaEvaluator {
-	e := newDeltaShell(s.NumVars(), order)
-
-	// Collect the transition multiset of the restricted subsequence:
-	// consecutive accesses to distinct member variables, non-members
-	// transparent (they live in other DBCs and cost nothing here).
-	numVars := s.NumVars()
-	var pairs []wpair
-	prev := -1
-	for _, a := range s.Accesses {
-		v := a.Var
-		if v < 0 || v >= numVars || e.pos[v] < 0 {
-			continue
-		}
-		e.accesses++
-		if prev >= 0 && prev != v {
-			u, w := int32(prev), int32(v)
-			if u > w {
-				u, w = w, u
-			}
-			pairs = append(pairs, wpair{u: u, v: w, w: 1})
-		}
-		prev = v
-	}
-	e.initCSR(pairs)
-	return e
+	pos := memberIndex(s.NumVars(), order)
+	return newDelta(graphFromStream(s, pos), order, pos)
 }
 
-// wpair is an undirected transition pair (u <= v) with a multiplicity.
-type wpair struct {
-	u, v int32
-	w    int64
-}
-
-// newDeltaShell allocates the order/pos tables shared by the two
-// evaluator constructors. The order may name variables beyond the
-// accessed universe (members that are never touched); the dense tables
-// cover both. Order entries must be non-negative and distinct, as in
-// any placement.
-func newDeltaShell(numVars int, order []int) *DeltaEvaluator {
-	width := numVars
-	for _, v := range order {
-		if v+1 > width {
-			width = v + 1
-		}
-	}
-	e := &DeltaEvaluator{
-		order: append([]int(nil), order...),
-		pos:   make([]int, width),
-	}
-	for v := range e.pos {
-		e.pos[v] = -1
-	}
-	for i, v := range e.order {
-		e.pos[v] = i
-	}
-	return e
-}
-
-// initCSR aggregates weighted transition pairs into the CSR rows (each
-// undirected transition contributes one entry per endpoint row) and
-// computes the initial cost. Pairs may repeat; multiplicities sum.
-func (e *DeltaEvaluator) initCSR(pairs []wpair) {
-	width := len(e.pos)
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].u != pairs[j].u {
-			return pairs[i].u < pairs[j].u
-		}
-		return pairs[i].v < pairs[j].v
-	})
-
-	// Merge duplicate pairs in place, summing multiplicities, and size
-	// the CSR rows.
-	e.start = make([]int32, width+1)
-	uniq := 0
-	for i := 0; i < len(pairs); {
-		p := pairs[i]
-		var w int64
-		j := i
-		for j < len(pairs) && pairs[j].u == p.u && pairs[j].v == p.v {
-			w += pairs[j].w
-			j++
-		}
-		pairs[uniq] = wpair{u: p.u, v: p.v, w: w}
-		e.start[p.u+1]++
-		e.start[p.v+1]++
-		uniq++
-		i = j
-	}
-	pairs = pairs[:uniq]
-	for v := 1; v <= width; v++ {
-		e.start[v] += e.start[v-1]
-	}
-	e.nbr = make([]int32, e.start[width])
-	e.wgt = make([]int64, e.start[width])
-	fill := make([]int32, width)
-	for _, p := range pairs {
-		ku := e.start[p.u] + fill[p.u]
-		e.nbr[ku], e.wgt[ku] = p.v, p.w
-		fill[p.u]++
-		kv := e.start[p.v] + fill[p.v]
-		e.nbr[kv], e.wgt[kv] = p.u, p.w
-		fill[p.v]++
-	}
-
+// newDelta builds the evaluator of order over its access graph g. pos
+// must be order's member index (memberIndex), the width g was built on;
+// the evaluator takes it over as its position table.
+func newDelta(g accessGraph, order, pos []int) *DeltaEvaluator {
+	e := &DeltaEvaluator{order: append([]int(nil), order...), pos: pos, accessGraph: g}
 	e.cost = e.recompute()
+	return e
 }
 
 // recompute sums the full objective from the CSR rows (each undirected

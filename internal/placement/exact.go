@@ -40,25 +40,15 @@ func IntraExact(vars []int, s *trace.Sequence) ([]int, int64, error) {
 	if k > 20 {
 		return nil, 0, fmt.Errorf("placement: IntraExact limited to 20 variables, got %d", k)
 	}
-	member := membership(vars, s.NumVars())
-	g := trace.BuildSubgraph(s, func(v int) bool { return member[v] })
+	idx := memberIndex(s.NumVars(), vars)
+	g := graphFromStream(s, idx)
 
-	// Local dense indices.
-	idx := make(map[int]int, k)
-	for i, v := range vars {
-		idx[v] = i
-	}
-	// w[i][j]: subgraph weight between local i and j.
+	// w[i][j]: subgraph weight between local i and j, from i's row.
 	w := make([][]int64, k)
-	for i := range w {
-		w[i] = make([]int64, k)
-	}
 	for i, u := range vars {
-		for j, v := range vars {
-			if i < j {
-				ww := int64(g.Weight(u, v))
-				w[i][j], w[j][i] = ww, ww
-			}
+		w[i] = make([]int64, k)
+		for e := g.start[u]; e < g.start[u+1]; e++ {
+			w[i][idx[g.nbr[e]]] = g.wgt[e]
 		}
 	}
 	// toAll[i] = total weight incident to i.

@@ -49,7 +49,10 @@ type DMAResult struct {
 // its own access frequency exceeds the summed frequencies of the not-yet-
 // classified variables whose lifespans nest strictly inside v's — i.e.
 // keeping v pinned under the port pays off more than optimizing the
-// variables it would lock out.
+// variables it would lock out. Only later candidates can nest inside v,
+// so the sum scans forward from v and stops at the first candidate that
+// starts after v ends (innerFreqLater); the step allocates nothing but
+// its two output lists.
 //
 // Step 2 (lines 13-17): the disjoint variables fill ceil(|Vdj|/N) DBCs
 // round-robin in ascending first-use order, preserving access order.
@@ -126,24 +129,38 @@ func DMA(a *trace.Analysis, q, capacity int) (*DMAResult, error) {
 }
 
 // extractDisjoint runs one greedy pass of Algorithm 1 lines 5-12 over the
-// candidate variables (which must be in ascending first-use order) and
-// returns (selected, remaining), both in ascending first-use order.
+// candidate variables (which must be in strictly ascending first-use
+// order) and returns (selected, remaining), both in ascending first-use
+// order.
 func extractDisjoint(a *trace.Analysis, candidates []int) (selected, remaining []int) {
 	tmin := 0
 	for idx, v := range candidates {
-		if a.First[v] > tmin {
-			others := make([]int, 0, len(remaining)+len(candidates)-idx-1)
-			others = append(others, remaining...)
-			others = append(others, candidates[idx+1:]...)
-			if a.Freq[v] > a.InnerFreqSum(v, others) {
-				selected = append(selected, v)
-				tmin = a.Last[v]
-				continue
-			}
+		if a.First[v] > tmin && a.Freq[v] > innerFreqLater(a, v, candidates[idx+1:]) {
+			selected = append(selected, v)
+			tmin = a.Last[v]
+			continue
 		}
 		remaining = append(remaining, v)
 	}
 	return selected, remaining
+}
+
+// innerFreqLater is Algorithm 1's inner sum for candidate v: the summed
+// frequency of the other unselected candidates whose lifespans nest
+// strictly inside v's. A candidate before v starts before it and cannot
+// nest, so only later ones count, those with Last[u] < Last[v]; the scan
+// stops at the first that starts after v ends.
+func innerFreqLater(a *trace.Analysis, v int, later []int) int {
+	sum := 0
+	for _, u := range later {
+		if a.First[u] > a.Last[v] {
+			break
+		}
+		if a.Last[u] < a.Last[v] {
+			sum += a.Freq[u]
+		}
+	}
+	return sum
 }
 
 // mergeByFirstUse merges two first-use-ordered variable lists, preserving

@@ -1,6 +1,8 @@
 package placement
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/trace"
@@ -50,96 +52,103 @@ func Chen(vars []int, s *trace.Sequence, a *trace.Analysis) []int {
 	if len(vars) <= 2 {
 		return OFU(vars, s, a)
 	}
-	member := membership(vars, s.NumVars())
-	g := trace.BuildSubgraph(s, func(v int) bool { return member[v] })
+	idx := memberIndex(s.NumVars(), vars)
+	g := graphFromStream(s, idx)
 
-	// Greedy path cover over the edges incident to vars.
-	degree := make(map[int]int, len(vars))
-	next := make(map[int][]int, len(vars)) // adjacency in the chosen path set
-	parent := make(map[int]int, len(vars)) // union-find
-	var find func(x int) int
-	find = func(x int) int {
-		r, ok := parent[x]
-		if !ok || r == x {
-			return x
-		}
-		root := find(r)
-		parent[x] = root
-		return root
+	// Greedy path cover, per member (by idx): its accepted edges, at most
+	// two, with their partners and weights in acceptance order, and a
+	// union-find parent.
+	type node struct {
+		deg     int
+		nbr     [2]int
+		w       [2]int64
+		parent  int
+		visited bool
 	}
-	for _, e := range g.Edges() {
-		if !member[e.U] || !member[e.V] {
+	ns := make([]node, len(vars))
+	for i := range ns {
+		ns[i].parent = i
+	}
+	find := func(x int) int {
+		for ns[x].parent != x {
+			ns[x].parent = ns[ns[x].parent].parent
+			x = ns[x].parent
+		}
+		return x
+	}
+	for _, e := range g.edges() {
+		iu, iv := idx[e.u], idx[e.v]
+		nu, nv := &ns[iu], &ns[iv]
+		if nu.deg >= 2 || nv.deg >= 2 {
 			continue
 		}
-		if degree[e.U] >= 2 || degree[e.V] >= 2 {
-			continue
-		}
-		ru, rv := find(e.U), find(e.V)
+		ru, rv := find(iu), find(iv)
 		if ru == rv {
 			continue // would close a cycle
 		}
-		parent[ru] = rv
-		degree[e.U]++
-		degree[e.V]++
-		next[e.U] = append(next[e.U], e.V)
-		next[e.V] = append(next[e.V], e.U)
+		ns[ru].parent = rv
+		nu.nbr[nu.deg], nu.w[nu.deg] = int(e.v), e.w
+		nu.deg++
+		nv.nbr[nv.deg], nv.w[nv.deg] = int(e.u), e.w
+		nv.deg++
 	}
 
-	// Walk each path from an endpoint (degree <= 1). Paths are emitted
-	// heaviest-first so hot clusters occupy contiguous low offsets;
-	// deterministic order via sorted endpoints.
-	visited := make(map[int]bool, len(vars))
-	type path struct {
-		nodes  []int
-		weight int
-	}
-	var paths []path
-	endpoints := make([]int, 0, len(vars))
-	for _, v := range vars {
-		if degree[v] <= 1 && len(next[v]) > 0 {
+	// Walk each path from an endpoint (one accepted edge). Paths are
+	// emitted heaviest-first so hot clusters occupy contiguous low
+	// offsets; deterministic order via sorted endpoints.
+	var endpoints []int
+	for i, v := range vars {
+		if ns[i].deg == 1 {
 			endpoints = append(endpoints, v)
 		}
 	}
-	sort.Ints(endpoints)
+	slices.Sort(endpoints)
+	type path struct {
+		lo, hi int // walk[lo:hi]
+		weight int64
+	}
+	var paths []path
+	walk := make([]int, 0, len(vars))
 	for _, start := range endpoints {
-		if visited[start] {
+		if ns[idx[start]].visited {
 			continue
 		}
-		p := path{}
+		p := path{lo: len(walk)}
 		cur, prev := start, -1
 		for {
-			visited[cur] = true
-			p.nodes = append(p.nodes, cur)
-			advanced := false
-			for _, n := range next[cur] {
-				if n != prev && !visited[n] {
-					p.weight += g.Weight(cur, n)
-					prev, cur = cur, n
-					advanced = true
+			n := &ns[idx[cur]]
+			n.visited = true
+			walk = append(walk, cur)
+			next := -1
+			for t := 0; t < n.deg; t++ {
+				if u := n.nbr[t]; u != prev && !ns[idx[u]].visited {
+					next = u
+					p.weight += n.w[t]
 					break
 				}
 			}
-			if !advanced {
+			if next < 0 {
 				break
 			}
+			prev, cur = cur, next
 		}
+		p.hi = len(walk)
 		paths = append(paths, p)
 	}
-	sort.SliceStable(paths, func(i, j int) bool { return paths[i].weight > paths[j].weight })
+	slices.SortStableFunc(paths, func(x, y path) int { return cmp.Compare(y.weight, x.weight) })
 
 	out := make([]int, 0, len(vars))
 	for _, p := range paths {
-		out = append(out, p.nodes...)
+		out = append(out, walk[p.lo:p.hi]...)
 	}
 	// Isolated variables (no accepted edges): descending frequency.
-	var isolated []int
-	for _, v := range vars {
-		if !visited[v] {
-			isolated = append(isolated, v)
+	paved := len(out)
+	for i, v := range vars {
+		if !ns[i].visited {
+			out = append(out, v)
 		}
 	}
-	sortByFreqDesc(a, isolated)
-	out = append(out, isolated...)
+	sortByFreqDesc(a, out[paved:])
 	return out
 }
 
@@ -155,43 +164,52 @@ func ShiftsReduce(vars []int, s *trace.Sequence, a *trace.Analysis) []int {
 	if len(vars) <= 2 {
 		return OFU(vars, s, a)
 	}
-	member := membership(vars, s.NumVars())
-	g := trace.BuildSubgraph(s, func(v int) bool { return member[v] })
+	idx := memberIndex(s.NumVars(), vars)
+	g := graphFromStream(s, idx)
+	return shiftsReduce(vars, idx, &g, a)
+}
 
+// shiftsReduce is ShiftsReduce over the access graph g of vars, whose
+// member index (memberIndex) is idx. Each member keeps its attachment,
+// the weight of its edges to the placed set, which grows by a row as a
+// variable is placed, so a pick costs O(k) and a placement O(freq).
+func shiftsReduce(vars, idx []int, g *accessGraph, a *trace.Analysis) []int {
 	// Seed: maximum weighted degree; ties by frequency then index for
 	// determinism.
-	best := -1
+	best, bestDeg := -1, int64(0)
 	for _, v := range vars {
-		if best == -1 {
-			best = v
-			continue
-		}
-		dv, db := g.Degree(v), g.Degree(best)
-		if dv > db || (dv == db && (a.Freq[v] > a.Freq[best] ||
+		d := g.degree(v)
+		if best == -1 || d > bestDeg || (d == bestDeg && (a.Freq[v] > a.Freq[best] ||
 			(a.Freq[v] == a.Freq[best] && v < best))) {
-			best = v
+			best, bestDeg = v, d
 		}
 	}
 
-	// arrangement as a deque.
-	arr := []int{best}
-	placed := map[int]bool{best: true}
-	pos := map[int]int{best: 0} // logical position; left end may go negative
+	// Per member (by idx): its logical position once placed (the left
+	// end may go negative) and its attachment while unplaced.
+	type slot struct {
+		at     int
+		attach int64
+		placed bool
+	}
+	sl := make([]slot, len(vars))
 	left, right := 0, 0
+	place := func(v, at int) {
+		sl[idx[v]].at, sl[idx[v]].placed = at, true
+		for k := g.start[v]; k < g.start[v+1]; k++ {
+			sl[idx[g.nbr[k]]].attach += g.wgt[k]
+		}
+	}
+	place(best, 0)
 
-	for len(arr) < len(vars) {
+	for n := 1; n < len(vars); n++ {
 		// Pick the unplaced variable with max attachment weight.
-		pick, pickW := -1, -1
-		for _, v := range vars {
-			if placed[v] {
+		pick, pickW := -1, int64(-1)
+		for i, v := range vars {
+			if sl[i].placed {
 				continue
 			}
-			w := 0
-			for _, u := range g.Neighbors(v) {
-				if placed[u] {
-					w += g.Weight(u, v)
-				}
-			}
+			w := sl[i].attach
 			if w > pickW || (w == pickW && pick != -1 && a.Freq[v] > a.Freq[pick]) ||
 				(w == pickW && pick != -1 && a.Freq[v] == a.Freq[pick] && v < pick) || pick == -1 {
 				pick, pickW = v, w
@@ -199,43 +217,26 @@ func ShiftsReduce(vars []int, s *trace.Sequence, a *trace.Analysis) []int {
 		}
 		// Cost of placing at the left vs right end: distance-weighted
 		// attachment to the placed set.
-		costAt := func(p int) int {
-			c := 0
-			for _, u := range g.Neighbors(pick) {
-				if placed[u] {
-					d := pos[u] - p
-					if d < 0 {
-						d = -d
-					}
-					c += d * g.Weight(u, pick)
-				}
+		var lc, rc int64
+		for k := g.start[pick]; k < g.start[pick+1]; k++ {
+			if u := sl[idx[g.nbr[k]]]; u.placed {
+				lc += g.wgt[k] * absDist(u.at, left-1)
+				rc += g.wgt[k] * absDist(u.at, right+1)
 			}
-			return c
 		}
-		lc, rc := costAt(left-1), costAt(right+1)
 		if lc < rc {
 			left--
-			pos[pick] = left
-			arr = append([]int{pick}, arr...)
+			place(pick, left)
 		} else {
 			right++
-			pos[pick] = right
-			arr = append(arr, pick)
-		}
-		placed[pick] = true
-	}
-	return arr
-}
-
-// membership builds a dense membership mask for a variable subset.
-func membership(vars []int, numVars int) []bool {
-	m := make([]bool, numVars)
-	for _, v := range vars {
-		if v >= 0 && v < numVars {
-			m[v] = true
+			place(pick, right)
 		}
 	}
-	return m
+	out := make([]int, len(vars))
+	for i, v := range vars {
+		out[sl[i].at-left] = v
+	}
+	return out
 }
 
 // ApplyIntra runs an intra-DBC heuristic on DBCs [from, to) of the

@@ -575,37 +575,13 @@ func kernelFor(k *CostKernel, s *trace.Sequence) *CostKernel {
 
 // NewDeltaEvaluatorFromKernel derives the incremental intra-DBC
 // evaluator of delta.go for the DBC content `order` from an existing
-// kernel, in O(nnz) instead of the O(accesses) replay of
-// NewDeltaEvaluator. The restricted transition multiset of a member set
-// M falls straight out of the stencils: an access stencil (v, [u...], w)
-// with v ∈ M realizes the transition (u*, v) for the first u* ∈ M — no
-// candidate in M means the predecessor was v itself (a free
-// self-transition, excluded from the CSR exactly as the replay path
-// excludes it). The resulting evaluator is move-for-move identical to a
-// replay-built one (TestDeltaFromKernelParity).
+// kernel, in O(nnz) of the members' stencils instead of the O(accesses)
+// replay of NewDeltaEvaluator (graphFromKernel). The resulting evaluator
+// is move-for-move identical to a replay-built one
+// (TestDeltaFromKernelParity).
 func NewDeltaEvaluatorFromKernel(k *CostKernel, order []int) *DeltaEvaluator {
-	e := newDeltaShell(k.numVars, order)
-	var pairs []wpair
-	for i, v := range k.tvar {
-		if e.pos[v] < 0 {
-			continue
-		}
-		e.accesses += int(k.wgt[i])
-		for j := k.start[i]; j < k.start[i+1]; j++ {
-			u := k.cand[j]
-			if e.pos[u] < 0 {
-				continue
-			}
-			a, b := u, v
-			if a > b {
-				a, b = b, a
-			}
-			pairs = append(pairs, wpair{u: a, v: b, w: k.wgt[i]})
-			break
-		}
-	}
-	e.initCSR(pairs)
-	return e
+	pos := memberIndex(k.numVars, order)
+	return newDelta(graphFromKernel(k, order, pos), order, pos)
 }
 
 // String is a compact diagnostic summary for logs and tests.

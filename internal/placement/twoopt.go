@@ -32,28 +32,21 @@ const maxTwoOptPasses = 24
 // Intended as a polish pass after Chen or ShiftsReduce, and as the
 // optional '+2opt' ablation in bench_test.go.
 func TwoOpt(vars []int, s *trace.Sequence, a *trace.Analysis) []int {
-	return twoOpt(vars, s, nil, nil)
+	if len(vars) < 3 {
+		return append([]int(nil), vars...)
+	}
+	return twoOpt(NewDeltaEvaluator(s, vars), s, nil)
 }
 
-// twoOpt is TwoOpt with an optional cost kernel and port model. When
-// kern summarizes s, the DeltaEvaluator setup derives from it in O(nnz)
-// instead of replaying the stream; search behaviour is identical. With
-// a port model, a second sweep follows under the multi-port objective:
-// the same move families, first-improvement rule and pass bound,
-// evaluated by PortDeltaEvaluator's exact restricted replay. Starting
-// from the single-port result and accepting only improvements, it never
-// scores worse on a multi-port device than the single-port order.
-func twoOpt(vars []int, s *trace.Sequence, kern *CostKernel, pm *PortModel) []int {
-	order := append([]int(nil), vars...)
-	if len(order) < 3 {
-		return order
-	}
-	var e polisher
-	if kern != nil && kern.Sequence() == s {
-		e = NewDeltaEvaluatorFromKernel(kern, order)
-	} else {
-		e = NewDeltaEvaluator(s, order)
-	}
+// twoOpt polishes the order of e, an evaluator over s, and returns the
+// result. With a port model, a second sweep follows under the multi-port
+// objective: the same move families, first-improvement rule and pass
+// bound, evaluated by PortDeltaEvaluator's exact restricted replay.
+// Starting from the single-port result and accepting only improvements,
+// it never scores worse on a multi-port device than the single-port
+// order.
+func twoOpt(e *DeltaEvaluator, s *trace.Sequence, pm *PortModel) []int {
+	order := e.order
 	if out := polish(e, maxTwoOptPasses); out != nil {
 		order = out
 	}

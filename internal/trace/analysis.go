@@ -56,29 +56,6 @@ func (a *Analysis) Disjoint(u, v int) bool {
 	return a.Last[u] < a.First[v] || a.Last[v] < a.First[u]
 }
 
-// InnerFreqSum returns the sum of access frequencies of all variables whose
-// lifespan lies strictly inside the lifespan of v, i.e. Fu > Fv and Lu < Lv,
-// restricted to the candidate set (nil means all variables). This is the
-// quantity Algorithm 1 of the paper compares Av against when deciding
-// whether v joins the disjoint set.
-func (a *Analysis) InnerFreqSum(v int, candidates []int) int {
-	sum := 0
-	if candidates == nil {
-		for u := range a.Freq {
-			if u != v && a.First[u] > a.First[v] && a.Last[u] < a.Last[v] {
-				sum += a.Freq[u]
-			}
-		}
-		return sum
-	}
-	for _, u := range candidates {
-		if u != v && a.First[u] > a.First[v] && a.Last[u] < a.Last[v] {
-			sum += a.Freq[u]
-		}
-	}
-	return sum
-}
-
 // ByFirstUse returns the accessed variables sorted in ascending order of
 // first occurrence (the paper's "order of first use", OFU).
 func (a *Analysis) ByFirstUse() []int {

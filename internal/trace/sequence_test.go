@@ -113,28 +113,6 @@ func TestDisjointLifespans(t *testing.T) {
 	}
 }
 
-func TestInnerFreqSum(t *testing.T) {
-	s := paperSeq(t)
-	a := Analyze(s)
-	id := func(name string) int {
-		for i, n := range s.Names {
-			if n == name {
-				return i
-			}
-		}
-		return -1
-	}
-	// Paper: for a (Av=5) the objects within its lifespan are b, c, d with
-	// frequency sum 6.
-	if got := a.InnerFreqSum(id("a"), nil); got != 6 {
-		t.Errorf("InnerFreqSum(a) = %d, want 6", got)
-	}
-	// For i (spans 12..24): e, f, g, h lie inside, sum = 3+2+3+2 = 10.
-	if got := a.InnerFreqSum(id("i"), nil); got != 10 {
-		t.Errorf("InnerFreqSum(i) = %d, want 10", got)
-	}
-}
-
 func TestByFrequencyTieBreak(t *testing.T) {
 	s := paperSeq(t)
 	a := Analyze(s)
@@ -163,66 +141,6 @@ func TestByFirstUse(t *testing.T) {
 	want := "a b c d i e f g h"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("ByFirstUse order = %q, want %q", got, want)
-	}
-}
-
-func TestAccessGraph(t *testing.T) {
-	s, err := NewNamedSequence("a", "b", "a", "b", "c", "c", "a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := buildGraph(s)
-	id := func(name string) int {
-		for i, n := range s.Names {
-			if n == name {
-				return i
-			}
-		}
-		return -1
-	}
-	if w := g.Weight(id("a"), id("b")); w != 3 {
-		t.Errorf("w(a,b) = %d, want 3", w)
-	}
-	if w := g.Weight(id("b"), id("c")); w != 1 {
-		t.Errorf("w(b,c) = %d, want 1", w)
-	}
-	if w := g.Weight(id("a"), id("c")); w != 1 {
-		t.Errorf("w(a,c) = %d, want 1 (self pair c,c is not an edge)", w)
-	}
-	if w := g.Weight(id("c"), id("c")); w != 0 {
-		t.Errorf("self weight = %d, want 0", w)
-	}
-	if w := totalWeight(g); w != 5 {
-		t.Errorf("total weight = %d, want 5", w)
-	}
-	es := g.Edges()
-	if len(es) != 3 || es[0].Weight != 3 {
-		t.Errorf("Edges() = %v, want a-b first with weight 3", es)
-	}
-	if d := g.Degree(id("a")); d != 4 {
-		t.Errorf("degree(a) = %d, want 4", d)
-	}
-}
-
-func TestBuildSubgraph(t *testing.T) {
-	s, err := NewNamedSequence("a", "x", "b", "x", "a", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	members := map[string]bool{"a": true, "b": true}
-	g := BuildSubgraph(s, func(v int) bool { return members[s.Name(v)] })
-	// Restricted sequence: a b a b -> w(a,b) = 3.
-	var a, b int
-	for i, n := range s.Names {
-		switch n {
-		case "a":
-			a = i
-		case "b":
-			b = i
-		}
-	}
-	if w := g.Weight(a, b); w != 3 {
-		t.Errorf("restricted w(a,b) = %d, want 3", w)
 	}
 }
 
@@ -344,107 +262,6 @@ func TestDisjointProperties(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
-}
-
-// Property: graph total weight equals charged (non-self) transitions, and
-// equals the sum over edges; frequency sums to sequence length.
-func TestGraphProperties(t *testing.T) {
-	f := func(raw []uint8) bool {
-		vars := make([]int, len(raw))
-		for i, r := range raw {
-			vars[i] = int(r % 10)
-		}
-		s := NewSequence(vars...)
-		a := Analyze(s)
-		g := buildGraph(s)
-		trans := 0
-		for i := 1; i < len(vars); i++ {
-			if vars[i] != vars[i-1] {
-				trans++
-			}
-		}
-		if totalWeight(g) != trans {
-			return false
-		}
-		sum := 0
-		for _, f := range a.Freq {
-			sum += f
-		}
-		return sum == s.Len()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: self accesses + total weight == Len-1 for non-empty sequences.
-func TestSelfAccessesComplement(t *testing.T) {
-	f := func(raw []uint8) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		vars := make([]int, len(raw))
-		for i, r := range raw {
-			vars[i] = int(r % 6)
-		}
-		s := NewSequence(vars...)
-		return selfAccesses(s)+totalWeight(buildGraph(s)) == s.Len()-1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCutWeight(t *testing.T) {
-	s := NewSequence(0, 1, 2, 0, 2)
-	g := buildGraph(s)
-	// Edges: 0-1 (1), 1-2 (1), 2-0 (2).
-	cut := cutWeight(g, func(v int) bool { return v == 0 })
-	if cut != 3 {
-		t.Errorf("cut({0}) = %d, want 3", cut)
-	}
-	if c := cutWeight(g, func(v int) bool { return true }); c != 0 {
-		t.Errorf("cut(V) = %d, want 0", c)
-	}
-}
-
-// buildGraph is the access graph of the whole sequence.
-func buildGraph(s *Sequence) *Graph {
-	return BuildSubgraph(s, func(int) bool { return true })
-}
-
-// totalWeight is the sum of g's edge weights: for buildGraph, the
-// number of non-self consecutive pairs of the sequence.
-func totalWeight(g *Graph) int {
-	t := 0
-	for _, e := range g.Edges() {
-		t += e.Weight
-	}
-	return t
-}
-
-// cutWeight is the total weight of g's edges with exactly one endpoint
-// in the set.
-func cutWeight(g *Graph, inSet func(v int) bool) int {
-	c := 0
-	for _, e := range g.Edges() {
-		if inSet(e.U) != inSet(e.V) {
-			c += e.Weight
-		}
-	}
-	return c
-}
-
-// selfAccesses counts the consecutive repeated accesses of s, which no
-// placement charges.
-func selfAccesses(s *Sequence) int {
-	n := 0
-	for i := 1; i < len(s.Accesses); i++ {
-		if s.Accesses[i].Var == s.Accesses[i-1].Var {
-			n++
-		}
-	}
-	return n
 }
 
 func TestDistinctAndCounts(t *testing.T) {
