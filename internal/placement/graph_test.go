@@ -181,9 +181,6 @@ func membership(vars []int, numVars int) []bool {
 
 // graphWeight is the weight of {u, v} in g, read off u's row.
 func graphWeight(g *accessGraph, u, v int) int64 {
-	if u+1 >= len(g.start) {
-		return 0
-	}
 	for k := g.start[u]; k < g.start[u+1]; k++ {
 		if int(g.nbr[k]) == v {
 			return g.wgt[k]

@@ -142,13 +142,13 @@ func Chen(vars []int, s *trace.Sequence, a *trace.Analysis) []int {
 		out = append(out, walk[p.lo:p.hi]...)
 	}
 	// Isolated variables (no accepted edges): descending frequency.
-	paved := len(out)
+	pathsEnd := len(out)
 	for i, v := range vars {
 		if !ns[i].visited {
 			out = append(out, v)
 		}
 	}
-	sortByFreqDesc(a, out[paved:])
+	sortByFreqDesc(a, out[pathsEnd:])
 	return out
 }
 
@@ -204,14 +204,14 @@ func shiftsReduce(vars, idx []int, g *accessGraph, a *trace.Analysis) []int {
 
 	for n := 1; n < len(vars); n++ {
 		// Pick the unplaced variable with max attachment weight.
-		pick, pickW := -1, int64(-1)
+		pick, pickW := -1, int64(0)
 		for i, v := range vars {
 			if sl[i].placed {
 				continue
 			}
 			w := sl[i].attach
-			if w > pickW || (w == pickW && pick != -1 && a.Freq[v] > a.Freq[pick]) ||
-				(w == pickW && pick != -1 && a.Freq[v] == a.Freq[pick] && v < pick) || pick == -1 {
+			if pick == -1 || w > pickW || (w == pickW && (a.Freq[v] > a.Freq[pick] ||
+				(a.Freq[v] == a.Freq[pick] && v < pick))) {
 				pick, pickW = v, w
 			}
 		}
