@@ -288,9 +288,6 @@ func (l *Lab) experimentConfig(cfg ExperimentConfig) ExperimentConfig {
 			if cfg.RW.Seed != 0 {
 				rw.Seed = cfg.RW.Seed
 			}
-			rw.Capacity = cfg.RW.Capacity
-			rw.Kernel = cfg.RW.Kernel
-			rw.Port = cfg.RW.Port
 			cfg.RW = rw
 		}
 	}

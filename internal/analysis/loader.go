@@ -39,7 +39,6 @@ type Loader struct {
 	std     types.ImporterFrom
 	pkgs    map[string]*Package // by import path, nil while loading
 	loading map[string]bool
-	errs    []error
 }
 
 // NewLoader builds a loader for the module rooted at or above dir.

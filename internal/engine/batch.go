@@ -31,10 +31,10 @@ type Hooks struct {
 	Progress func(Event)
 	// Kernel, when non-nil, supplies the cost kernel for a sequence
 	// (called once per distinct sequence per batch that has a cell the
-	// kernel serves — placement.UsesKernel — possibly concurrently). The
-	// returned kernel must be bound to exactly the given sequence —
-	// content-addressed caches rebind before returning. Nil means build
-	// a fresh kernel per batch.
+	// kernel serves — placement.UsesKernel, the GA family at one port —
+	// possibly concurrently). The returned kernel must be bound to
+	// exactly the given sequence — content-addressed caches rebind
+	// before returning. Nil means build a fresh kernel per batch.
 	Kernel func(*trace.Sequence) *placement.CostKernel
 }
 
@@ -94,14 +94,14 @@ type PlaceOutcome struct {
 //
 // Before dispatch, one placement.CostKernel is built (or taken from
 // hooks.Kernel) per distinct sequence that has a cell the kernel serves
-// (the GA family and the random walk at one port, see
-// placement.UsesKernel), in parallel on the same worker budget, and
-// threaded to those cells via Options.Kernel: the eval drivers submit
-// the same sequence under many strategies and DBC counts, and the
-// searches price thousands of placements each. The other cells place
-// once and price by replay, which is cheaper than a build. Costs are
-// bit-identical either way, so batch results do not depend on the
-// sharing.
+// (the GA family at one port, see placement.UsesKernel), in parallel on
+// the same worker budget, and threaded to those cells via
+// Options.Kernel: the eval drivers submit the same sequence under many
+// strategies and DBC counts, and the GA prices thousands of placements
+// each. The other cells price by replay, which is cheaper than a build
+// for one placement and faster than the kernel on the random walk's
+// scattered ones. Costs are bit-identical either way, so batch results
+// do not depend on the sharing.
 func BatchPlace(ctx context.Context, jobs []PlaceJob, workers int, hooks Hooks) ([]PlaceOutcome, error) {
 	kernels, err := cellKernels(ctx, len(jobs), workers, hooks, func(i int) (*trace.Sequence, placement.StrategyID, placement.Options) {
 		return jobs[i].Sequence, jobs[i].Strategy, jobs[i].Options

@@ -181,11 +181,11 @@ func TestBatchSimulateDeterministic(t *testing.T) {
 }
 
 // TestBatchKernelSharing: a batch builds a cost kernel only for the
-// sequences that have a cell whose strategy searches with one (GA, RW at
+// sequences that have a cell whose strategy searches with one (the GA at
 // one port), exactly once per sequence at any worker count, and hands it
 // to those cells only; the heuristic cells price by replay. A
-// heuristic-only batch and a batch under a two-port objective never call
-// the kernel source.
+// heuristic-only batch, a random-walk-only batch and a batch under a
+// two-port objective never call the kernel source.
 func TestBatchKernelSharing(t *testing.T) {
 	b, err := offsetstone.Generate("adpcm")
 	if err != nil {
@@ -236,6 +236,7 @@ func TestBatchKernelSharing(t *testing.T) {
 	}{
 		{"mixed", batch(opts, placement.StrategyGA, dmaOFU, placement.StrategyRW, afd, twoOpt), 1},
 		{"heuristic-only", batch(opts, dmaSR, dmaOFU, twoOpt), 0},
+		{"rw-only", batch(opts, placement.StrategyRW), 0},
 		{"two-port", batch(twoPort, placement.StrategyGA, placement.StrategyRW, dmaOFU), 0},
 	} {
 		var want []PlaceOutcome

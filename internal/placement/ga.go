@@ -706,29 +706,38 @@ func (r *gaRun) mutateImprove(g *genome) {
 type RWConfig struct {
 	// Iterations is the number of random placements evaluated (60 000 in
 	// the paper, the upper bound on individuals the GA could evaluate).
+	// Zero means DefaultRWConfig's budget.
 	Iterations int
 	Seed       int64
-	Capacity   int
-	// Kernel optionally supplies a pre-built cost kernel for the
-	// sequence, exactly as GAConfig.Kernel does for the GA.
-	Kernel *CostKernel
-	// Port, when non-nil, evaluates candidates under the multi-port
-	// cost model (bounded exact replay), exactly as GAConfig.Port does
-	// for the GA. nil is the paper's single-port model.
-	Port *PortModel
 }
 
 // DefaultRWConfig returns the paper's random-walk parameters.
 func DefaultRWConfig() RWConfig { return RWConfig{Iterations: 60000, Seed: 1} }
 
-// RandomWalk generates random placements of the variables to DBCs with
-// random within-DBC permutations and returns the best one found.
-func RandomWalk(s *trace.Sequence, q int, cfg RWConfig) (*Placement, int64, error) {
+// RandomWalk is the RW strategy: it draws opts.RW.Iterations random
+// placements into q DBCs (at most opts.Capacity variables per DBC when
+// that is positive), each DBC in random order, and returns the cheapest
+// under the port model opts selects for q. A zero opts.RW.Iterations
+// means DefaultRWConfig's budget, under opts.RW.Seed when that is
+// non-zero.
+func RandomWalk(s *trace.Sequence, q int, opts Options) (*Placement, int64, error) {
 	if q <= 0 {
 		return nil, 0, fmt.Errorf("placement: q must be positive, got %d", q)
 	}
-	if cfg.Iterations <= 0 {
+	cfg := opts.RW
+	if cfg.Iterations == 0 {
+		seed := cfg.Seed
+		cfg = DefaultRWConfig()
+		if seed != 0 {
+			cfg.Seed = seed
+		}
+	}
+	if cfg.Iterations < 0 {
 		return nil, 0, fmt.Errorf("placement: iterations must be positive, got %d", cfg.Iterations)
+	}
+	pm, err := opts.PortModelFor(q)
+	if err != nil {
+		return nil, 0, err
 	}
 	a := trace.Analyze(s)
 	vars := a.ByFirstUse()
@@ -742,26 +751,9 @@ func RandomWalk(s *trace.Sequence, q int, cfg RWConfig) (*Placement, int64, erro
 	// proves it (bounded evaluation is exact below the bound, and at or
 	// above the bound the placement is not strictly better, so the
 	// best-so-far sequence — and therefore the result — is identical to
-	// full evaluation).
-	//
-	// Random placements are adversarial for the stencil kernel: scans
-	// are deep and branch-miss bound, and the linear replay wins unless
-	// the trace is strongly loop-compressed (see DESIGN.md §8). Pick the
-	// evaluator by the kernel's measured compression; when no shared
-	// kernel was supplied, the speculative build aborts (nil) as soon as
-	// the table provably exceeds the compression threshold.
-	kern := cfg.Kernel
-	if kern != nil && kern.Sequence() != s {
-		kern = nil
-	}
-	if cfg.Port == nil {
-		if kern == nil {
-			kern = buildCostKernel(s, s.Len()/2)
-		}
-	} else {
-		kern = nil // the kernel prices the single-port model only
-	}
-	useKernel := kern != nil && kern.Candidates() < s.Len()/2
+	// full evaluation). Random placements are scattered, the case where
+	// the linear replay beats the stencil kernel's candidate walks (see
+	// DESIGN.md §8), so every candidate is priced by replay.
 	sc := trackPool.Get().(*trackScratch)
 	defer trackPool.Put(sc)
 
@@ -769,15 +761,10 @@ func RandomWalk(s *trace.Sequence, q int, cfg RWConfig) (*Placement, int64, erro
 	bestCost := int64(math.MaxInt64)
 	p := NewEmpty(q)
 	for it := 0; it < cfg.Iterations; it++ {
-		randomPlacementLookup(p, lookup, rng, vars, cfg.Capacity)
-		var c int64
+		randomPlacementLookup(p, lookup, rng, vars, opts.Capacity)
 		// A random placement places every variable, so no access is
 		// unplaced.
-		if useKernel {
-			c = kern.CostBounded(lookup, bestCost)
-		} else {
-			c, _ = replayTotal(s, lookup, cfg.Port, sc.cold(q), bestCost)
-		}
+		c, _ := replayTotal(s, lookup, pm, sc.cold(q), bestCost)
 		// c is exact whenever it is below bestCost (bounded evaluation),
 		// so the walk keeps the same best under every objective: each is
 		// strictly monotone in shifts (costmodel.go).

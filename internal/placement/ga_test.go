@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/offsetstone"
 	"repro/internal/trace"
 )
 
@@ -399,36 +400,6 @@ func TestMutateMoveRespectsCapacity(t *testing.T) {
 	}
 }
 
-// TestRandomWalkKernelPath drives the random walk on a strongly
-// loop-compressed sequence (the kernel table is far smaller than the
-// stream, so the bounded kernel evaluator is selected) and checks the
-// reported best against a full replay re-evaluation.
-func TestRandomWalkKernelPath(t *testing.T) {
-	s := &trace.Sequence{Names: []string{"a", "b", "c", "d", "e"}}
-	for i := 0; i < 300; i++ {
-		for v := 0; v < 5; v++ {
-			s.Append(v, false)
-		}
-	}
-	if k := NewCostKernel(s); k.Candidates() >= s.Len()/2 {
-		t.Fatalf("workload not loop-compressed enough: cand %d vs m %d", k.Candidates(), s.Len())
-	}
-	p, c, err := RandomWalk(s, 3, RWConfig{Iterations: 400, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Validate(s, 0); err != nil {
-		t.Fatalf("invalid RW placement: %v", err)
-	}
-	got, err := ShiftCost(s, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != c {
-		t.Errorf("reported cost %d != replay %d", c, got)
-	}
-}
-
 // TestRandomPlacementLookupConsistency pins the fused generator: the
 // maintained lookup must equal a from-scratch inversion of the
 // generated placement, and the PRNG stream must match randomPlacement's
@@ -478,7 +449,7 @@ func TestRandomPlacementLookupConsistency(t *testing.T) {
 func TestRandomWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	s := randSeq(rng, 8, 60)
-	p, c, err := RandomWalk(s, 2, RWConfig{Iterations: 500, Seed: 9})
+	p, c, err := RandomWalk(s, 2, Options{RW: RWConfig{Iterations: 500, Seed: 9}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,19 +462,50 @@ func TestRandomWalk(t *testing.T) {
 	}
 	// More iterations never hurt (same seed prefix property does not hold
 	// exactly, but best-of-N is monotone in N for a fixed stream).
-	_, c2, err := RandomWalk(s, 2, RWConfig{Iterations: 2000, Seed: 9})
+	_, c2, err := RandomWalk(s, 2, Options{RW: RWConfig{Iterations: 2000, Seed: 9}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c2 > c {
 		t.Errorf("RW with more iterations got worse: %d > %d", c2, c)
 	}
-	if _, _, err := RandomWalk(s, 0, RWConfig{Iterations: 5}); err == nil {
+	if _, _, err := RandomWalk(s, 0, Options{RW: RWConfig{Iterations: 5}}); err == nil {
 		t.Error("q=0 accepted")
 	}
-	if _, _, err := RandomWalk(s, 2, RWConfig{}); err == nil {
-		t.Error("0 iterations accepted")
+	if _, _, err := RandomWalk(s, 2, Options{RW: RWConfig{Iterations: -1}}); err == nil {
+		t.Error("negative iterations accepted")
 	}
+}
+
+// BenchmarkRandomWalkSuite runs RW through Registry.Place on the 205
+// OffsetStone suite sequences at four DBCs, 1,000 iterations and seed
+// 1, and reports the total shifts. 1,000 iterations keep one sweep
+// under a second, short enough for CI's bench job.
+func BenchmarkRandomWalkSuite(b *testing.B) {
+	reg, err := NewRegistry()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var seqs []*trace.Sequence
+	for _, bench := range offsetstone.Suite() {
+		seqs = append(seqs, bench.Sequences...)
+	}
+	opts := Options{RW: RWConfig{Iterations: 1000, Seed: 1}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var shifts int64
+	for i := 0; i < b.N; i++ {
+		shifts = 0
+		for _, s := range seqs {
+			_, c, err := reg.Place(StrategyRW, s, 4, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			shifts += c
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(shifts), "shifts")
 }
 
 func TestExactMatchesBruteForceIntra(t *testing.T) {

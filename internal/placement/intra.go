@@ -14,12 +14,6 @@ import (
 // offset order. Implementations must return a permutation of vars.
 type IntraHeuristic func(vars []int, s *trace.Sequence, a *trace.Analysis) []int
 
-// Identity keeps the inter-DBC assignment order. It reproduces the layout
-// arithmetic of the paper's Fig. 3 example.
-func Identity(vars []int, _ *trace.Sequence, _ *trace.Analysis) []int {
-	return append([]int(nil), vars...)
-}
-
 // OFU orders variables by their first use in the sequence — the paper's
 // baseline intra-DBC placement ("order of first use").
 func OFU(vars []int, _ *trace.Sequence, a *trace.Analysis) []int {

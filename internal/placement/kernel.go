@@ -121,7 +121,13 @@ func (k *CostKernel) cachedSeeds(q, capacity int, compute func() ([]*Placement, 
 // access's stencil is the prefix of that list down to the variable's own
 // previous occurrence, deduplicated across accesses.
 func NewCostKernel(s *trace.Sequence) *CostKernel {
-	return buildCostKernel(s, -1)
+	b := newKernelBuilder(s.NumVars())
+	for _, a := range s.Accesses {
+		b.add(a)
+	}
+	k := b.finish()
+	k.seq = s
+	return k
 }
 
 // NewCostKernelStream builds a kernel from an access stream without ever
@@ -141,7 +147,7 @@ func NewCostKernelStream(numVars int, r trace.AccessReader) (*CostKernel, error)
 	if numVars < 0 {
 		return nil, fmt.Errorf("placement: stream kernel: negative numVars %d", numVars)
 	}
-	b := newKernelBuilder(numVars, -1)
+	b := newKernelBuilder(numVars)
 	for {
 		a, err := r.Next()
 		if err == io.EOF {
@@ -159,31 +165,12 @@ func NewCostKernelStream(numVars int, r trace.AccessReader) (*CostKernel, error)
 	return b.finish(), nil
 }
 
-// buildCostKernel is NewCostKernel with an optional candidate budget
-// (candBudget < 0 means unlimited): once the table's candidate total
-// exceeds the budget the build aborts and returns nil. Callers that
-// would fall back to replay evaluation anyway for tables denser than
-// the stream (RandomWalk without a batch-shared kernel) use the budget
-// to cap the wasted build at the replay path's own cost.
-func buildCostKernel(s *trace.Sequence, candBudget int) *CostKernel {
-	b := newKernelBuilder(s.NumVars(), candBudget)
-	for _, a := range s.Accesses {
-		if !b.add(a) {
-			return nil // table denser than the caller will use
-		}
-	}
-	k := b.finish()
-	k.seq = s
-	return k
-}
-
 // kernelBuilder is the incremental core of kernel construction: add
 // consumes one access at a time, finish lays the table out. Both the
 // in-RAM and the streaming constructors drive it, so the two paths
 // cannot diverge.
 type kernelBuilder struct {
-	k          *CostKernel
-	candBudget int
+	k *CostKernel
 
 	// Doubly linked recency list over the distinct variables seen so far;
 	// head is the most recently accessed.
@@ -202,7 +189,7 @@ type kernelBuilder struct {
 	win      []int32            // current access's candidate window
 }
 
-func newKernelBuilder(numVars, candBudget int) *kernelBuilder {
+func newKernelBuilder(numVars int) *kernelBuilder {
 	b := &kernelBuilder{
 		k: &CostKernel{
 			numVars: numVars,
@@ -210,14 +197,13 @@ func newKernelBuilder(numVars, candBudget int) *kernelBuilder {
 			accCnt:  make([]int64, numVars),
 			seeds:   &seedMemo{},
 		},
-		candBudget: candBudget,
-		prev:       make([]int32, numVars),
-		next:       make([]int32, numVars),
-		seen:       make([]bool, numVars),
-		head:       -1,
-		lastSten:   make([]int32, numVars),
-		index:      make(map[uint64][]int32),
-		win:        make([]int32, 0, 64),
+		prev:     make([]int32, numVars),
+		next:     make([]int32, numVars),
+		seen:     make([]bool, numVars),
+		head:     -1,
+		lastSten: make([]int32, numVars),
+		index:    make(map[uint64][]int32),
+		win:      make([]int32, 0, 64),
 	}
 	for i := range b.lastSten {
 		b.lastSten[i] = -1
@@ -225,9 +211,8 @@ func newKernelBuilder(numVars, candBudget int) *kernelBuilder {
 	return b
 }
 
-// add folds one access into the table. It returns false only when the
-// candidate budget is exhausted; the builder must then be discarded.
-func (b *kernelBuilder) add(a trace.Access) bool {
+// add folds one access into the table.
+func (b *kernelBuilder) add(a trace.Access) {
 	k := b.k
 	v := int32(a.Var)
 	k.accesses++
@@ -276,9 +261,6 @@ func (b *kernelBuilder) add(a trace.Access) bool {
 			k.wgt = append(k.wgt, 1)
 			k.cand = append(k.cand, win...)
 			k.start = append(k.start, len(k.cand))
-			if b.candBudget >= 0 && len(k.cand) > b.candBudget {
-				return false
-			}
 		}
 		b.lastSten[v] = row
 	}
@@ -302,7 +284,6 @@ func (b *kernelBuilder) add(a trace.Access) bool {
 		b.prev[b.head] = v
 	}
 	b.head = v
-	return true
 }
 
 // finish lays the accumulated table out var-major and returns the
@@ -438,7 +419,7 @@ func (k *CostKernel) varCost(dbc, off []int, v, dv int) int64 {
 // sum of non-negative contributions, so once it reaches bound the final
 // cost provably does too and the scan stops. The return value is exact
 // when it is below bound and otherwise only a certificate that
-// cost >= bound. Best-of-N searches (random walk) use it to discard
+// cost >= bound. The portfolio race (boundedCost) uses it to discard
 // losing placements after the few heaviest variable groups — varOrder
 // is weight-descending precisely so the partial sum grows fastest up
 // front.
@@ -481,7 +462,7 @@ func (k *CostKernel) CostDBC(l *Lookup, content []int) int64 {
 // Evaluate is the validating convenience form of Cost: it inverts the
 // placement (allocating a fresh Lookup) and evaluates it. Hot paths
 // keep a caller-owned Lookup in step with their placement (the GA's
-// genomes, the random walk) and call Cost or CostDBC directly.
+// genomes) and call Cost or CostDBC directly.
 func (k *CostKernel) Evaluate(p *Placement) (int64, error) {
 	l, err := p.BuildLookup(k.numVars)
 	if err != nil {

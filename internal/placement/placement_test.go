@@ -9,6 +9,12 @@ import (
 	"repro/internal/trace"
 )
 
+// Identity keeps the inter-DBC assignment order. It reproduces the layout
+// arithmetic of the paper's Fig. 3 example.
+func Identity(vars []int, _ *trace.Sequence, _ *trace.Analysis) []int {
+	return append([]int(nil), vars...)
+}
+
 func randSeq(rng *rand.Rand, numVars, length int) *trace.Sequence {
 	vars := make([]int, length)
 	for i := range vars {

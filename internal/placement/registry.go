@@ -201,22 +201,20 @@ func (d dma) Place(s *trace.Sequence, q int, opts Options) (*Placement, int64, e
 	return p, c, err
 }
 
-// kernelSearcher marks the strategies whose search prices enough
-// placements to pay back an O(nnz) CostKernel build: the GA, GA-2opt
-// (and so the island model) and the random walk. The others — the
-// constructive heuristics, DMA-2opt and custom strategies — price one
-// result and run faster on the replay oracle than on a fresh build.
-type kernelSearcher interface{ searchesWithKernel() }
-
 // UsesKernel reports whether st searches through a CostKernel when run
-// with opts. Kernel sources — the engine's batch layer, a session's
-// kernel cache — build or look one up only for such calls; every other
-// call prices with the replay oracle unless its caller set Options.Kernel.
-// Under a multi-port objective (Ports > 1) no strategy uses a kernel: the
-// kernel is the single-port model, so the searches price the exact port
-// replay instead.
+// with opts: the GA and GA-2opt (and so the island model) at one port,
+// whose searches price enough placements to pay back an O(nnz) build.
+// Kernel sources — the engine's batch layer, a session's kernel cache —
+// build or look one up only for such calls; every other call prices
+// with the replay oracle unless its caller set Options.Kernel. The
+// constructive heuristics, DMA-2opt and custom strategies price one
+// result, and the random walk prices scattered placements, which all
+// run faster on the replay than on a fresh build. Under a multi-port
+// objective (Ports > 1) no strategy uses a kernel: the kernel is the
+// single-port model, so the searches price the exact port replay
+// instead.
 func UsesKernel(st Strategy, opts Options) bool {
-	_, ok := st.(kernelSearcher)
+	_, ok := st.(ga)
 	return ok && opts.Ports <= 1
 }
 
@@ -228,22 +226,25 @@ type ga struct {
 	memetic bool
 }
 
-func (g ga) Name() string      { return string(g.id) }
-func (ga) searchesWithKernel() {}
+func (g ga) Name() string { return string(g.id) }
 
 func (g ga) Place(s *trace.Sequence, q int, opts Options) (*Placement, int64, error) {
 	cfg := opts.GA
 	if cfg.Mu == 0 {
-		island := cfg
+		caller := cfg
 		cfg = DefaultGAConfig()
-		// The island topology (and its progress hook) rides along even
-		// when the search budget itself is defaulted — WithIslands on a
-		// session with an otherwise zero GA config must still fan out.
-		cfg.Islands = island.Islands
-		cfg.MigrationEvery = island.MigrationEvery
-		cfg.Elites = island.Elites
-		cfg.IslandProgress = island.IslandProgress
-		cfg.Workers = island.Workers
+		// A caller's seed and the island topology (and its progress
+		// hook) ride along even when the search budget itself is
+		// defaulted — WithIslands on a session with an otherwise zero GA
+		// config must still fan out.
+		if caller.Seed != 0 {
+			cfg.Seed = caller.Seed
+		}
+		cfg.Islands = caller.Islands
+		cfg.MigrationEvery = caller.MigrationEvery
+		cfg.Elites = caller.Elites
+		cfg.IslandProgress = caller.IslandProgress
+		cfg.Workers = caller.Workers
 	}
 	cfg.Capacity = opts.Capacity
 	if cfg.Kernel == nil {
@@ -295,31 +296,6 @@ const StrategyGAMemetic StrategyID = "GA-2opt"
 // 2-opt local search on the non-disjoint DBCs. Never worse than DMA-SR.
 const StrategyDMATwoOpt StrategyID = "DMA-2opt"
 
-// rw is the random-walk search baseline.
-type rw struct{}
-
-func (rw) Name() string        { return string(StrategyRW) }
-func (rw) searchesWithKernel() {}
-
-func (rw) Place(s *trace.Sequence, q int, opts Options) (*Placement, int64, error) {
-	cfg := opts.RW
-	if cfg.Iterations == 0 {
-		cfg = DefaultRWConfig()
-	}
-	cfg.Capacity = opts.Capacity
-	if cfg.Kernel == nil {
-		cfg.Kernel = opts.Kernel
-	}
-	if cfg.Port == nil {
-		pm, err := opts.PortModelFor(q)
-		if err != nil {
-			return nil, 0, err
-		}
-		cfg.Port = pm
-	}
-	return RandomWalk(s, q, cfg)
-}
-
 // builtinStrategies lists the strategies every fresh registry is seeded
 // with: the six paper strategies in presentation order, then the two
 // extension strategies. Registering them per instance (instead of a
@@ -333,7 +309,7 @@ func builtinStrategies() []Strategy {
 		dma{id: StrategyDMAChen, intra: Chen},
 		dma{id: StrategyDMASR, intra: ShiftsReduce},
 		ga{id: StrategyGA},
-		rw{},
+		NewStrategy(string(StrategyRW), RandomWalk),
 		ga{id: StrategyGAMemetic, memetic: true},
 		NewStrategy(string(StrategyDMATwoOpt), PlaceDMATwoOpt),
 	}

@@ -45,10 +45,12 @@ type Options struct {
 	// Capacity is the word capacity per DBC; 0 disables capacity limits
 	// (the paper's evaluation does not enforce them).
 	Capacity int
-	// GA configures the genetic algorithm; zero value means
-	// DefaultGAConfig with SeedHeuristics.
+	// GA configures the genetic algorithm; zero Mu means
+	// DefaultGAConfig's budget, under GA.Seed when it is non-zero, with
+	// SeedHeuristics.
 	GA GAConfig
-	// RW configures the random walk; zero value means DefaultRWConfig.
+	// RW configures the random walk; zero Iterations means
+	// DefaultRWConfig's budget, under RW.Seed when it is non-zero.
 	RW RWConfig
 	// DisableGASeeding turns off the heuristic seeding of the GA
 	// strategies: by default they inject the AFD/DMA placements into

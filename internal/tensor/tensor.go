@@ -50,10 +50,6 @@ func (c Contraction) Validate() error {
 	return fmt.Errorf("tensor: unknown loop order %q", c.Order)
 }
 
-// Variables returns the number of distinct memory objects the trace
-// touches: one per element of A, B and C.
-func (c Contraction) Variables() int { return c.I*c.K + c.K*c.J + c.I*c.J }
-
 // Trace emits the access sequence of the contraction. Element naming:
 // A<i>_<k>, B<k>_<j>, C<i>_<j>.
 func (c Contraction) Trace() (*trace.Sequence, error) {

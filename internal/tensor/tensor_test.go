@@ -7,6 +7,10 @@ import (
 	"repro/internal/trace"
 )
 
+// Variables returns the number of distinct memory objects the trace
+// touches: one per element of A, B and C.
+func (c Contraction) Variables() int { return c.I*c.K + c.K*c.J + c.I*c.J }
+
 // testRegistry resolves the tests' strategy names: a fresh registry
 // seeded with the builtins.
 var testRegistry = func() *placement.Registry {

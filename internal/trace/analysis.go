@@ -37,15 +37,6 @@ func Analyze(s *Sequence) *Analysis {
 // Accessed reports whether variable v occurs in the sequence at all.
 func (a *Analysis) Accessed(v int) bool { return a.Freq[v] > 0 }
 
-// Lifespan returns Lv - Fv, the distance between the first and last access
-// of v. Variables accessed exactly once have lifespan 0, as do absent ones.
-func (a *Analysis) Lifespan(v int) int {
-	if !a.Accessed(v) {
-		return 0
-	}
-	return a.Last[v] - a.First[v]
-}
-
 // Disjoint reports whether u and v have disjoint lifespans: the last
 // occurrence of one precedes the first occurrence of the other. Variables
 // that never occur are vacuously disjoint from everything.

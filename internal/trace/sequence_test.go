@@ -7,6 +7,15 @@ import (
 	"testing/quick"
 )
 
+// Lifespan returns Lv - Fv, the distance between the first and last access
+// of v. Variables accessed exactly once have lifespan 0, as do absent ones.
+func (a *Analysis) Lifespan(v int) int {
+	if !a.Accessed(v) {
+		return 0
+	}
+	return a.Last[v] - a.First[v]
+}
+
 // paperTokens is the access sequence of Fig. 3-(b) of the paper,
 // reconstructed so that every published statistic matches: the Av/Fv/Lv
 // table of Fig. 3-(e), the AFD subsequences S0 = a b a b a a d d a g g h g h

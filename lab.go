@@ -148,12 +148,12 @@ func (l *Lab) Device() DeviceConfig { return l.device }
 // KernelCacheStats reports the Lab's content-addressed kernel-cache
 // counters: hits (a content-equal sequence reused a cached kernel) and
 // misses (a kernel was built). Only the calls a kernel serves
-// (placement.UsesKernel: the GA family and RW at one port) and
-// portfolio races consult the cache, so heuristic-only and multi-port
-// single-strategy traffic leaves both counters at zero, as does a Lab
-// with the cache disabled (WithKernelCache(0)). This is the cache's
-// observability hook — a serving front-end exports it as warm/cold
-// metrics.
+// (placement.UsesKernel: the GA family at one port) and portfolio
+// races consult the cache, so heuristic-only, random-walk and
+// multi-port single-strategy traffic leaves both counters at zero, as
+// does a Lab with the cache disabled (WithKernelCache(0)). This is the
+// cache's observability hook — a serving front-end exports it as
+// warm/cold metrics.
 func (l *Lab) KernelCacheStats() (hits, misses int64) {
 	if l.cache == nil {
 		return 0, 0

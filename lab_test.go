@@ -3,6 +3,8 @@ package racetrack
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -195,6 +197,58 @@ func TestExperimentConfigPartialMerge(t *testing.T) {
 	}
 }
 
+// TestPlaceKeepsSeedUnderDefaultBudget: a caller who sets only the seed
+// of the GA or the random walk gets the paper's budget under that seed,
+// not seed 1, as Lab.Run's merge already does
+// (TestExperimentConfigPartialMerge).
+func TestPlaceKeepsSeedUnderDefaultBudget(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	words := make([]string, 400)
+	for i := range words {
+		words[i] = fmt.Sprintf("v%d", rng.Intn(40))
+	}
+	s, err := ParseSequence(strings.Join(words, " "))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lab := newLab(t, WithWorkers(1))
+	ga99 := DefaultGAConfig()
+	ga99.Seed = 99
+	for _, tc := range []struct {
+		name                      string
+		seedOnly, seed1, budget99 PlaceOptions
+	}{
+		{"RW",
+			PlaceOptions{Strategy: RW, RW: RWConfig{Seed: 99}},
+			PlaceOptions{Strategy: RW, RW: DefaultRWConfig()},
+			PlaceOptions{Strategy: RW, RW: RWConfig{Iterations: DefaultRWConfig().Iterations, Seed: 99}}},
+		{"GA",
+			PlaceOptions{Strategy: GA, GA: GAConfig{Seed: 99}},
+			PlaceOptions{Strategy: GA, GA: DefaultGAConfig()},
+			PlaceOptions{Strategy: GA, GA: ga99}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			place := func(o PlaceOptions) *PlaceResult {
+				t.Helper()
+				o.DBCs = 4
+				r, err := lab.Place(context.Background(), s, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r
+			}
+			want, seed1 := place(tc.budget99), place(tc.seed1)
+			if want.Placement.Equal(seed1.Placement) {
+				t.Fatal("seeds 1 and 99 give the same placement; the sequence cannot tell them apart")
+			}
+			if got := place(tc.seedOnly); !got.Placement.Equal(want.Placement) || got.Shifts != want.Shifts {
+				t.Errorf("seed 99 with a defaulted budget gave %d shifts (%v), want seed 99's %d (%v)",
+					got.Shifts, got.Placement, want.Shifts, want.Placement)
+			}
+		})
+	}
+}
+
 // --- Instance scoping under concurrency ------------------------------
 
 // TestTwoLabsSameNameConcurrent registers *different* strategies under
@@ -379,10 +433,13 @@ func TestProgressEvents(t *testing.T) {
 
 // --- Kernel cache ----------------------------------------------------
 
-// tinyRW is a random-walk budget small enough for unit tests; RW is one
-// of the strategies that search with a cost kernel, so it reaches the
-// Lab's kernel cache.
-var tinyRW = PlaceOptions{Strategy: RW, RW: RWConfig{Iterations: 200, Seed: 3}}
+// tinyGA is a GA budget small enough for unit tests; the GA searches
+// with a cost kernel, so it reaches the Lab's kernel cache.
+var tinyGA = func() PlaceOptions {
+	o := PlaceOptions{Strategy: GA, GA: DefaultGAConfig()}
+	o.GA.Mu, o.GA.Lambda, o.GA.Generations = 8, 8, 3
+	return o
+}()
 
 // TestKernelCacheContentAddressed: repeated searches on content-equal
 // sequences — different pointers — hit the cache; results stay
@@ -397,7 +454,7 @@ func TestKernelCacheContentAddressed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := tinyRW
+	opts := tinyGA
 	opts.DBCs = 2
 	var want *PlaceResult
 	for i := 0; i < 5; i++ {
@@ -443,7 +500,7 @@ func TestKernelCacheEviction(t *testing.T) {
 	traces := []string{"a b a b", "c d c d c", "e f e f e e"}
 	for _, text := range traces {
 		s, _ := ParseSequence(text)
-		if _, err := lab.Place(context.Background(), s, tinyRW); err != nil {
+		if _, err := lab.Place(context.Background(), s, tinyGA); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -453,7 +510,7 @@ func TestKernelCacheEviction(t *testing.T) {
 	// The oldest trace was evicted: placing it again misses.
 	_, missesBefore := lab.cache.stats()
 	s, _ := ParseSequence(traces[0])
-	if _, err := lab.Place(context.Background(), s, tinyRW); err != nil {
+	if _, err := lab.Place(context.Background(), s, tinyGA); err != nil {
 		t.Fatal(err)
 	}
 	if _, misses := lab.cache.stats(); misses != missesBefore+1 {
@@ -462,11 +519,12 @@ func TestKernelCacheEviction(t *testing.T) {
 }
 
 // TestLabKernelSharing: only the strategies that search with a cost
-// kernel reach the Lab's cache. The one-shot heuristics price by replay
-// and leave the cache at (0, 0) with results equal to a cache-less
-// Lab's; a GA or RW call builds exactly one kernel, and repeating it on
-// a content-equal sequence hits it. Under a two-port objective GA and RW
-// price the exact port replay, so they leave the cache at (0, 0) too.
+// kernel reach the Lab's cache. The one-shot heuristics and the random
+// walk price by replay and leave the cache at (0, 0) with results equal
+// to a cache-less Lab's; a GA call builds exactly one kernel, and
+// repeating it on a content-equal sequence hits it. Under a two-port
+// objective the GA prices the exact port replay, so it leaves the cache
+// at (0, 0) too.
 func TestLabKernelSharing(t *testing.T) {
 	ctx := context.Background()
 	sameResult := func(t *testing.T, got, want *PlaceResult) {
@@ -503,10 +561,9 @@ func TestLabKernelSharing(t *testing.T) {
 		o := PlaceOptions{Strategy: st, DBCs: 4, Objective: "energy"}
 		switch st {
 		case GA:
-			o.GA = DefaultGAConfig()
-			o.GA.Mu, o.GA.Lambda, o.GA.Generations = 8, 8, 3
+			o.GA = tinyGA.GA
 		case RW:
-			o.RW = tinyRW.RW
+			o.RW = RWConfig{Iterations: 200, Seed: 3}
 		}
 		return o
 	}
@@ -517,7 +574,7 @@ func TestLabKernelSharing(t *testing.T) {
 		ports int
 	}{
 		{"AFD-OFU", AFDOFU, 0}, {"DMA-OFU", DMAOFU, 0}, {"DMA-Chen", DMAChen, 0},
-		{"DMA-SR", DMASR, 0}, {"DMA-2opt", DMA2Opt, 0},
+		{"DMA-SR", DMASR, 0}, {"DMA-2opt", DMA2Opt, 0}, {"RW", RW, 0},
 		{"GA-2ports", GA, 2}, {"RW-2ports", RW, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -548,37 +605,35 @@ func TestLabKernelSharing(t *testing.T) {
 		})
 	}
 
-	for _, st := range []Strategy{GA, RW} {
-		t.Run(string(st), func(t *testing.T) {
-			// Generation is deterministic: a content-equal sequence
-			// under a fresh pointer on every call.
-			seq := func() *Sequence { return compatBenchmark(t).Sequences[0] }
-			lab, ref := newLabs(t)
-			want, err := ref.Place(ctx, seq(), opts(st))
+	t.Run("GA", func(t *testing.T) {
+		// Generation is deterministic: a content-equal sequence under a
+		// fresh pointer on every call.
+		seq := func() *Sequence { return compatBenchmark(t).Sequences[0] }
+		lab, ref := newLabs(t)
+		want, err := ref.Place(ctx, seq(), opts(GA))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round := int64(0); round < 2; round++ {
+			got, err := lab.Place(ctx, seq(), opts(GA))
 			if err != nil {
 				t.Fatal(err)
 			}
-			for round := int64(0); round < 2; round++ {
-				got, err := lab.Place(ctx, seq(), opts(st))
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameResult(t, got, want)
-				stats(t, lab, round, 1)
-			}
+			sameResult(t, got, want)
+			stats(t, lab, round, 1)
+		}
 
-			lab, _ = newLabs(t)
-			for round := int64(0); round < 2; round++ {
-				one := &Benchmark{Name: "one", Sequences: []*Sequence{seq()}}
-				res, err := lab.PlaceBenchmark(ctx, one, opts(st))
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameResult(t, res.Results[0], want)
-				stats(t, lab, round, 1)
+		lab, _ = newLabs(t)
+		for round := int64(0); round < 2; round++ {
+			one := &Benchmark{Name: "one", Sequences: []*Sequence{seq()}}
+			res, err := lab.PlaceBenchmark(ctx, one, opts(GA))
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
+			sameResult(t, res.Results[0], want)
+			stats(t, lab, round, 1)
+		}
+	})
 }
 
 // --- SimulateBenchmark satellite fixes -------------------------------

@@ -118,7 +118,7 @@ func WithIslands(n int) Option {
 
 // WithKernelCache bounds the Lab's content-addressed cost-kernel cache
 // to n kernels (evicted least-recently-used). The cache serves the
-// strategies that search with a kernel (GA, GA-2opt and RW, islands
+// strategies that search with a kernel (GA and GA-2opt, islands
 // included) and portfolio races: repeating one on the same access
 // sequence — same content, not necessarily the same *Sequence pointer —
 // reuses the cached kernel instead of building it again. One-shot

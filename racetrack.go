@@ -172,11 +172,12 @@ type PlaceOptions struct {
 	DBCs int
 	// Capacity is the optional per-DBC word capacity (0 = unlimited).
 	Capacity int
-	// GA overrides the genetic-algorithm parameters (zero value: the
-	// paper's µ=λ=100, 200 generations, tournament 4).
+	// GA overrides the genetic-algorithm parameters (zero Mu: the
+	// paper's µ=λ=100, 200 generations, tournament 4, under GA.Seed
+	// when it is non-zero).
 	GA GAConfig
-	// RW overrides the random-walk parameters (zero value: the paper's
-	// 60 000 iterations).
+	// RW overrides the random-walk parameters (zero Iterations: the
+	// paper's 60 000 iterations, under RW.Seed when it is non-zero).
 	RW RWConfig
 	// Workers sizes the worker pool Lab.PlaceBenchmark and
 	// Lab.SimulateBenchmark fan sequences out on (0 = the Lab's pool
@@ -350,7 +351,7 @@ func ShiftCost(s *Sequence, p *Placement) (int64, error) { return placement.Shif
 // without replaying the access stream (bit-identical to ShiftCost; see
 // DESIGN.md §8). Build one per sequence and share it freely — it is
 // immutable and safe for concurrent use. The engine and the Lab hand
-// kernels only to the built-in searches (GA, GA-2opt, RW); a custom
+// kernels only to the built-in GA searches (GA, GA-2opt); a custom
 // strategy that prices many placements builds its own with
 // NewCostKernel, and StrategyOptions.Kernel reaches it only when its
 // caller sets one.
