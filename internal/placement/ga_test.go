@@ -508,6 +508,45 @@ func BenchmarkRandomWalkSuite(b *testing.B) {
 	b.ReportMetric(float64(shifts), "shifts")
 }
 
+// BenchmarkGASuite runs the GA through Registry.Place on the 109
+// OffsetStone suite sequences of at least 200 accesses, the set
+// perfbench's search workload runs, at four DBCs with heuristic seeds
+// and DefaultGAConfig cut to 50 generations, and reports the total
+// shifts. 50 generations keep one sweep near a second, short enough for
+// CI's bench job.
+func BenchmarkGASuite(b *testing.B) {
+	reg, err := NewRegistry()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var seqs []*trace.Sequence
+	for _, bench := range offsetstone.Suite() {
+		for _, s := range bench.Sequences {
+			if s.Len() >= 200 {
+				seqs = append(seqs, s)
+			}
+		}
+	}
+	cfg := DefaultGAConfig()
+	cfg.Generations = 50
+	opts := Options{GA: cfg}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var shifts int64
+	for i := 0; i < b.N; i++ {
+		shifts = 0
+		for _, s := range seqs {
+			_, c, err := reg.Place(StrategyGA, s, 4, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			shifts += c
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(shifts), "shifts")
+}
+
 func TestExactMatchesBruteForceIntra(t *testing.T) {
 	// IntraExact against explicit permutation enumeration on tiny inputs.
 	rng := rand.New(rand.NewSource(2))

@@ -159,17 +159,21 @@ func BenchmarkStreamingKernel(b *testing.B) {
 	b.ReportMetric(float64(k.NNZ()), "nnz")
 }
 
-// BenchmarkDeltaSetupFromKernel measures deriving a DBC's incremental
-// evaluator from a shared kernel, the O(nnz) replacement for the O(m)
-// replay setup the memetic GA mutation used to pay per call.
+// BenchmarkDeltaSetupFromKernel measures deriving the incremental
+// evaluator of every DBC of a placement from a shared kernel, the
+// O(nnz) replacement for the O(m) replay setup the memetic GA mutation
+// used to pay per call. One op derives all four, so a single iteration
+// (CI's -benchtime=1x) measures the same work as a long run.
 func BenchmarkDeltaSetupFromKernel(b *testing.B) {
 	s, p := kernelBenchWorkload(b)
 	k := NewCostKernel(s)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e := NewDeltaEvaluatorFromKernel(k, p.DBC[i%len(p.DBC)])
-		if len(e.order) == 0 {
-			b.Fatal("empty evaluator")
+		for _, order := range p.DBC {
+			e := NewDeltaEvaluatorFromKernel(k, order)
+			if len(e.order) != len(order) {
+				b.Fatal("evaluator lost members")
+			}
 		}
 	}
 }
