@@ -231,20 +231,16 @@ func (g ga) Name() string { return string(g.id) }
 func (g ga) Place(s *trace.Sequence, q int, opts Options) (*Placement, int64, error) {
 	cfg := opts.GA
 	if cfg.Mu == 0 {
-		caller := cfg
-		cfg = DefaultGAConfig()
-		// A caller's seed and the island topology (and its progress
-		// hook) ride along even when the search budget itself is
-		// defaulted — WithIslands on a session with an otherwise zero GA
-		// config must still fan out.
-		if caller.Seed != 0 {
-			cfg.Seed = caller.Seed
+		// A zero population means the paper's search budget. Only the
+		// budget is defaulted: everything else the caller set (seed,
+		// seeds, the memetic weight, the island topology) rides along.
+		def := DefaultGAConfig()
+		cfg.Mu, cfg.Lambda, cfg.Generations, cfg.TournamentK = def.Mu, def.Lambda, def.Generations, def.TournamentK
+		cfg.MutationRate = def.MutationRate
+		cfg.MoveWeight, cfg.TransposeWeight, cfg.PermuteWeight = def.MoveWeight, def.TransposeWeight, def.PermuteWeight
+		if cfg.Seed == 0 {
+			cfg.Seed = def.Seed
 		}
-		cfg.Islands = caller.Islands
-		cfg.MigrationEvery = caller.MigrationEvery
-		cfg.Elites = caller.Elites
-		cfg.IslandProgress = caller.IslandProgress
-		cfg.Workers = caller.Workers
 	}
 	cfg.Capacity = opts.Capacity
 	if cfg.Kernel == nil {

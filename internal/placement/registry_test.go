@@ -3,6 +3,7 @@ package placement
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -259,6 +260,55 @@ func TestRegistryParityWithLegacySwitch(t *testing.T) {
 // The GA's seeds come from the builtin heuristics without a registry
 // lookup or a pricing pass; they must still be exactly the placements the
 // registry's heuristic strategies return, in HeuristicStrategies order.
+// TestGAPlaceKeepsCallerFieldsUnderDefaultBudget: a GA config with no
+// budget (Mu == 0) takes the paper's budget and keeps every other field
+// the caller set. ImproveWeight and Seeds used to fall away with the
+// rest of the caller's config.
+func TestGAPlaceKeepsCallerFieldsUnderDefaultBudget(t *testing.T) {
+	s := randSeq(rand.New(rand.NewSource(5)), 30, 300)
+	const q = 4
+	place := func(cfg GAConfig, disableSeeding bool) (*Placement, int64) {
+		t.Helper()
+		p, c, err := testRegistry.Place(StrategyGA, s, q, Options{GA: cfg, DisableGASeeding: disableSeeding})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p, c
+	}
+	full := func(mod func(*GAConfig)) GAConfig {
+		cfg := DefaultGAConfig()
+		cfg.Seed = 7
+		mod(&cfg)
+		return cfg
+	}
+	same := func(name string, gotP *Placement, got int64, wantP *Placement, want int64) {
+		t.Helper()
+		if got != want || !gotP.Equal(wantP) {
+			t.Errorf("%s with a defaulted budget: %d shifts (%v), want %d (%v)", name, got, gotP, want, wantP)
+		}
+	}
+
+	plainP, _ := place(full(func(*GAConfig) {}), false)
+	wantP, want := place(full(func(c *GAConfig) { c.ImproveWeight = 20 }), false)
+	if plainP.Equal(wantP) {
+		t.Fatal("ImproveWeight 20 and 0 give the same placement; the sequence cannot tell them apart")
+	}
+	gotP, got := place(GAConfig{Seed: 7, ImproveWeight: 20}, false)
+	same("ImproveWeight", gotP, got, wantP, want)
+
+	rr := NewEmpty(q)
+	for i, v := range trace.Analyze(s).ByFirstUse() {
+		rr.DBC[i%q] = append(rr.DBC[i%q], v)
+	}
+	coldP, _ := place(full(func(*GAConfig) {}), true)
+	wantP, want = place(full(func(c *GAConfig) { c.Seeds = []*Placement{rr} }), true)
+	if coldP.Equal(wantP) {
+		t.Fatal("a seeded and a cold run give the same placement; the sequence cannot tell them apart")
+	}
+	gotP, got = place(GAConfig{Seed: 7, Seeds: []*Placement{rr}}, true)
+	same("Seeds", gotP, got, wantP, want)
+}
+
 func TestHeuristicSeedsMatchRegistry(t *testing.T) {
 	reg := newRegistry(t)
 	s := mustSeq(t, "a b a b c a c a d d a e f e f g h g h a b")
