@@ -328,20 +328,31 @@ func newGARun(s *trace.Sequence, q int, cfg GAConfig) (*gaRun, error) {
 		}
 	}
 
-	r.pop = make([]*genome, 0, cfg.Mu)
-	for _, seed := range cfg.Seeds {
-		if len(r.pop) == cfg.Mu {
-			break
-		}
-		g, err := r.load(seed)
-		if err != nil {
+	seeds := cfg.Seeds[:min(len(cfg.Seeds), cfg.Mu)]
+	placed := (cfg.Mu - len(seeds)) * len(vars)
+	for _, p := range seeds {
+		if err := r.checkSeed(p); err != nil {
 			return nil, err
+		}
+		placed += p.NumPlaced()
+	}
+	slab := newGenomeSlab(cfg.Mu, q, s.NumVars(), placed)
+	r.pop = make([]*genome, 0, cfg.Mu)
+	for _, p := range seeds {
+		g := slab.next()
+		slab.setRows(g, p)
+		for d, row := range g.DBC {
+			for off, v := range row {
+				g.lookup.DBCOf[v], g.lookup.Offset[v] = d, off
+			}
 		}
 		r.pop = append(r.pop, g)
 	}
+	draw := NewEmpty(q)
 	for len(r.pop) < cfg.Mu {
-		g := newGenome(NewEmpty(q), newLookup(s.NumVars()))
-		randomPlacementLookup(&g.Placement, &g.lookup, r.rng, vars, cfg.Capacity)
+		g := slab.next()
+		randomPlacementLookup(draw, &g.lookup, r.rng, vars, cfg.Capacity)
+		slab.setRows(g, draw)
 		r.pop = append(r.pop, g)
 	}
 	for _, g := range r.pop {
@@ -358,18 +369,71 @@ func newGARun(s *trace.Sequence, q int, cfg GAConfig) (*gaRun, error) {
 	return r, nil
 }
 
-// load turns a caller's seed placement into a genome. A seed must place
-// every accessed variable exactly once into q DBCs: the operators move
+// checkSeed checks a caller's seed placement. A seed must place every
+// accessed variable exactly once into q DBCs: the operators move
 // variables by their lookup entries.
-func (r *gaRun) load(p *Placement) (*genome, error) {
+func (r *gaRun) checkSeed(p *Placement) error {
 	if p.NumDBCs() != r.q {
-		return nil, fmt.Errorf("placement: seed has %d DBCs, want %d", p.NumDBCs(), r.q)
+		return fmt.Errorf("placement: seed has %d DBCs, want %d", p.NumDBCs(), r.q)
 	}
 	if err := p.Validate(r.s, 0); err != nil {
-		return nil, fmt.Errorf("placement: GA seed: %w", err)
+		return fmt.Errorf("placement: GA seed: %w", err)
 	}
-	l, _ := p.BuildLookup(r.s.NumVars()) // cannot fail after Validate
-	return newGenome(p.Clone(), l), nil
+	return nil
+}
+
+// genomeSlab carves the initial population's genomes from one buffer
+// per kind: genome values, row headers, row members, lookups, costs
+// and dirty marks. Each row is cut to its exact length with a full
+// slice expression, so an operator's append reallocates the row instead
+// of writing into its neighbour.
+type genomeSlab struct {
+	q, numVars int
+	gs         []genome
+	rows       [][]int
+	members    []int
+	lookup     []int
+	cost       []int64
+	dirty      []bool
+}
+
+// newGenomeSlab sizes a slab for count genomes of q DBCs over numVars
+// variables that place placed variables between them.
+func newGenomeSlab(count, q, numVars, placed int) *genomeSlab {
+	lookup := slices.Repeat([]int{-1}, 2*count*numVars)
+	return &genomeSlab{
+		q: q, numVars: numVars,
+		gs:      make([]genome, count),
+		rows:    make([][]int, count*q),
+		members: make([]int, 0, placed),
+		lookup:  lookup,
+		cost:    make([]int64, count*q),
+		dirty:   slices.Repeat([]bool{true}, count*q),
+	}
+}
+
+// next returns the slab's next genome: no DBC placed yet, every DBC
+// dirty, and a lookup with no variable placed.
+func (sl *genomeSlab) next() *genome {
+	q, n := sl.q, sl.numVars
+	g := &sl.gs[0]
+	sl.gs = sl.gs[1:]
+	g.DBC, sl.rows = sl.rows[:q:q], sl.rows[q:]
+	g.lookup = Lookup{DBCOf: sl.lookup[:n:n], Offset: sl.lookup[n : 2*n : 2*n]}
+	sl.lookup = sl.lookup[2*n:]
+	g.cost, sl.cost = sl.cost[:q:q], sl.cost[q:]
+	g.dirty, sl.dirty = sl.dirty[:q:q], sl.dirty[q:]
+	return g
+}
+
+// setRows copies p's rows into g, carving each from the member buffer.
+func (sl *genomeSlab) setRows(g *genome, p *Placement) {
+	for d, row := range p.DBC {
+		lo := len(sl.members)
+		sl.members = append(sl.members, row...)
+		hi := len(sl.members)
+		g.DBC[d] = sl.members[lo:hi:hi]
+	}
 }
 
 // child returns a copy of parent in recycled storage.

@@ -56,10 +56,14 @@ func testGARun(t testing.TB, s *trace.Sequence, q int, cfg GAConfig) *gaRun {
 // pricedGenome loads p into the run as a priced genome.
 func pricedGenome(t testing.TB, r *gaRun, p *Placement) *genome {
 	t.Helper()
-	g, err := r.load(p)
+	if err := r.checkSeed(p); err != nil {
+		t.Fatal(err)
+	}
+	l, err := p.BuildLookup(r.s.NumVars())
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := newGenome(p.Clone(), l)
 	r.fit[0].price(g)
 	return g
 }
