@@ -1,59 +1,118 @@
 package placement
 
-// dbcCostCache memoizes per-DBC partial costs by DBC content. A DBC's
-// contribution to the full shift cost depends only on its own ordered
-// member list (CostDBC), and population-based search re-prices the same
-// DBC contents constantly: operators rebuild contents an earlier
-// individual already had, and converged populations are near-duplicates
-// of one another. Caching per DBC — rather than per placement — turns
-// that sharing into O(|DBC|) hash lookups instead of cost scans. The
+// dbcCostCache memoizes what a DBC's cost depends on, keyed by the
+// DBC's member *set*. Each kernel stencil of a member v is charged
+// against its first candidate in v's DBC, and which candidate that is
+// depends only on which variables share the DBC, not on their order. So
+// a set fixes a transition list, one (u, v, w) entry per member v and
+// distinct realized predecessor u with w accesses, and its cost under
+// every order of its members is Σ w·|off(u) − off(v)| (DESIGN.md §8).
+// Population-based search re-prices the same sets constantly: a
+// transpose or a permutation reorders a DBC without changing its set,
+// operators rebuild sets an earlier individual already had, and
+// converged populations are near-duplicates of one another. A hit costs
+// O(|DBC| + transitions) instead of a stencil scan or a replay. The
 // genome already carries the costs of the DBCs an operator left alone,
 // so only dirty DBCs reach the cache (price).
 //
-// Misses are priced adaptively. When only a small minority of a
-// placement's DBCs miss (the converged-population steady state), each
-// missing DBC is priced by a targeted kernel scan — structured
-// placements keep those scans shallow. When most DBCs miss (random
-// initial populations, permute-mutated individuals), a single bounded
-// replay of the access stream prices every DBC at once: on scattered
-// placements the kernel's candidate walks are branch-miss bound and the
-// linear replay is measurably faster, and one replay pass fills all
-// missing entries together.
+// A set's key is the sum of its members' random 64-bit keys, so it does
+// not depend on the order. A hit requires the same size and every stored
+// member to lie in the DBC being priced, which the genome's own lookup
+// answers; a collision therefore costs a miss, never a wrong cost, and
+// cached evaluation is bit-identical to the replay oracle
+// (TestDBCCostCacheParity) with search trajectories unchanged.
 //
-// Entries verify the full content on lookup, so a hash collision costs
-// a comparison, never a wrong cost: cached evaluation is bit-identical
-// to Cost (TestDBCCostCacheParity) and search trajectories are
-// unchanged. Keys live back to back in one arena, so an insert appends
-// instead of allocating. The cache only ever changes speed, not
-// results; it resets deterministically when it reaches its size bound.
+// Misses are priced by one of two paths. Building an entry walks the
+// members' stencil rows once, which also yields the DBC's cost, and then
+// keeps the list. When only a minority of a genome's dirty DBCs miss
+// (the converged-population steady state), every miss is built. When
+// most miss (random initial populations, crossover children), a set seen
+// for the first time is priced by one per-DBC replay of the access
+// stream shared by all such DBCs of the genome, and its key goes into a
+// small direct-mapped filter; a set whose key the filter holds has been
+// seen before and is built. Most first-sight sets never recur, and on
+// scattered placements the linear replay is cheaper than the kernel's
+// candidate walks.
+//
+// Members and transitions live back to back in two arenas, so an insert
+// appends instead of allocating. When an arena or the entry table
+// reaches its bound the cache resets deterministically; an entry larger
+// than an arena is priced and not kept. The cache only ever changes
+// speed, not results.
 type dbcCostCache struct {
-	kern *CostKernel
-	m    map[uint64]dbcCacheEnt // content hash -> entry
-	keys []int32                // every entry's content, back to back
+	kern    *CostKernel
+	keys    []uint64            // keys[v]: v's share of a set's key
+	m       map[uint64]setEntry // set key -> entry
+	members []int32             // every entry's members, back to back
+	trans   []setTrans          // every entry's transitions, back to back
+	seen    []uint64            // filter: keys of sets priced by replay
+
+	// The arena bounds, dbcCacheMaxMembers and dbcCacheMaxTrans; tests
+	// shrink them to reach the reset and the too-large path.
+	maxMembers, maxTrans int
 
 	// Per-price scratch.
 	missing []int
+	replay  []int
 	hashes  []uint64
 	track   []int
 	per     []int64
+	acc     []int64 // acc[u]: the weight charged to u so far, 0 between members
+	touched []int32 // the u with acc[u] > 0; room for every variable
 }
 
-type dbcCacheEnt struct {
-	lo, hi int32 // the entry's content is keys[lo:hi]
-	cost   int64
+// setEntry locates one set's members and transitions in the arenas.
+type setEntry struct {
+	mLo, mHi int32 // members[mLo:mHi]
+	tLo, tHi int32 // trans[tLo:tHi]
 }
 
-// The cache's footprint is bounded by its entry count and by its key
-// arena (1 MiB; a 16 MiB arena doubled the GA's peak resident set for no
-// measurable speed). The reset is deterministic, so results stay
-// reproducible.
+// setTrans is one transition of a set: w accesses of v whose realized
+// predecessor is u.
+type setTrans struct {
+	u, v int32
+	w    int64
+}
+
+// The cache's footprint is bounded by its entry count, by its arenas
+// (1 MiB of members, 1 MiB of transitions; an arena may briefly hold one
+// more entry before its reset) and by the filter (8 KiB). The reset is
+// deterministic, so results stay reproducible.
 const (
 	dbcCacheMaxEntries = 1 << 15
-	dbcCacheMaxKeys    = 1 << 18
+	dbcCacheMaxMembers = 1 << 16
+	dbcCacheMaxTrans   = 1 << 15
+	dbcCacheSeenSlots  = 1 << 10
 )
 
 func newDBCCostCache(kern *CostKernel) *dbcCostCache {
-	return &dbcCostCache{kern: kern, m: make(map[uint64]dbcCacheEnt, 256)}
+	n := kern.NumVars()
+	return &dbcCostCache{
+		kern:    kern,
+		keys:    setKeys(n),
+		m:       make(map[uint64]setEntry, 256),
+		seen:    make([]uint64, dbcCacheSeenSlots),
+		acc:     make([]int64, n),
+		touched: make([]int32, n),
+
+		maxMembers: dbcCacheMaxMembers,
+		maxTrans:   dbcCacheMaxTrans,
+	}
+}
+
+// setKeys returns n pseudo-random 64-bit keys (splitmix64 from a fixed
+// seed), one per variable.
+func setKeys(n int) []uint64 {
+	keys := make([]uint64, n)
+	x := uint64(0)
+	for i := range keys {
+		x += 0x9e3779b97f4a7c15
+		z := x
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		keys[i] = z ^ (z >> 31)
+	}
+	return keys
 }
 
 // price re-prices g's dirty DBCs and clears their dirty marks. A clean
@@ -81,71 +140,154 @@ func (c *dbcCostCache) price(g *genome) {
 		if len(content) == 0 {
 			continue
 		}
-		h := uint64(14695981039346656037)
+		var h uint64
 		for _, v := range content {
-			h = (h ^ uint64(uint32(v))) * 1099511628211
+			h += c.keys[v]
 		}
-		if cost, ok := c.lookup(h, content); ok {
-			g.cost[d] = cost
+		if e, ok := c.lookup(h, d, content, g.lookup.DBCOf); ok {
+			g.cost[d] = c.setCost(e, g.lookup.Offset)
 			continue
 		}
 		c.hashes[d] = h
 		c.missing = append(c.missing, d)
 	}
 
-	switch {
-	case len(c.missing) == 0:
-	case len(c.missing)*4 <= nonEmpty:
-		// Minority miss: targeted kernel scans of just the missing DBCs.
-		for _, d := range c.missing {
-			g.cost[d] = c.kern.CostDBC(&g.lookup, g.DBC[d])
-			c.insert(c.hashes[d], g.DBC[d], g.cost[d])
-		}
-	default:
-		// Bulk miss: one replay pass prices every DBC at once. A genome
-		// places every variable, so no access is unplaced.
-		track, per := c.track[:q], c.per[:q]
-		setCold(track)
-		clear(per)
-		shiftPerDBC(c.kern.Sequence(), &g.lookup, track, per)
-		for _, d := range c.missing {
-			g.cost[d] = per[d]
-			c.insert(c.hashes[d], g.DBC[d], g.cost[d])
-		}
+	if len(c.missing)*4 > nonEmpty {
+		c.replayFirstSight(g)
+	}
+	for _, d := range c.missing {
+		g.cost[d] = c.build(c.hashes[d], g.DBC[d], &g.lookup)
 	}
 }
 
-func (c *dbcCostCache) lookup(h uint64, content []int) (int64, bool) {
+// replayFirstSight handles a bulk miss: the missing sets seen for the
+// first time share one replay pass, which prices every DBC at once, and
+// enter the filter; c.missing keeps the sets the filter has seen, for
+// price to build. A genome places every variable, so no access is
+// unplaced. The replay loop lives here rather than in price, where the
+// compiler spilled its registers.
+func (c *dbcCostCache) replayFirstSight(g *genome) {
+	c.replay = c.replay[:0]
+	seen := c.missing[:0] // filters c.missing in place
+	for _, d := range c.missing {
+		h := c.hashes[d]
+		if slot := &c.seen[h&(dbcCacheSeenSlots-1)]; *slot != h {
+			*slot = h
+			c.replay = append(c.replay, d)
+		} else {
+			seen = append(seen, d)
+		}
+	}
+	c.missing = seen
+	if len(c.replay) == 0 {
+		return
+	}
+	q := len(g.DBC)
+	track, per := c.track[:q], c.per[:q]
+	setCold(track)
+	clear(per)
+	shiftPerDBC(c.kern.Sequence(), &g.lookup, track, per)
+	for _, d := range c.replay {
+		g.cost[d] = per[d]
+	}
+}
+
+// lookup returns the entry of the set keyed h when it is exactly DBC
+// d's member set: the same size, and every stored member placed in d.
+func (c *dbcCostCache) lookup(h uint64, d int, content []int, dbcOf []int) (setEntry, bool) {
 	e, ok := c.m[h]
-	if !ok || !dbcKeyEqual(c.keys[e.lo:e.hi], content) {
-		return 0, false
+	if !ok || int(e.mHi-e.mLo) != len(content) {
+		return e, false
 	}
-	return e.cost, true
-}
-
-// insert records a priced DBC content. A hash collision overwrites the
-// older entry: the cache then misses on it, which costs a re-pricing,
-// never a wrong cost.
-func (c *dbcCostCache) insert(h uint64, content []int, cost int64) {
-	if len(c.m) >= dbcCacheMaxEntries || len(c.keys)+len(content) > dbcCacheMaxKeys {
-		clear(c.m)
-		c.keys = c.keys[:0]
-	}
-	lo := len(c.keys)
-	for _, v := range content {
-		c.keys = append(c.keys, int32(v))
-	}
-	c.m[h] = dbcCacheEnt{lo: int32(lo), hi: int32(len(c.keys)), cost: cost}
-}
-
-func dbcKeyEqual(key []int32, content []int) bool {
-	if len(key) != len(content) {
-		return false
-	}
-	for i, v := range content {
-		if key[i] != int32(v) {
-			return false
+	for _, v := range c.members[e.mLo:e.mHi] {
+		if dbcOf[v] != d {
+			return e, false
 		}
 	}
-	return true
+	return e, true
+}
+
+// setCost prices a set's transition list under the offsets of one
+// order of its members.
+//
+//rtm:hotpath
+func (c *dbcCostCache) setCost(e setEntry, off []int) int64 {
+	var total int64
+	for _, t := range c.trans[e.tLo:e.tHi] {
+		total += t.w * absDist(off[t.u], off[t.v])
+	}
+	return total
+}
+
+// build walks the stencil rows of a DBC's members, keeps the member set
+// keyed h with its transition list, and returns the DBC's cost. A key
+// collision overwrites the older entry, which then misses: a re-pricing,
+// never a wrong cost.
+func (c *dbcCostCache) build(h uint64, content []int, l *Lookup) int64 {
+	lo := len(c.trans)
+	cost := c.walk(content, l)
+	n := len(c.trans) - lo
+	switch {
+	case n > c.maxTrans || len(content) > c.maxMembers:
+		c.trans = c.trans[:lo] // too large to keep
+		return cost
+	case lo+n > c.maxTrans || len(c.members)+len(content) > c.maxMembers || len(c.m) >= dbcCacheMaxEntries:
+		c.trans = append(c.trans[:0], c.trans[lo:]...)
+		c.members = c.members[:0]
+		clear(c.m)
+		lo = 0
+	}
+	mLo := len(c.members)
+	for _, v := range content {
+		c.members = append(c.members, int32(v))
+	}
+	c.m[h] = setEntry{mLo: int32(mLo), mHi: int32(len(c.members)), tLo: int32(lo), tHi: int32(len(c.trans))}
+	return cost
+}
+
+// walk appends the transition list of content's member set to the
+// arena and returns the DBC's cost under l.
+//
+//rtm:hotpath
+func (c *dbcCostCache) walk(content []int, l *Lookup) int64 {
+	dbc, off, acc := l.DBCOf, l.Offset, c.acc
+	var total int64
+	for _, v := range content {
+		offv := off[v]
+		for _, u := range c.touched[:c.charge(dbc, v)] {
+			w := acc[u]
+			acc[u] = 0
+			c.trans = append(c.trans, setTrans{u: u, v: int32(v), w: w})
+			total += w * absDist(offv, off[u])
+		}
+	}
+	return total
+}
+
+// charge adds the weight of each of v's stencil rows to acc at the row's
+// first candidate in v's DBC, as the kernel charges it (varCost), lists
+// in touched each u it charges first, and returns how many it listed.
+// The scan makes no call, so its loop state stays in registers.
+//
+//rtm:hotpath
+func (c *dbcCostCache) charge(dbc []int, v int) int {
+	k, acc, touched := c.kern, c.acc, c.touched
+	start, cand, wgt := k.start, k.cand, k.wgt
+	dv, n := dbc[v], 0
+	for i := k.rowLo[v]; i < k.rowHi[v]; i++ {
+		hi := start[i+1]
+		for j := start[i]; j < hi; j++ {
+			u := cand[j]
+			if dbc[u] != dv {
+				continue
+			}
+			if acc[u] == 0 {
+				touched[n] = u
+				n++
+			}
+			acc[u] += wgt[i]
+			break
+		}
+	}
+	return n
 }

@@ -187,9 +187,9 @@ func GAContext(ctx context.Context, s *trace.Sequence, q int, cfg GAConfig) (*GA
 // member rows, its own var → (DBC, offset) lookup, and its per-DBC shift
 // costs. Every operator keeps the lookup in step with the rows and marks
 // the DBCs it touches dirty; fitness re-prices only those. That is exact
-// because a DBC's cost depends only on its own ordered content
-// (CostDBC): a DBC an operator did not touch still costs what it cost in
-// the parent. A priced genome is immutable and may fill several
+// because a DBC's cost depends only on its own members and their order
+// (a stencil is charged against a same-DBC predecessor only): a DBC an
+// operator did not touch still costs what it cost in the parent. A priced genome is immutable and may fill several
 // population and offspring slots (a child no operator touched is its
 // parent); its storage returns to the run's free list once selection
 // drops it.
@@ -553,7 +553,7 @@ type fitness struct {
 // price prices g's dirty DBCs and sets its fitness. A genome with no
 // dirty DBC keeps the total it inherited and is only read, which lets an
 // offspring that is its parent itself sit in a parallel batch. The
-// single-port objective goes through the content-addressed cache
+// single-port objective goes through the set-keyed cache
 // (dbcCostCache.price). No kernel prices the stateful multi-port model:
 // there one replay prices the whole genome, and cost is left unused.
 func (f *fitness) price(g *genome) {

@@ -61,10 +61,10 @@ type CostKernel struct {
 	// varOrder lists the charged variables by descending total row
 	// weight. The total is order-independent, so evaluation is free to
 	// exploit this: full scans load a variable's DBC and offset once per
-	// group, per-DBC partial costs (CostDBC, the GA's content-addressed
-	// cache) read one contiguous block per member, and bounded scans
-	// (CostBounded) accumulate the bulk of the cost within the first few
-	// heavy groups.
+	// group, the GA's set-keyed cache (dbccache.go) reads one contiguous
+	// block per member when it builds a DBC's transition list, and
+	// bounded scans (CostBounded) accumulate the bulk of the cost within
+	// the first few heavy groups.
 	tvar  []int32
 	wgt   []int64
 	start []int
@@ -140,8 +140,8 @@ func NewCostKernel(s *trace.Sequence) *CostKernel {
 //
 // A streamed kernel has no bound sequence: Sequence returns nil, Rebind
 // always returns nil, and Breakdown reports unplaced variables by index.
-// Cost, CostBounded, CostDBC, Evaluate and NewDeltaEvaluatorFromKernel
-// are exactly as for NewCostKernel — the two constructions are
+// Cost, CostBounded, Evaluate and NewDeltaEvaluatorFromKernel are
+// exactly as for NewCostKernel — the two constructions are
 // bit-identical on equal streams (TestStreamKernelParity).
 func NewCostKernelStream(numVars int, r trace.AccessReader) (*CostKernel, error) {
 	if numVars < 0 {
@@ -441,28 +441,10 @@ func (k *CostKernel) CostBounded(l *Lookup, bound int64) int64 {
 	return total
 }
 
-// CostDBC returns one DBC's contribution to the full cost: the row
-// groups of the DBC's member variables, scanned against the full
-// lookup. A candidate hits only when it shares the member's DBC, so the
-// result depends exclusively on the DBC's own ordered content — which
-// is what lets the GA memoize it by content and let a child inherit its
-// parent's untouched DBC costs — and the per-DBC results sum to Cost
-// over any placement.
-//
-//rtm:hotpath
-func (k *CostKernel) CostDBC(l *Lookup, content []int) int64 {
-	dbc, off := l.DBCOf, l.Offset
-	var total int64
-	for _, v := range content {
-		total += k.varCost(dbc, off, v, dbc[v])
-	}
-	return total
-}
-
 // Evaluate is the validating convenience form of Cost: it inverts the
 // placement (allocating a fresh Lookup) and evaluates it. Hot paths
 // keep a caller-owned Lookup in step with their placement (the GA's
-// genomes) and call Cost or CostDBC directly.
+// genomes) and price through it directly.
 func (k *CostKernel) Evaluate(p *Placement) (int64, error) {
 	l, err := p.BuildLookup(k.numVars)
 	if err != nil {

@@ -284,6 +284,21 @@ func TestKernelEdgeCases(t *testing.T) {
 	}
 }
 
+// CostDBC returns one DBC's contribution to the full cost: the row
+// groups of the DBC's member variables, scanned against the full
+// lookup. A candidate hits only when it shares the member's DBC, so the
+// per-DBC results sum to Cost over any placement. The GA's set-keyed
+// cache (dbccache.go) prices the same contribution from a DBC's
+// transition list; this scan is the reference it replaced.
+func (k *CostKernel) CostDBC(l *Lookup, content []int) int64 {
+	dbc, off := l.DBCOf, l.Offset
+	var total int64
+	for _, v := range content {
+		total += k.varCost(dbc, off, v, dbc[v])
+	}
+	return total
+}
+
 // TestCostBoundedAndDBCDecomposition pins the two evaluation variants
 // against Cost: an unbounded CostBounded is exactly Cost, a bounded one
 // is exact below the bound and a valid certificate at or above it, and
@@ -325,39 +340,177 @@ func TestCostBoundedAndDBCDecomposition(t *testing.T) {
 	}
 }
 
-// TestDBCCostCacheParity pins the GA's cached evaluator against the
-// replay oracle per DBC across repeated, related genomes (clean
-// inherited DBCs, hits, minority misses and bulk misses all exercised).
+// TestDBCCostCacheParity pins the GA's set-keyed cost cache against the
+// replay oracle per DBC, path by path: a set hit under a new order, a
+// forced key collision, a first-sight bulk replay followed by a
+// second-sight build, an arena reset mid-run and entries too large to
+// keep; then over random chains of related genomes.
 func TestDBCCostCacheParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 10; trial++ {
-		numVars := 4 + rng.Intn(16)
-		s := randKernelSeq(rng, numVars, 50+rng.Intn(200))
-		q := 2 + rng.Intn(4)
-		r := testGARun(t, s, q, quickGA(int64(trial)))
-		g := pricedGenome(t, r, randFullPlacement(rng, numVars, q))
-		for step := 0; step < 60; step++ {
-			switch rng.Intn(4) {
-			case 0: // fresh placement: bulk miss
-				g = pricedGenome(t, r, randFullPlacement(rng, numVars, q))
-			case 1: // transpose inside one DBC: minority miss
-				g = r.child(g)
-				r.mutateTranspose(g)
-			case 2: // every DBC reordered: mostly misses
-				g = r.child(g)
-				r.mutatePermute(g)
-			default: // unchanged: clean DBCs inherited
-				g = r.child(g)
+	s := randKernelSeq(rng, 16, 300)
+	const q = 4
+	// deal places the 16 variables four to a DBC in the order perm.
+	deal := func(perm []int) *Placement {
+		p := NewEmpty(q)
+		for i, v := range perm {
+			p.DBC[i/4] = append(p.DBC[i/4], v)
+		}
+		return p
+	}
+	setA, setB := deal(rng.Perm(16)), deal(rng.Perm(16))
+	// fresh returns a run whose serial fitness prices through an empty
+	// cache.
+	fresh := func(t *testing.T) (*gaRun, *dbcCostCache) {
+		r := testGARun(t, s, q, quickGA(1))
+		c := newDBCCostCache(r.kern)
+		r.fit[0].cache = c
+		return r, c
+	}
+	price := func(t *testing.T, r *gaRun, g *genome) *genome {
+		t.Helper()
+		r.fit[0].price(g)
+		if err := checkPriced(s, g, nil); err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	// held counts the DBCs of g whose member set the cache holds.
+	held := func(c *dbcCostCache, g *genome) int {
+		n := 0
+		for d, content := range g.DBC {
+			var h uint64
+			for _, v := range content {
+				h += c.keys[v]
 			}
-			r.fit[0].price(g)
-			if err := checkPriced(s, g, nil); err != nil {
-				t.Fatalf("trial %d step %d: %v", trial, step, err)
-			}
-			if want := r.kern.Cost(&g.lookup); g.total != want {
-				t.Fatalf("trial %d step %d: cached %d, Cost %d", trial, step, g.total, want)
+			if _, ok := c.lookup(h, d, content, g.lookup.DBCOf); ok {
+				n++
 			}
 		}
+		return n
 	}
+	// reorder returns a child of g with every DBC permuted: the same
+	// sets, all dirty.
+	reorder := func(t *testing.T, r *gaRun, g *genome) *genome {
+		t.Helper()
+		c := r.child(g)
+		r.mutatePermute(c)
+		return price(t, r, c)
+	}
+
+	t.Run("first sight replays, second sight builds", func(t *testing.T) {
+		r, c := fresh(t)
+		g := pricedGenome(t, r, setA)
+		if len(c.m) != 0 || len(c.trans) != 0 {
+			t.Fatalf("first sight kept %d entries", len(c.m))
+		}
+		g = reorder(t, r, g)
+		if len(c.m) != q || held(c, g) != q {
+			t.Fatalf("second sight kept %d entries, %d of them g's; want %d", len(c.m), held(c, g), q)
+		}
+		n := len(c.trans)
+		reorder(t, r, g)
+		if len(c.m) != q || len(c.trans) != n {
+			t.Fatalf("third sight built again: %d entries, %d transitions (want %d, %d)", len(c.m), len(c.trans), q, n)
+		}
+	})
+
+	t.Run("hit under a new order", func(t *testing.T) {
+		r, c := fresh(t)
+		g := reorder(t, r, pricedGenome(t, r, setA))
+		n := len(c.trans)
+		for step := 0; step < 20; step++ {
+			g = r.child(g)
+			if step%2 == 0 {
+				r.mutateTranspose(g)
+			} else {
+				r.mutatePermute(g)
+			}
+			price(t, r, g)
+			if held(c, g) != q || len(c.trans) != n {
+				t.Fatalf("step %d: a reordered set missed (%d entries, %d transitions)", step, len(c.m), len(c.trans))
+			}
+		}
+	})
+
+	t.Run("forced key collision", func(t *testing.T) {
+		r, c := fresh(t)
+		clear(c.keys) // every set keys to 0: equal sizes collide
+		a := reorder(t, r, pricedGenome(t, r, setA))
+		if len(c.m) != 1 {
+			t.Fatalf("colliding sets kept %d entries, want 1", len(c.m))
+		}
+		b := reorder(t, r, pricedGenome(t, r, setB))
+		reorder(t, r, a)
+		reorder(t, r, b)
+	})
+
+	t.Run("arena reset mid-run", func(t *testing.T) {
+		r, c := fresh(t)
+		a := reorder(t, r, pricedGenome(t, r, setA))
+		if held(c, a) != q {
+			t.Fatalf("cache holds %d of A's sets, want %d", held(c, a), q)
+		}
+		c.maxTrans = len(c.trans) + 1 // full: B's builds reset it
+		b := reorder(t, r, pricedGenome(t, r, setB))
+		if len(c.trans) > c.maxTrans {
+			t.Fatalf("arena holds %d transitions past its bound %d", len(c.trans), c.maxTrans)
+		}
+		if held(c, a) == q || held(c, b) == 0 {
+			t.Fatalf("after the reset the cache holds %d of A's sets and %d of B's", held(c, a), held(c, b))
+		}
+		reorder(t, r, b) // hits on the entries kept across the reset
+		reorder(t, r, a)
+	})
+
+	t.Run("entries too large to keep", func(t *testing.T) {
+		for _, shrink := range []func(c *dbcCostCache){
+			func(c *dbcCostCache) { c.maxTrans = 0 },
+			func(c *dbcCostCache) { c.maxMembers = 3 },
+		} {
+			r, c := fresh(t)
+			shrink(c)
+			g := reorder(t, r, pricedGenome(t, r, setA))
+			reorder(t, r, g)
+			if len(c.m) != 0 || len(c.trans) != 0 || len(c.members) != 0 {
+				t.Fatalf("kept %d entries (%d transitions, %d members) too large for the arenas",
+					len(c.m), len(c.trans), len(c.members))
+			}
+		}
+	})
+
+	t.Run("random chains", func(t *testing.T) {
+		for trial := 0; trial < 10; trial++ {
+			numVars := 4 + rng.Intn(16)
+			s := randKernelSeq(rng, numVars, 50+rng.Intn(200))
+			q := 2 + rng.Intn(4)
+			r := testGARun(t, s, q, quickGA(int64(trial)))
+			g := pricedGenome(t, r, randFullPlacement(rng, numVars, q))
+			for step := 0; step < 60; step++ {
+				switch rng.Intn(5) {
+				case 0: // fresh placement: bulk miss
+					g = pricedGenome(t, r, randFullPlacement(rng, numVars, q))
+				case 1: // transpose inside one DBC: a set hit or a minority miss
+					g = r.child(g)
+					r.mutateTranspose(g)
+				case 2: // every DBC reordered: set hits or a bulk miss
+					g = r.child(g)
+					r.mutatePermute(g)
+				case 3: // a variable moved: two new sets
+					g = r.child(g)
+					r.mutateMove(g)
+				default: // unchanged: clean DBCs inherited
+					g = r.child(g)
+				}
+				r.fit[0].price(g)
+				if err := checkPriced(s, g, nil); err != nil {
+					t.Fatalf("trial %d step %d: %v", trial, step, err)
+				}
+				if want := r.kern.Cost(&g.lookup); g.total != want {
+					t.Fatalf("trial %d step %d: cached %d, Cost %d", trial, step, g.total, want)
+				}
+			}
+		}
+	})
 }
 
 // TestKernelMultiplicityMerging checks that loop iterations collapse
