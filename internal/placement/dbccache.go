@@ -1,44 +1,32 @@
 package placement
 
-// dbcCostCache memoizes what a DBC's cost depends on, keyed by the
-// DBC's member *set*. Each kernel stencil of a member v is charged
-// against its first candidate in v's DBC, and which candidate that is
-// depends only on which variables share the DBC, not on their order. So
-// a set fixes a transition list, one (u, v, w) entry per member v and
-// distinct realized predecessor u with w accesses, and its cost under
-// every order of its members is Σ w·|off(u) − off(v)| (DESIGN.md §8).
-// Population-based search re-prices the same sets constantly: a
-// transpose or a permutation reorders a DBC without changing its set,
-// operators rebuild sets an earlier individual already had, and
-// converged populations are near-duplicates of one another. A hit costs
-// O(|DBC| + transitions) instead of a stencil scan or a replay. The
-// genome already carries the costs of the DBCs an operator left alone,
-// so only dirty DBCs reach the cache (price).
+// dbcCostCache memoizes DBC costs by each DBC's member *set* (DESIGN.md
+// §8). A member's stencil is charged against its first candidate in the
+// member's DBC, and which candidate that is depends only on which
+// variables share the DBC. So a set fixes a transition list, one
+// (u, v, w) entry per member v and distinct realized predecessor u, and
+// its cost under any order of its members is Σ w·|off(u) − off(v)|.
+// Search re-prices the same sets constantly: a transpose or a
+// permutation keeps a DBC's set, operators rebuild sets an earlier
+// individual had, and converged populations are near-duplicates. Only a
+// genome's dirty DBCs reach the cache (price).
 //
-// A set's key is the sum of its members' random 64-bit keys, so it does
-// not depend on the order. A hit requires the same size and every stored
-// member to lie in the DBC being priced, which the genome's own lookup
-// answers; a collision therefore costs a miss, never a wrong cost, and
-// cached evaluation is bit-identical to the replay oracle
-// (TestDBCCostCacheParity) with search trajectories unchanged.
+// A set's key is the sum of its members' random 64-bit keys. A hit
+// requires the same size and every stored member to lie in the DBC
+// being priced, which the genome's lookup answers, so a key collision
+// costs a miss, never a wrong cost (TestDBCCostCacheParity).
 //
-// Misses are priced by one of two paths. Building an entry walks the
-// members' stencil rows once, which also yields the DBC's cost, and then
-// keeps the list. When only a minority of a genome's dirty DBCs miss
-// (the converged-population steady state), every miss is built. When
-// most miss (random initial populations, crossover children), a set seen
-// for the first time is priced by one per-DBC replay of the access
-// stream shared by all such DBCs of the genome, and its key goes into a
-// small direct-mapped filter; a set whose key the filter holds has been
-// seen before and is built. Most first-sight sets never recur, and on
-// scattered placements the linear replay is cheaper than the kernel's
-// candidate walks.
+// A miss is built (one walk of the members' stencil rows yields both the
+// list and the cost) when at most a quarter of the genome's non-empty
+// DBCs miss. When more miss, the sets seen for the first time share one
+// per-DBC replay and enter a small direct-mapped filter, and the sets
+// the filter holds are built: most first-sight sets never recur, and on
+// scattered placements one replay beats their stencil walks.
 //
-// Members and transitions live back to back in two arenas, so an insert
-// appends instead of allocating. When an arena or the entry table
-// reaches its bound the cache resets deterministically; an entry larger
-// than an arena is priced and not kept. The cache only ever changes
-// speed, not results.
+// Members and transitions live back to back in two bounded arenas. A
+// full arena or entry table resets the cache deterministically; an
+// entry larger than an arena is priced and not kept. The cache changes
+// speed only, never results.
 type dbcCostCache struct {
 	kern    *CostKernel
 	keys    []uint64            // keys[v]: v's share of a set's key
@@ -75,9 +63,9 @@ type setTrans struct {
 }
 
 // The cache's footprint is bounded by its entry count, by its arenas
-// (1 MiB of members, 1 MiB of transitions; an arena may briefly hold one
-// more entry before its reset) and by the filter (8 KiB). The reset is
-// deterministic, so results stay reproducible.
+// (256 KiB of members and 512 KiB of transitions; a walk appends its
+// entry before the bound is checked, so the transition arena can grow
+// one entry past it) and by the filter (8 KiB).
 const (
 	dbcCacheMaxEntries = 1 << 15
 	dbcCacheMaxMembers = 1 << 16

@@ -45,9 +45,12 @@ type Options struct {
 	// Capacity is the word capacity per DBC; 0 disables capacity limits
 	// (the paper's evaluation does not enforce them).
 	Capacity int
-	// GA configures the genetic algorithm; zero Mu means
-	// DefaultGAConfig's budget, under GA.Seed when it is non-zero, with
-	// SeedHeuristics.
+	// GA configures the genetic algorithm. A zero Mu takes
+	// DefaultGAConfig's search budget (population sizes, generations,
+	// tournament size, mutation rate and operator weights) and keeps
+	// every other field the caller set; a zero Seed means seed 1.
+	// Heuristic seeds are injected unless GA.Seeds is set or
+	// DisableGASeeding is.
 	GA GAConfig
 	// RW configures the random walk; zero Iterations means
 	// DefaultRWConfig's budget, under RW.Seed when it is non-zero.

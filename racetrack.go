@@ -173,8 +173,8 @@ type PlaceOptions struct {
 	// Capacity is the optional per-DBC word capacity (0 = unlimited).
 	Capacity int
 	// GA overrides the genetic-algorithm parameters (zero Mu: the
-	// paper's µ=λ=100, 200 generations, tournament 4, under GA.Seed
-	// when it is non-zero).
+	// paper's budget, µ=λ=100, 200 generations, tournament 4, keeping
+	// the caller's other fields, GA.Seed when it is non-zero).
 	GA GAConfig
 	// RW overrides the random-walk parameters (zero Iterations: the
 	// paper's 60 000 iterations, under RW.Seed when it is non-zero).
