@@ -189,10 +189,10 @@ func GAContext(ctx context.Context, s *trace.Sequence, q int, cfg GAConfig) (*GA
 // the DBCs it touches dirty; fitness re-prices only those. That is exact
 // because a DBC's cost depends only on its own members and their order
 // (a stencil is charged against a same-DBC predecessor only): a DBC an
-// operator did not touch still costs what it cost in the parent. A priced genome is immutable and may fill several
-// population and offspring slots (a child no operator touched is its
-// parent); its storage returns to the run's free list once selection
-// drops it.
+// operator did not touch still costs what it cost in the parent. A
+// priced genome is immutable and may fill several population and
+// offspring slots (a child no operator touched is its parent); its
+// storage returns to the run's free list once selection drops it.
 type genome struct {
 	Placement
 	lookup Lookup
