@@ -10,6 +10,7 @@ package racetrack
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -447,6 +448,59 @@ func BenchmarkTensorTrace(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkParseSequenceSuite parses the service's request traces: the
+// 205 OffsetStone sequences rendered as ParseSequence text (names
+// separated by spaces, writes marked "!"), the shape the serve workload
+// posts.
+func BenchmarkParseSequenceSuite(b *testing.B) {
+	texts := suiteRequestTraces(b)
+	size := 0
+	for _, text := range texts {
+		size += len(text)
+	}
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, text := range texts {
+			seq, err := ParseSequence(text)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sequenceSink = seq
+		}
+	}
+}
+
+var sequenceSink *Sequence
+
+// suiteRequestTraces renders every OffsetStone sequence as a request
+// trace.
+func suiteRequestTraces(b *testing.B) []string {
+	b.Helper()
+	var texts []string
+	for _, name := range offsetstone.Names() {
+		bm, err := offsetstone.Generate(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, s := range bm.Sequences {
+			var sb strings.Builder
+			for i, a := range s.Accesses {
+				if i > 0 {
+					sb.WriteByte(' ')
+				}
+				sb.WriteString(s.Name(a.Var))
+				if a.Write {
+					sb.WriteByte('!')
+				}
+			}
+			texts = append(texts, sb.String())
+		}
+	}
+	return texts
 }
 
 func itoa(n int) string {
