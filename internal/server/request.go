@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"time"
 
 	racetrack "repro"
@@ -30,6 +31,36 @@ const (
 	// maxObjectiveLen bounds the objective spec before parsing.
 	maxObjectiveLen = 64
 )
+
+// firstBodyBuffer caps the buffer readBody sizes from Content-Length, so
+// a hostile length cannot make the server reserve MaxBodyBytes before
+// admission; a longer body grows it as it arrives.
+const firstBodyBuffer = 64 << 10
+
+// readBody reads a request body into one buffer sized from its declared
+// length, where io.ReadAll would grow one from 512 bytes.
+func readBody(body io.Reader, length int64) ([]byte, error) {
+	switch {
+	case length < 0: // not declared
+		length = 512
+	case length > firstBodyBuffer:
+		length = firstBodyBuffer
+	}
+	b := make([]byte, 0, length+1) // the read that returns io.EOF needs room
+	for {
+		n, err := body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
+}
 
 // placeRequest is the decoded, validated form of one /v1/place call.
 type placeRequest struct {

@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net/http"
 	"runtime"
@@ -157,7 +156,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.gate.exit()
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	body, err := readBody(http.MaxBytesReader(w, r.Body, MaxBodyBytes), r.ContentLength)
 	if err != nil {
 		s.m.badRequests.Add(1)
 		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err), 0)

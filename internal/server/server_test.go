@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -428,5 +429,21 @@ func TestStatz(t *testing.T) {
 	}
 	if st.Requests < 1 || st.OK < 1 {
 		t.Fatalf("statz after one request: %+v", st)
+	}
+}
+
+// TestReadBody reads bodies whose declared length is right, unknown,
+// short, long and larger than the first buffer may be.
+func TestReadBody(t *testing.T) {
+	body := strings.Repeat("a b! c ", 20000) // longer than firstBodyBuffer
+	for _, length := range []int64{int64(len(body)), -1, 0, 10, MaxBodyBytes} {
+		got, err := readBody(strings.NewReader(body), length)
+		if err != nil || string(got) != body {
+			t.Errorf("length %d: read %d bytes, err %v; want %d", length, len(got), err, len(body))
+		}
+	}
+	got, err := readBody(strings.NewReader("short"), MaxBodyBytes)
+	if err != nil || string(got) != "short" || cap(got) > firstBodyBuffer+1 {
+		t.Errorf("declared %d for 5 bytes: %q (cap %d), %v", MaxBodyBytes, got, cap(got), err)
 	}
 }

@@ -134,3 +134,19 @@ func parseAddr(tok []byte) (uint64, error) {
 func badAddr(tok []byte) error {
 	return fmt.Errorf("bad address %q", tok)
 }
+
+// nextField splits the first ASCII-whitespace-separated field off line,
+// returning the field and the remainder, without allocating.
+//
+//rtm:hotpath
+func nextField(line []byte) (field, rest []byte) {
+	i := 0
+	for i < len(line) && asciiSpace(line[i]) {
+		i++
+	}
+	j := i
+	for j < len(line) && !asciiSpace(line[j]) {
+		j++
+	}
+	return line[i:j], line[j:]
+}

@@ -2,9 +2,9 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"io"
+	"io/fs"
 	"strings"
 )
 
@@ -59,99 +59,178 @@ func (b *Benchmark) MaxLen() int {
 // Parse reads a benchmark in the text format. Accesses that appear before
 // any "seq" directive form an implicit first sequence.
 //
-// The parse is streaming at the token level: lines are tokenized in
-// place from the scanner's byte buffer and accesses appended as they
-// are seen, so the only per-token allocation is the one string copy
-// each *new* variable name costs. (The decoded benchmark is still an
-// in-RAM structure — the out-of-core path is the binary format of
+// Parse reads all of r in one allocation when r reports its length
+// (strings, byte buffers, regular files), then tokenizes the text in
+// place: each sequence's accesses are counted first and allocated once
+// at their final length, and the only other per-token work is the name
+// table's lookup. Each new name is copied out of the text, so the
+// benchmark does not keep the text alive. (The decoded benchmark is an
+// in-RAM structure; the out-of-core path is the binary format of
 // binfmt.go.)
 func Parse(name string, r io.Reader) (*Benchmark, error) {
-	b := &Benchmark{Name: name}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-
-	var cur *Sequence
-	var index map[string]int
-	begin := func() {
-		cur = &Sequence{}
-		index = make(map[string]int)
-	}
-	flush := func() {
-		if cur != nil {
-			cur.refresh()
-			b.Sequences = append(b.Sequences, cur)
-			cur = nil
-		}
-	}
-
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 || line[0] == '#' {
-			continue
-		}
-		tok, rest := nextField(line)
-		if string(tok) == "seq" {
-			flush()
-			begin()
-			continue // the optional sequence name is informational only
-		}
-		if cur == nil {
-			begin()
-		}
-		for len(tok) > 0 {
-			write := false
-			vn := tok
-			if vn[len(vn)-1] == '!' {
-				write = true
-				vn = vn[:len(vn)-1]
-			}
-			if len(vn) == 0 {
-				return nil, fmt.Errorf("trace: line %d: empty variable name in token %q", lineNo, tok)
-			}
-			id, ok := index[string(vn)] // no allocation: map lookup by []byte key
-			if !ok {
-				id = len(cur.Names)
-				nm := string(vn)
-				index[nm] = id
-				cur.Names = append(cur.Names, nm)
-			}
-			cur.Accesses = append(cur.Accesses, Access{Var: id, Write: write})
-			tok, rest = nextField(rest)
-		}
-	}
-	if err := sc.Err(); err != nil {
+	text, err := readText(r)
+	if err != nil {
 		return nil, fmt.Errorf("trace: reading %s: %w", name, err)
 	}
-	flush()
-	return b, nil
+	return parseText(name, text)
 }
 
-// nextField splits the first whitespace-separated field off line,
-// returning the field and the remainder — the zero-allocation core both
-// text parsers tokenize through.
-//
-//rtm:hotpath
-func nextField(line []byte) (field, rest []byte) {
-	i := 0
-	for i < len(line) && asciiSpace(line[i]) {
-		i++
+// ParseString parses a benchmark in the text format from a literal.
+func ParseString(name, text string) (*Benchmark, error) {
+	return parseText(name, text)
+}
+
+// readText reads all of r, sized from r's length when it reports one.
+func readText(r io.Reader) (string, error) {
+	var sb strings.Builder
+	switch v := r.(type) {
+	case interface{ Len() int }:
+		sb.Grow(v.Len())
+	case interface{ Stat() (fs.FileInfo, error) }:
+		if fi, err := v.Stat(); err == nil && fi.Mode().IsRegular() && fi.Size() <= maxTextHint {
+			sb.Grow(int(fi.Size()))
+		}
 	}
-	j := i
-	for j < len(line) && !asciiSpace(line[j]) {
-		j++
+	_, err := io.Copy(&sb, r)
+	return sb.String(), err
+}
+
+// maxTextHint bounds the allocation readText trusts a file's size for;
+// a larger file grows the buffer as it is read.
+const maxTextHint = 1 << 30
+
+// The kinds of line of the text format.
+const (
+	lineBlank    = iota // empty, blank or a comment
+	lineSeq             // a "seq" directive
+	lineAccesses        // accesses
+)
+
+// textLine returns the kind of the line of text that starts at pos, the
+// line without its break, and the position of the next line. A
+// directive or comment is told by the line's first token.
+func textLine(text string, pos int) (kind int, line string, next int) {
+	end, next := len(text), len(text)
+	if k := strings.IndexByte(text[pos:], '\n'); k >= 0 {
+		end, next = pos+k, pos+k+1
 	}
-	return line[i:j], line[j:]
+	line = text[pos:end]
+	switch i, j := field(line, 0, false); {
+	case i == j || line[i] == '#':
+		return lineBlank, line, next
+	case line[i:j] == "seq":
+		return lineSeq, line, next
+	}
+	return lineAccesses, line, next
 }
 
-//rtm:hotpath
-func asciiSpace(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\v' || c == '\f'
+// parseText parses the text format from text.
+func parseText(name, text string) (*Benchmark, error) {
+	b := &Benchmark{Name: name}
+	t := newNameTable(0)
+	for pos, opened := 0, false; ; opened = true {
+		// The sequence's body runs to the next directive; count its
+		// accesses, so that they are allocated once.
+		n, end := 0, pos
+		for end < len(text) {
+			kind, line, next := textLine(text, end)
+			if kind == lineSeq {
+				break
+			}
+			if kind == lineAccesses {
+				n += countTokens(line, false)
+			}
+			end = next
+		}
+		if opened || n > 0 {
+			s, err := t.parseBody(text, pos, end, n)
+			if err != nil {
+				return nil, err
+			}
+			b.Sequences = append(b.Sequences, s)
+		}
+		if end == len(text) {
+			return b, nil
+		}
+		_, _, pos = textLine(text, end) // the directive's optional name is informational only
+	}
 }
 
-// Write renders the benchmark in the text format accepted by Parse.
+// parseBody parses the n accesses of the lines of text in [pos, end)
+// into a sequence. Each new name is checked against what Write can
+// carry and copied, so that the sequence does not keep text alive.
+func (t *nameTable) parseBody(text string, pos, end, n int) (*Sequence, error) {
+	s := &Sequence{Accesses: make([]Access, n)}
+	t.reset()
+	k := 0
+	for pos < end {
+		kind, line, next := textLine(text, pos)
+		for lp := 0; kind == lineAccesses; {
+			i, j, h := t.scan(line, lp, false)
+			if i == j {
+				break
+			}
+			name, write := splitWrite(line[i:j])
+			if name == "" {
+				return nil, fmt.Errorf("trace: line %d: empty variable name in token %q", lineOf(text, pos+i), line[i:j])
+			}
+			id := t.find(name, h)
+			if id < 0 {
+				if why := unwritable(name); why != "" {
+					return nil, fmt.Errorf("trace: line %d: variable name %q %s", lineOf(text, pos+i), name, why)
+				}
+				id = t.add(strings.Clone(name), h)
+			}
+			s.Accesses[k] = Access{Var: id, Write: write}
+			k++
+			lp = j
+		}
+		pos = next
+	}
+	s.Names = append([]string(nil), t.names...)
+	return s, nil
+}
+
+// lineOf returns the 1-based line number of text[i].
+func lineOf(text string, i int) int {
+	return 1 + strings.Count(text[:i], "\n")
+}
+
+// unwritable says why the text format cannot carry name as a variable
+// name, or returns "" when it can: Parse would read the name back as
+// something else (a comment, a directive, a write, several tokens or
+// none).
+func unwritable(name string) string {
+	switch {
+	case name == "":
+		return "is empty"
+	case name == "seq":
+		return "is the sequence directive"
+	case name[0] == '#':
+		return "starts with '#', which begins a comment"
+	case name[len(name)-1] == '!':
+		return "ends in '!', the write mark"
+	}
+	for k := 0; k < len(name); k++ {
+		if asciiSpace(name[k]) {
+			return "contains whitespace"
+		}
+	}
+	return ""
+}
+
+// Write renders the benchmark in the text format accepted by Parse. It
+// writes nothing and returns an error naming the first variable whose
+// name the format cannot carry (see Parse), so that a benchmark Parse
+// returned is written back unchanged.
 func Write(w io.Writer, b *Benchmark) error {
+	for i, s := range b.Sequences {
+		for _, n := range s.Names {
+			if why := unwritable(n); why != "" {
+				return fmt.Errorf("trace: sequence %d: variable name %q %s; the text format cannot carry it", i, n, why)
+			}
+		}
+	}
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# benchmark %s: %d sequences, %d accesses\n",
 		b.Name, len(b.Sequences), b.TotalAccesses())
@@ -177,9 +256,4 @@ func Write(w io.Writer, b *Benchmark) error {
 		bw.WriteByte('\n')
 	}
 	return bw.Flush()
-}
-
-// ParseString is a convenience wrapper over Parse for literal traces.
-func ParseString(name, text string) (*Benchmark, error) {
-	return Parse(name, strings.NewReader(text))
 }

@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -16,13 +18,15 @@ func FuzzParse(f *testing.F) {
 	f.Add("# comment\n\nseq only\n")
 	f.Add("!\n")
 	f.Add(strings.Repeat("v ", 500) + "\n")
+	f.Add(strings.Repeat("ab ", 33) + "seq ab cd\n")
+	f.Add(manyNames(150, 3) + "\n#x a\n")
 	f.Fuzz(func(t *testing.T, input string) {
 		b, err := ParseString("fuzz", input)
 		if err != nil {
 			return // rejecting is fine; crashing is not
 		}
 		// Anything accepted must be internally consistent and survive a
-		// write/parse round trip with identical shape.
+		// write/parse round trip unchanged.
 		for i, s := range b.Sequences {
 			if err := s.Validate(); err != nil {
 				t.Fatalf("seq %d invalid after parse: %v", i, err)
@@ -40,12 +44,93 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("round trip changed sequence count: %d -> %d",
 				len(b.Sequences), len(b2.Sequences))
 		}
-		for i := range b.Sequences {
-			if b2.Sequences[i].Len() != b.Sequences[i].Len() {
-				t.Fatalf("round trip changed seq %d length", i)
+		for i, s := range b.Sequences {
+			if !b2.Sequences[i].ContentEqual(s) {
+				t.Fatalf("round trip changed seq %d: %v -> %v", i, s, b2.Sequences[i])
 			}
 		}
 	})
+}
+
+// manyNames returns a line of n distinct names, each one a write every
+// third access and every name repeated reps times in turn; with
+// n in the hundreds it makes a name table grow several times.
+func manyNames(n, reps int) string {
+	var sb strings.Builder
+	for r := 0; r < reps; r++ {
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&sb, "n%d", i)
+			if (r*n+i)%3 == 0 {
+				sb.WriteByte('!')
+			}
+			sb.WriteByte(' ')
+		}
+	}
+	return sb.String()
+}
+
+// FuzzTokenizeParity pins the tokenizer and name table to the map-based
+// paths they replaced (oracle_test.go): the request tokenizer, both
+// token-list constructors and the text format must return the
+// reference's names and accesses, and fail exactly where it fails.
+func FuzzTokenizeParity(f *testing.F) {
+	f.Add("a b a b c a c a d d a i e f e f g e g h g i h i")
+	f.Add("x y! z\n# c\nseq f\n  p p! q\r\nseq\nseq g h\n")
+	f.Add(" \t a!! ! #b seq\vc\fd\n")
+	f.Add("a\u00a0b c\u2003d\u3000e\u0085f\xe2\x80 g\xff h\n\u00a0seq x\n")
+	f.Add(manyNames(600, 2))
+	f.Add(strings.Repeat("a_name_longer_than_any_hash_block_of_sixteen_or_thirty_two_bytes ", 5) +
+		strings.Repeat("z", 300) + " " + strings.Repeat("z", 300) + "!")
+	f.Fuzz(func(t *testing.T, text string) {
+		got, err := ParseSequence(text)
+		want, werr := oracleParseSequence(text)
+		sameSequence(t, "ParseSequence", got, err, want, werr)
+
+		for _, tokens := range [][]string{strings.Fields(text), strings.Split(text, " ")} {
+			got, err := NewNamedSequence(tokens...)
+			want, werr := oracleNamedSequence(tokens...)
+			sameSequence(t, "NewNamedSequence", got, err, want, werr)
+			if werr != nil || len(want.Names) == 0 {
+				continue
+			}
+			universe := append([]string(nil), want.Names...)
+			slices.Reverse(universe)
+			universe = append(universe, "undeclared", universe[0])
+			for _, u := range [][]string{universe[:len(want.Names)], universe[:len(want.Names)+1], universe, universe[1:]} {
+				got, err := NewNamedSequenceWithUniverse(u, tokens...)
+				want, werr := oracleNamedSequenceWithUniverse(u, tokens...)
+				sameSequence(t, "NewNamedSequenceWithUniverse", got, err, want, werr)
+			}
+		}
+
+		b, err := ParseString("p", text)
+		wb, werr := oracleParse("p", strings.NewReader(text))
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("Parse: err = %v, reference err = %v", err, werr)
+		}
+		if err != nil {
+			return
+		}
+		if len(b.Sequences) != len(wb.Sequences) {
+			t.Fatalf("Parse: %d sequences, reference %d", len(b.Sequences), len(wb.Sequences))
+		}
+		for i, s := range b.Sequences {
+			sameSequence(t, fmt.Sprintf("Parse seq %d", i), s, nil, wb.Sequences[i], nil)
+		}
+	})
+}
+
+// sameSequence fails t unless got and want are both errors or hold the
+// same names, universe and accesses.
+func sameSequence(t *testing.T, what string, got *Sequence, err error, want *Sequence, werr error) {
+	t.Helper()
+	if (err == nil) != (werr == nil) {
+		t.Fatalf("%s: err = %v, reference err = %v", what, err, werr)
+	}
+	if err == nil && !got.ContentEqual(want) {
+		t.Fatalf("%s: got %d names %q, %v; reference %d names %q, %v",
+			what, got.NumVars(), got.Names, got.Accesses, want.NumVars(), want.Names, want.Accesses)
+	}
 }
 
 // FuzzBinfmtRoundTrip pins the binary format from both directions: any

@@ -59,27 +59,48 @@ func NewSequence(vars ...int) *Sequence {
 // name becomes a variable, numbered in order of first appearance; a name
 // suffixed with "!" denotes a write access.
 func NewNamedSequence(tokens ...string) (*Sequence, error) {
-	s := &Sequence{}
-	index := make(map[string]int)
-	for _, tok := range tokens {
-		write := false
-		name := tok
-		if strings.HasSuffix(tok, "!") {
-			write = true
-			name = strings.TrimSuffix(tok, "!")
-		}
+	s := &Sequence{Accesses: make([]Access, len(tokens))}
+	t := newNameTable(0)
+	for k, tok := range tokens {
+		name, write := splitWrite(tok)
 		if name == "" {
 			return nil, fmt.Errorf("trace: empty variable name in token %q", tok)
 		}
-		id, ok := index[name]
-		if !ok {
-			id = len(s.Names)
-			index[name] = id
-			s.Names = append(s.Names, name)
+		h := t.hash(name)
+		id := t.find(name, h)
+		if id < 0 {
+			id = t.add(name, h)
 		}
-		s.Accesses = append(s.Accesses, Access{Var: id, Write: write})
+		s.Accesses[k] = Access{Var: id, Write: write}
 	}
-	s.refresh()
+	s.Names = t.names
+	return s, nil
+}
+
+// ParseSequence parses a request trace: tokens separated by whitespace
+// (any rune unicode.IsSpace accepts, as strings.Fields splits), each a
+// variable name with an optional "!" write mark. Unlike the text format
+// it has no directives or comments, so any token names a variable.
+// Variables are numbered in order of first appearance, and their names
+// are substrings of text.
+func ParseSequence(text string) (*Sequence, error) {
+	s := &Sequence{Accesses: make([]Access, countTokens(text, true))}
+	t := newNameTable(0)
+	pos := 0
+	for k := range s.Accesses {
+		i, j, h := t.scan(text, pos, true)
+		name, write := splitWrite(text[i:j])
+		if name == "" {
+			return nil, fmt.Errorf("trace: empty variable name in token %q", text[i:j])
+		}
+		id := t.find(name, h)
+		if id < 0 {
+			id = t.add(name, h)
+		}
+		s.Accesses[k] = Access{Var: id, Write: write}
+		pos = j
+	}
+	s.Names = t.names
 	return s, nil
 }
 
@@ -88,32 +109,34 @@ func NewNamedSequence(tokens ...string) (*Sequence, error) {
 // tie-breaking by variable index follows declaration order rather than
 // order of first appearance. Every accessed name must be declared.
 func NewNamedSequenceWithUniverse(universe []string, tokens ...string) (*Sequence, error) {
-	s := &Sequence{Names: append([]string(nil), universe...)}
-	index := make(map[string]int, len(universe))
+	t := newNameTable(len(universe))
 	for i, n := range universe {
 		if n == "" {
 			return nil, fmt.Errorf("trace: empty name at universe index %d", i)
 		}
-		if _, dup := index[n]; dup {
+		h := t.hash(n)
+		if t.find(n, h) >= 0 {
 			return nil, fmt.Errorf("trace: duplicate name %q in universe", n)
 		}
-		index[n] = i
+		t.add(n, h)
 	}
-	for _, tok := range tokens {
-		write := false
-		name := tok
-		if strings.HasSuffix(tok, "!") {
-			write = true
-			name = strings.TrimSuffix(tok, "!")
-		}
-		id, ok := index[name]
-		if !ok {
+	s := &Sequence{Names: t.names, Accesses: make([]Access, len(tokens))}
+	for k, tok := range tokens {
+		name, write := splitWrite(tok)
+		id := t.find(name, t.hash(name))
+		if id < 0 {
 			return nil, fmt.Errorf("trace: access to undeclared variable %q", name)
 		}
-		s.Accesses = append(s.Accesses, Access{Var: id, Write: write})
+		s.Accesses[k] = Access{Var: id, Write: write}
 	}
-	s.refresh()
 	return s, nil
+}
+
+// FromAccesses returns an unnamed sequence over accesses with the
+// universe numVars, which must exceed every access's variable: a caller
+// that knows the universe spares NumVars the pass that finds it.
+func FromAccesses(accesses []Access, numVars int) *Sequence {
+	return &Sequence{Accesses: accesses, numVars: numVars}
 }
 
 func (s *Sequence) refresh() {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -201,6 +202,48 @@ func TestParseErrors(t *testing.T) {
 	b, err = ParseString("implicit", "a b c\n")
 	if err != nil || len(b.Sequences) != 1 {
 		t.Fatalf("implicit sequence: err=%v n=%d", err, len(b.Sequences))
+	}
+}
+
+// TestTextFormatCarriesEveryName pins the names the text format cannot
+// carry. Write wraps lines at 100 columns and writes any name, so a
+// variable named "seq" that lands at the start of a line became a
+// directive on the way back, and one named "#x" a comment: Write now
+// refuses such names, and Parse rejects them when it first meets them.
+func TestTextFormatCarriesEveryName(t *testing.T) {
+	// One line of 33 x "ab", then "seq ab cd": a variable named "seq"
+	// past column 100, which Write wrapped onto a line of its own.
+	long := strings.Repeat("ab ", 33) + "seq ab cd\n"
+	if _, err := ParseString("long", long); err == nil || !strings.Contains(err.Error(), `"seq"`) {
+		t.Errorf("Parse of a variable named seq: err = %v, want one naming it", err)
+	}
+	for _, tc := range []struct {
+		tokens []string
+		bad    string
+	}{
+		{append(strings.Fields(strings.Repeat("ab ", 33)), "seq", "ab", "cd"), "seq"},
+		{[]string{"#x", "a"}, "#x"},
+		{[]string{"a b", "c"}, "a b"},
+		{[]string{"c", "d\te"}, "d\te"},
+		{[]string{"a!!", "b"}, "a!"},
+	} {
+		s, err := NewNamedSequence(tc.tokens...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		err = Write(&sb, &Benchmark{Name: "w", Sequences: []*Sequence{s}})
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", tc.bad)) {
+			t.Errorf("Write of %q: err = %v, want one naming %q", tc.tokens, err, tc.bad)
+		}
+		if sb.Len() != 0 {
+			t.Errorf("Write of %q failed after writing %d bytes", tc.tokens, sb.Len())
+		}
+	}
+	for _, text := range []string{"a #x\n", "a a!!\n", "seq!\n", "x\nb seq\n"} {
+		if _, err := ParseString("bad", text); err == nil {
+			t.Errorf("Parse(%q) accepted a name Write cannot carry", text)
+		}
 	}
 }
 

@@ -50,7 +50,6 @@ package racetrack
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/cache"
 	"repro/internal/energy"
@@ -128,11 +127,11 @@ type Placement = placement.Placement
 // ParseSequence parses a whitespace-separated access sequence; each token
 // is a variable name, with a "!" suffix marking writes: "a b! a c".
 func ParseSequence(text string) (*Sequence, error) {
-	tokens := strings.Fields(text)
-	if len(tokens) == 0 {
+	s, err := trace.ParseSequence(text)
+	if err == nil && s.Len() == 0 {
 		return nil, fmt.Errorf("racetrack: empty access sequence")
 	}
-	return trace.NewNamedSequence(tokens...)
+	return s, err
 }
 
 // ParseBenchmark parses the multi-sequence text format (see
