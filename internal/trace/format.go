@@ -166,7 +166,7 @@ func (t *nameTable) parseBody(text string, pos, end, n int) (*Sequence, error) {
 	for pos < end {
 		kind, line, next := textLine(text, pos)
 		for lp := 0; kind == lineAccesses; {
-			i, j, h := t.scan(line, lp, false)
+			i, j, key := t.scan(line, lp, false)
 			if i == j {
 				break
 			}
@@ -174,12 +174,12 @@ func (t *nameTable) parseBody(text string, pos, end, n int) (*Sequence, error) {
 			if name == "" {
 				return nil, fmt.Errorf("trace: line %d: empty variable name in token %q", lineOf(text, pos+i), line[i:j])
 			}
-			id := t.find(name, h)
+			id := t.find(name, key)
 			if id < 0 {
 				if why := unwritable(name); why != "" {
 					return nil, fmt.Errorf("trace: line %d: variable name %q %s", lineOf(text, pos+i), name, why)
 				}
-				id = t.add(strings.Clone(name), h)
+				id = t.add(strings.Clone(name), key)
 			}
 			s.Accesses[k] = Access{Var: id, Write: write}
 			k++

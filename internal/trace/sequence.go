@@ -66,10 +66,10 @@ func NewNamedSequence(tokens ...string) (*Sequence, error) {
 		if name == "" {
 			return nil, fmt.Errorf("trace: empty variable name in token %q", tok)
 		}
-		h := t.hash(name)
-		id := t.find(name, h)
+		key := t.key(name)
+		id := t.find(name, key)
 		if id < 0 {
-			id = t.add(name, h)
+			id = t.add(name, key)
 		}
 		s.Accesses[k] = Access{Var: id, Write: write}
 	}
@@ -88,14 +88,14 @@ func ParseSequence(text string) (*Sequence, error) {
 	t := newNameTable(0)
 	pos := 0
 	for k := range s.Accesses {
-		i, j, h := t.scan(text, pos, true)
+		i, j, key := t.scan(text, pos, true)
 		name, write := splitWrite(text[i:j])
 		if name == "" {
 			return nil, fmt.Errorf("trace: empty variable name in token %q", text[i:j])
 		}
-		id := t.find(name, h)
+		id := t.find(name, key)
 		if id < 0 {
-			id = t.add(name, h)
+			id = t.add(name, key)
 		}
 		s.Accesses[k] = Access{Var: id, Write: write}
 		pos = j
@@ -114,16 +114,16 @@ func NewNamedSequenceWithUniverse(universe []string, tokens ...string) (*Sequenc
 		if n == "" {
 			return nil, fmt.Errorf("trace: empty name at universe index %d", i)
 		}
-		h := t.hash(n)
-		if t.find(n, h) >= 0 {
+		key := t.key(n)
+		if t.find(n, key) >= 0 {
 			return nil, fmt.Errorf("trace: duplicate name %q in universe", n)
 		}
-		t.add(n, h)
+		t.add(n, key)
 	}
 	s := &Sequence{Names: t.names, Accesses: make([]Access, len(tokens))}
 	for k, tok := range tokens {
 		name, write := splitWrite(tok)
-		id := t.find(name, t.hash(name))
+		id := t.find(name, t.key(name))
 		if id < 0 {
 			return nil, fmt.Errorf("trace: access to undeclared variable %q", name)
 		}

@@ -183,10 +183,18 @@ type nameTable struct {
 	names  []string // by id
 }
 
+// nameKey is what a nameTable files a name under: its hash and, for a
+// name of one to seven bytes, the name's bytes and length packed in one
+// word (0 for other names), which settle equality without reading the
+// name.
+type nameKey struct {
+	hash, short uint64
+}
+
 // nameSlot is one slot of a nameTable.
 type nameSlot struct {
-	hash uint64
-	id   int // the name's id + 1; 0 marks an empty slot
+	key nameKey
+	id  int // the name's id + 1; 0 marks an empty slot
 }
 
 // newNameTable returns a table with room for hint names before it grows.
@@ -204,31 +212,32 @@ func newNameTable(hint int) *nameTable {
 }
 
 // scan returns the bounds [i, j) of the first token of text at or after
-// pos, with i == j == len(text) when none is left, and the hash of its
+// pos, with i == j == len(text) when none is left, and the key of its
 // name: the token without a trailing write mark.
 //
 //rtm:hotpath
-func (t *nameTable) scan(text string, pos int, unicodeSpaces bool) (i, j int, h uint64) {
+func (t *nameTable) scan(text string, pos int, unicodeSpaces bool) (i, j int, k nameKey) {
 	i, j = field(text, pos, unicodeSpaces)
 	n := j - i
 	if n > 0 && text[j-1] == '!' {
 		n--
 	}
-	return i, j, t.hashAt(text, i, n)
+	return i, j, t.keyAt(text, i, n)
 }
 
-// hash returns the hash of name.
+// key returns the key of name.
 //
 //rtm:hotpath
-func (t *nameTable) hash(name string) uint64 { return t.hashAt(name, 0, len(name)) }
+func (t *nameTable) key(name string) nameKey { return t.keyAt(name, 0, len(name)) }
 
-// hashAt returns the hash of the name text[i:i+n]. A word may be read
+// keyAt returns the key of the name text[i:i+n]. A word may be read
 // past the name, within text, and masked to it. The length seeds the
-// state, so a name of up to eight bytes costs one multiply.
+// hash, so a name of up to eight bytes costs one multiply.
 //
 //rtm:hotpath
-func (t *nameTable) hashAt(text string, i, n int) uint64 {
+func (t *nameTable) keyAt(text string, i, n int) nameKey {
 	h := t.k1 ^ uint64(n)
+	var short uint64
 	for k := 0; k < n; k += 8 {
 		var w uint64
 		if i+k+8 <= len(text) {
@@ -240,10 +249,14 @@ func (t *nameTable) hashAt(text string, i, n int) uint64 {
 		}
 		if r := n - k; r < 8 {
 			w &= 1<<(8*r) - 1
+			short = w | uint64(n)<<56 // used only when n < 8
 		}
 		h = t.mix(h, w)
 	}
-	return h
+	if n >= 8 {
+		short = 0
+	}
+	return nameKey{hash: h, short: short}
 }
 
 // mix folds x into the hash state h.
@@ -254,25 +267,25 @@ func (t *nameTable) mix(h, x uint64) uint64 {
 	return hi ^ lo
 }
 
-// find returns the id of name, whose hash is h, or -1.
+// find returns the id of name, whose key is k, or -1.
 //
 //rtm:hotpath
-func (t *nameTable) find(name string, h uint64) int {
+func (t *nameTable) find(name string, k nameKey) int {
 	mask := uint64(len(t.slots) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
+	for i := k.hash & mask; ; i = (i + 1) & mask {
 		s := t.slots[i]
 		if s.id == 0 {
 			return -1
 		}
-		if s.hash == h && t.names[s.id-1] == name {
+		if s.key.hash == k.hash && (k.short != 0 && s.key.short == k.short || k.short == 0 && t.names[s.id-1] == name) {
 			return s.id - 1
 		}
 	}
 }
 
-// add numbers name, whose hash is h and which find did not find, with
+// add numbers name, whose key is k and which find did not find, with
 // the next id.
-func (t *nameTable) add(name string, h uint64) int {
+func (t *nameTable) add(name string, k nameKey) int {
 	if 4*(len(t.names)+1) > 3*len(t.slots) {
 		old := t.slots
 		t.slots = make([]nameSlot, 2*len(old))
@@ -283,14 +296,14 @@ func (t *nameTable) add(name string, h uint64) int {
 		}
 	}
 	t.names = append(t.names, name)
-	t.file(nameSlot{hash: h, id: len(t.names)})
+	t.file(nameSlot{key: k, id: len(t.names)})
 	return len(t.names) - 1
 }
 
 // file puts s in the first free slot of its probe sequence.
 func (t *nameTable) file(s nameSlot) {
 	mask := uint64(len(t.slots) - 1)
-	i := s.hash & mask
+	i := s.key.hash & mask
 	for t.slots[i].id != 0 {
 		i = (i + 1) & mask
 	}
