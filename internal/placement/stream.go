@@ -195,12 +195,12 @@ func PlaceStreamed(ctx context.Context, r trace.AccessReader, cfg StreamConfig) 
 		// it, so a strategy that can build its placement without pricing
 		// it (the constructive heuristics) skips the cost Place would
 		// compute and discard.
-		w.seq = trace.FromAccesses(w.buf, len(w.order))
+		w.seq = *trace.FromAccesses(w.buf, len(w.order))
 		var p *Placement
 		if h, ok := st.(constructive); ok {
-			p, err = h.construct(w.seq, q, stOpts)
+			p, err = h.construct(&w.seq, q, stOpts)
 		} else {
-			p, _, err = st.Place(w.seq, q, stOpts)
+			p, _, err = st.Place(&w.seq, q, stOpts)
 		}
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil {
@@ -254,10 +254,10 @@ func PlaceStreamed(ctx context.Context, r trace.AccessReader, cfg StreamConfig) 
 // streamWindow is PlaceStreamed's working state, allocated once and
 // reused for every window, so the per-access loops allocate nothing.
 type streamWindow struct {
-	vars  varTable        // global id -> local id, previous location
-	buf   []trace.Access  // the window, compacted to local ids
-	seq   *trace.Sequence // the strategy's view of buf
-	order []int           // local id -> global id
+	vars  varTable       // global id -> local id, previous location
+	buf   []trace.Access // the window, compacted to local ids
+	seq   trace.Sequence // the strategy's view of buf
+	order []int          // local id -> global id
 	moved []migration
 	track []int      // per-DBC track state, cold until first access
 	pm    *PortModel // nil: the single-port |x−y| model
@@ -348,7 +348,7 @@ func (w *streamWindow) migrate(l *Lookup, res *StreamResult) {
 func (w *streamWindow) replay(l *Lookup, res *StreamResult) {
 	// The strategy placed every local variable (checked by the caller),
 	// so no access is unplaced.
-	shifts, _ := replayTotal(w.seq, l, w.pm, w.track, math.MaxInt64)
+	shifts, _ := replayTotal(&w.seq, l, w.pm, w.track, math.MaxInt64)
 	var writes int64
 	for _, a := range w.buf {
 		if a.Write {

@@ -63,8 +63,8 @@ func (b *Benchmark) MaxLen() int {
 // (strings, byte buffers, regular files), then tokenizes the text in
 // place: each sequence's accesses are counted first and allocated once
 // at their final length, and the only other per-token work is the name
-// table's lookup. Each new name is copied out of the text, so the
-// benchmark does not keep the text alive. (The decoded benchmark is an
+// table's lookup. Each sequence's names are copied out of the text, so
+// the benchmark does not keep the text alive. (The decoded benchmark is an
 // in-RAM structure; the out-of-core path is the binary format of
 // binfmt.go.)
 func Parse(name string, r io.Reader) (*Benchmark, error) {
@@ -127,7 +127,8 @@ func textLine(text string, pos int) (kind int, line string, next int) {
 // parseText parses the text format from text.
 func parseText(name, text string) (*Benchmark, error) {
 	b := &Benchmark{Name: name}
-	t := newNameTable(0)
+	t := getNameTable()
+	defer t.release()
 	for pos, opened := 0, false; ; opened = true {
 		// The sequence's body runs to the next directive; count its
 		// accesses, so that they are allocated once.
@@ -158,7 +159,8 @@ func parseText(name, text string) (*Benchmark, error) {
 
 // parseBody parses the n accesses of the lines of text in [pos, end)
 // into a sequence. Each new name is checked against what Write can
-// carry and copied, so that the sequence does not keep text alive.
+// carry, and the names are copied out of text, so that the sequence
+// does not keep it alive.
 func (t *nameTable) parseBody(text string, pos, end, n int) (*Sequence, error) {
 	s := &Sequence{Accesses: make([]Access, n)}
 	t.reset()
@@ -179,7 +181,7 @@ func (t *nameTable) parseBody(text string, pos, end, n int) (*Sequence, error) {
 				if why := unwritable(name); why != "" {
 					return nil, fmt.Errorf("trace: line %d: variable name %q %s", lineOf(text, pos+i), name, why)
 				}
-				id = t.add(strings.Clone(name), key)
+				id = t.add(name, key)
 			}
 			s.Accesses[k] = Access{Var: id, Write: write}
 			k++
@@ -187,7 +189,7 @@ func (t *nameTable) parseBody(text string, pos, end, n int) (*Sequence, error) {
 		}
 		pos = next
 	}
-	s.Names = append([]string(nil), t.names...)
+	s.Names = t.takeNames(true)
 	return s, nil
 }
 
@@ -238,11 +240,12 @@ func Write(w io.Writer, b *Benchmark) error {
 		fmt.Fprintf(bw, "seq s%d\n", i)
 		col := 0
 		for _, a := range s.Accesses {
-			tok := s.Name(a.Var)
+			name := s.Name(a.Var)
+			n := len(name)
 			if a.Write {
-				tok += "!"
+				n++ // the write mark
 			}
-			if col > 0 && col+len(tok)+1 > 100 {
+			if col > 0 && col+n+1 > 100 {
 				bw.WriteByte('\n')
 				col = 0
 			}
@@ -250,8 +253,11 @@ func Write(w io.Writer, b *Benchmark) error {
 				bw.WriteByte(' ')
 				col++
 			}
-			bw.WriteString(tok)
-			col += len(tok)
+			bw.WriteString(name)
+			if a.Write {
+				bw.WriteByte('!')
+			}
+			col += n
 		}
 		bw.WriteByte('\n')
 	}

@@ -60,7 +60,8 @@ func NewSequence(vars ...int) *Sequence {
 // suffixed with "!" denotes a write access.
 func NewNamedSequence(tokens ...string) (*Sequence, error) {
 	s := &Sequence{Accesses: make([]Access, len(tokens))}
-	t := newNameTable(0)
+	t := getNameTable()
+	defer t.release()
 	for k, tok := range tokens {
 		name, write := splitWrite(tok)
 		if name == "" {
@@ -73,7 +74,7 @@ func NewNamedSequence(tokens ...string) (*Sequence, error) {
 		}
 		s.Accesses[k] = Access{Var: id, Write: write}
 	}
-	s.Names = t.names
+	s.Names = t.takeNames(false)
 	return s, nil
 }
 
@@ -85,7 +86,8 @@ func NewNamedSequence(tokens ...string) (*Sequence, error) {
 // are substrings of text.
 func ParseSequence(text string) (*Sequence, error) {
 	s := &Sequence{Accesses: make([]Access, countTokens(text, true))}
-	t := newNameTable(0)
+	t := getNameTable()
+	defer t.release()
 	pos := 0
 	for k := range s.Accesses {
 		i, j, key := t.scan(text, pos, true)
@@ -100,7 +102,7 @@ func ParseSequence(text string) (*Sequence, error) {
 		s.Accesses[k] = Access{Var: id, Write: write}
 		pos = j
 	}
-	s.Names = t.names
+	s.Names = t.takeNames(false)
 	return s, nil
 }
 
@@ -109,7 +111,8 @@ func ParseSequence(text string) (*Sequence, error) {
 // tie-breaking by variable index follows declaration order rather than
 // order of first appearance. Every accessed name must be declared.
 func NewNamedSequenceWithUniverse(universe []string, tokens ...string) (*Sequence, error) {
-	t := newNameTable(len(universe))
+	t := getNameTable()
+	defer t.release()
 	for i, n := range universe {
 		if n == "" {
 			return nil, fmt.Errorf("trace: empty name at universe index %d", i)
@@ -120,7 +123,7 @@ func NewNamedSequenceWithUniverse(universe []string, tokens ...string) (*Sequenc
 		}
 		t.add(n, key)
 	}
-	s := &Sequence{Names: t.names, Accesses: make([]Access, len(tokens))}
+	s := &Sequence{Names: t.takeNames(false), Accesses: make([]Access, len(tokens))}
 	for k, tok := range tokens {
 		name, write := splitWrite(tok)
 		id := t.find(name, t.key(name))

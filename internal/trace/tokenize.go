@@ -3,6 +3,8 @@ package trace
 import (
 	"hash/maphash"
 	"math/bits"
+	"strings"
+	"sync"
 	"unicode"
 	"unicode/utf8"
 )
@@ -197,17 +199,30 @@ type nameSlot struct {
 	id  int // the name's id + 1; 0 marks an empty slot
 }
 
-// newNameTable returns a table with room for hint names before it grows.
-func newNameTable(hint int) *nameTable {
-	n := 16
-	for 3*n < 4*hint {
-		n *= 2
-	}
+// nameTables recycles name tables, so that a parse allocates no slots
+// and only its final names.
+var nameTables = sync.Pool{New: func() any {
 	seed := maphash.MakeSeed()
 	return &nameTable{
 		k1:    maphash.String(seed, "k1"),
 		k2:    maphash.String(seed, "k2"),
-		slots: make([]nameSlot, n),
+		slots: make([]nameSlot, 16),
+	}
+}}
+
+// maxPooledSlots bounds the tables nameTables keeps, so that a parse of
+// a few names does not clear the slots a huge sequence grew.
+const maxPooledSlots = 1 << 12
+
+// getNameTable returns an empty table; release it when done.
+func getNameTable() *nameTable { return nameTables.Get().(*nameTable) }
+
+// release empties t and returns it to nameTables; t's names must have
+// been taken first.
+func (t *nameTable) release() {
+	if len(t.slots) <= maxPooledSlots {
+		t.reset()
+		nameTables.Put(t)
 	}
 }
 
@@ -217,7 +232,24 @@ func newNameTable(hint int) *nameTable {
 //
 //rtm:hotpath
 func (t *nameTable) scan(text string, pos int, unicodeSpaces bool) (i, j int, k nameKey) {
-	i, j = field(text, pos, unicodeSpaces)
+	i = skipSpace(text, pos, unicodeSpaces)
+	if i+8 <= len(text) {
+		// A token of up to seven bytes that an ASCII space ends, the
+		// common case, is settled from one word: its end, write mark
+		// and key.
+		x := word(text, i)
+		if stop := ((x-'!'*lsbs)&^x | x) & msbs; stop != 0 {
+			if j = i + bits.TrailingZeros64(stop)/8; asciiSpace(text[j]) {
+				n := j - i
+				if n > 0 && text[j-1] == '!' {
+					n--
+				}
+				w := x & (1<<(8*n) - 1)
+				return i, j, nameKey{hash: t.mix(t.k1^uint64(n), w), short: w | uint64(n)<<56}
+			}
+		}
+	}
+	j = tokenEnd(text, i, unicodeSpaces)
 	n := j - i
 	if n > 0 && text[j-1] == '!' {
 		n--
@@ -277,7 +309,7 @@ func (t *nameTable) find(name string, k nameKey) int {
 		if s.id == 0 {
 			return -1
 		}
-		if s.key.hash == k.hash && (k.short != 0 && s.key.short == k.short || k.short == 0 && t.names[s.id-1] == name) {
+		if s.key == k && (k.short != 0 || t.names[s.id-1] == name) {
 			return s.id - 1
 		}
 	}
@@ -310,8 +342,38 @@ func (t *nameTable) file(s nameSlot) {
 	t.slots[i] = s
 }
 
-// reset empties the table for the next sequence, keeping its storage.
+// reset empties the table for the next sequence, keeping its storage
+// but no name.
 func (t *nameTable) reset() {
 	clear(t.slots)
+	clear(t.names)
 	t.names = t.names[:0]
+}
+
+// takeNames returns the table's names, by id, in a slice of their
+// number (nil for none). With clone, the names are copied into one new
+// string, so that they do not keep the text they were cut from alive.
+func (t *nameTable) takeNames(clone bool) []string {
+	if len(t.names) == 0 {
+		return nil
+	}
+	names := make([]string, len(t.names))
+	if !clone {
+		copy(names, t.names)
+		return names
+	}
+	size := 0
+	for _, n := range t.names {
+		size += len(n)
+	}
+	var b strings.Builder
+	b.Grow(size)
+	for _, n := range t.names {
+		b.WriteString(n)
+	}
+	all := b.String()
+	for id, n := range t.names {
+		names[id], all = all[:len(n)], all[len(n):]
+	}
+	return names
 }
