@@ -217,8 +217,8 @@ const maxPooledSlots = 1 << 12
 // getNameTable returns an empty table; release it when done.
 func getNameTable() *nameTable { return nameTables.Get().(*nameTable) }
 
-// release empties t and returns it to nameTables; t's names must have
-// been taken first.
+// release empties t and returns it to nameTables; names the caller
+// keeps must have been taken first.
 func (t *nameTable) release() {
 	if len(t.slots) <= maxPooledSlots {
 		t.reset()
